@@ -88,9 +88,9 @@ def cmd_run(scenario_path: str, out_dir: str | None = None,
     return _STATUS_CODES[traj.status]
 
 
-def cmd_verify(suite: str, seed: int = 0, threads: int = 1) -> int:
+def cmd_verify(suite: str, seed: int = 0) -> int:
     try:
-        results = run_suite(suite, seed=seed, threads=threads)
+        results = run_suite(suite, seed=seed)
     except ValueError as e:
         return _fail(str(e))
     for r in results:
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="integrate a scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("-o", "--out", default=None, help="output directory")
     p_run.add_argument("--plot", action="store_true",
                        help="also write snapshot SVG plots")
 
@@ -226,16 +226,14 @@ def main(argv=None) -> int:
     p_ver.add_argument("suite", choices=SUITE_NAMES)
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for randomized test densities")
-    p_ver.add_argument("--threads", type=int, default=1,
-                       help="cap on concurrent checks")
 
     p_cmp = sub.add_parser("compare",
                            help="run solver and wave oracle, report errors")
     p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--out", default=None)
+    p_cmp.add_argument("-o", "--out", default=None)
 
     p_scan = sub.add_parser("scan", help="kernel truncation-order sweep")
-    p_scan.add_argument("--out", default=None)
+    p_scan.add_argument("-o", "--out", default=None)
     p_scan.add_argument("--family", default="difference_of_gaussians",
                         choices=("gaussian", "difference_of_gaussians"))
     p_scan.add_argument("--n", type=int, default=256)
@@ -248,9 +246,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return cmd_run(args.scenario, args.out, plot=args.plot)
     if args.command == "verify":
-        if args.threads < 1:
-            return _fail("--threads must be >= 1")
-        return cmd_verify(args.suite, seed=args.seed, threads=args.threads)
+        return cmd_verify(args.suite, seed=args.seed)
     if args.command == "compare":
         return cmd_compare(args.scenario, args.out)
     return cmd_scan(args.out, family=args.family, n=args.n,

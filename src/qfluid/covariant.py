@@ -117,7 +117,7 @@ def dalembert_uq(history: DensityHistory, p: PhysParams) -> Field:
     r_mid = np.exp(0.5 * history.lams[ic])
     r_next = np.exp(0.5 * history.lams[ic + 1])
     dtt = (r_next - 2.0 * r_mid + r_prev) / dt**2
-    lap = np.fft.ifft(-grid.k**2 * np.fft.fft(r_mid)).real
+    lap = grid.apply(-grid.half_k2, r_mid)
     box = dtt / p.c**2 - lap
     qc = p.quantum_coefficient
     return Field(grid, qc * box / r_mid, _fresh=True)

@@ -4,12 +4,19 @@ Everything downstream (kernels, potentials, solvers) lives on a uniform
 periodic grid. Differentiation and convolution are done in Fourier space,
 so smooth fields are handled to near machine accuracy; integration is the
 periodic trapezoid rule, which on a uniform periodic grid is sum times dx.
+
+:class:`Grid` is the one owner of real-field spectral calculus. It holds
+the half-spectrum operators of the real FFT (``i k`` with the Nyquist mode
+zeroed, ``k^2`` and the 2/3 mask) and applies a multiplier as
+``irfft(mult * rfft(values))``, on single fields or stacked rows. Its
+arrays are built once per ``(n, length)`` and shared by equal grids. Only
+the wave oracle, whose field is complex, runs its own transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,6 +32,36 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _shared_tables(n: int, length: float) -> dict[str, np.ndarray]:
+    """Read-only sample and wavenumber arrays of one ``(n, length)``."""
+    dx = length / n
+    x = dx * np.arange(n)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    kabs = np.abs(k)
+    mask = kabs <= (2.0 / 3.0) * kabs.max() * (1.0 + 1e-12)
+    # rfft keeps modes 0..n/2; fftfreq files the Nyquist mode as negative
+    half_k = kabs[: n // 2 + 1]
+    ik = 1j * half_k
+    ik[-1] = 0.0  # odd-order multiplier is zeroed at Nyquist
+    tables = {
+        "x": x,
+        "k": k,
+        "signed_x": np.where(x < 0.5 * length, x, x - length),
+        "dealias_mask": mask,
+        "half_ik": ik,
+        "half_k2": half_k**2,
+        "half_mask": mask[: n // 2 + 1],
+    }
+    for arr in tables.values():
+        arr.flags.writeable = False
+    return tables
+
+
+def _shared(name: str, doc: str) -> property:
+    return property(lambda grid: grid._tables[name], doc=doc)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with ``n`` samples on ``[0, length)``.
@@ -36,6 +73,11 @@ class Grid:
         rule) and at least 8.
     length : float
         Box size. Samples sit at ``x_j = j * length / n``.
+
+    ``k`` and ``dealias_mask`` span the full spectrum in complex FFT
+    ordering. The ``half_*`` operators span the ``n // 2 + 1`` modes of
+    the real FFT that :meth:`rfft`, :meth:`irfft` and :meth:`apply` use.
+    All arrays are read-only and shared by equal grids.
     """
 
     n: int
@@ -54,33 +96,28 @@ class Grid:
         return self.length / self.n
 
     @cached_property
-    def x(self) -> np.ndarray:
-        """Sample positions ``x_j = j dx``."""
-        x = self.dx * np.arange(self.n)
-        x.flags.writeable = False
-        return x
+    def _tables(self) -> dict[str, np.ndarray]:
+        return _shared_tables(self.n, self.length)
 
-    @cached_property
-    def k(self) -> np.ndarray:
-        """Angular wavenumbers in FFT ordering, ``k_j = 2 pi j / length``."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        k.flags.writeable = False
-        return k
+    x = _shared("x", "Sample positions ``x_j = j dx``.")
+    k = _shared("k", "Angular wavenumbers in FFT order, ``2 pi j / L``.")
+    signed_x = _shared("signed_x", "Positions folded to ``[-L/2, L/2)``.")
+    dealias_mask = _shared("dealias_mask", "Keeps ``|k| <= (2/3) k_max``.")
+    half_ik = _shared("half_ik", "``i k`` on real-FFT modes, 0 at Nyquist.")
+    half_k2 = _shared("half_k2", "``k^2`` on the real-FFT modes.")
+    half_mask = _shared("half_mask", "The 2/3 mask on the real-FFT modes.")
 
-    @cached_property
-    def signed_x(self) -> np.ndarray:
-        """Sample positions folded to the signed interval ``[-L/2, L/2)``."""
-        s = np.where(self.x < 0.5 * self.length, self.x, self.x - self.length)
-        s.flags.writeable = False
-        return s
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of real samples along the last axis."""
+        return np.fft.rfft(values, axis=-1)
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask keeping modes with ``|k| <= (2/3) k_max``."""
-        kabs = np.abs(self.k)
-        mask = kabs <= (2.0 / 3.0) * kabs.max() * (1.0 + 1e-12)
-        mask.flags.writeable = False
-        return mask
+    def irfft(self, spectrum: np.ndarray) -> np.ndarray:
+        """Real samples of a half spectrum along the last axis."""
+        return np.fft.irfft(spectrum, n=self.n, axis=-1)
+
+    def apply(self, mult, values: np.ndarray) -> np.ndarray:
+        """``irfft(mult * rfft(values))``; ``values`` may stack rows."""
+        return self.irfft(mult * self.rfft(values))
 
 
 class Field:
@@ -184,22 +221,15 @@ def derivative(f: Field, order: int = 1) -> Field:
 
     Multiplies each mode by ``(i k)**order``. For odd orders the Nyquist
     mode is zeroed: its multiplier would break conjugate symmetry, and for
-    resolved fields that mode carries no usable content anyway. The
-    imaginary residue of the inverse transform must stay below 1e-12 of the
-    field amplitude; a larger residue signals a non-real input and raises.
+    resolved fields that mode carries no usable content anyway.
     """
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
     g = f.grid
-    mult = (1j) ** order * g.k**order
+    mult = (-g.half_k2) ** (order // 2)
     if order % 2 == 1:
-        mult = mult.copy()
-        mult[g.n // 2] = 0.0
-    out = np.fft.ifft(mult * np.fft.fft(f.values))
-    ref = max(np.abs(out.real).max(), np.abs(f.values).max(), 1e-300)
-    if np.abs(out.imag).max() > 1e-12 * ref:
-        raise ValueError("derivative produced a non-real result")
-    return Field(g, np.ascontiguousarray(out.real), _fresh=True)
+        mult = g.half_ik * mult
+    return Field(g, g.apply(mult, f.values), _fresh=True)
 
 
 def convolve(f: Field, g: Field) -> Field:
@@ -210,9 +240,10 @@ def convolve(f: Field, g: Field) -> Field:
     """
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    out = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real
-    out = np.ascontiguousarray(out * f.grid.dx)
-    return Field(f.grid, out, _fresh=True)
+    grid = f.grid
+    f_hat, g_hat = grid.rfft(np.stack((f.values, g.values)))
+    out = grid.irfft(f_hat * g_hat) * grid.dx
+    return Field(grid, out, _fresh=True)
 
 
 def integrate(f: Field) -> float:
@@ -223,5 +254,4 @@ def integrate(f: Field) -> float:
 def dealias(f: Field) -> Field:
     """Zero all modes above the 2/3 cutoff."""
     g = f.grid
-    out = np.fft.ifft(np.fft.fft(f.values) * g.dealias_mask).real
-    return Field(g, np.ascontiguousarray(out), _fresh=True)
+    return Field(g, g.apply(g.half_mask, f.values), _fresh=True)

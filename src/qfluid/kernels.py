@@ -195,6 +195,21 @@ def moments(kernel: Kernel, max_n: int = 2) -> MomentTable:
     return MomentTable(a2=a2, c=tuple(c))
 
 
+def _series_multiplier(grid: Grid, a2: float, c, first: int,
+                       last: int) -> np.ndarray:
+    """Gradient-series multiplier on the real-FFT modes,
+    ``sum_{n=first}^{last} (a^2 k^2)^n c_{2n} / (2n)!``.
+
+    This is the gradient series ``sum (-1)^n a^{2n} (c_{2n}/(2n)!) lap^n``
+    in Fourier space, since ``(-1)^n lap^n -> (-1)^n (-k^2)^n = k^{2n}``.
+    """
+    k2 = grid.half_k2
+    mult = np.zeros(k2.shape)
+    for n in range(first, last + 1):
+        mult += (a2 * k2) ** n * c[n] / math.factorial(2 * n)
+    return mult
+
+
 def _check_positive_density(rho: Field) -> None:
     mean = float(np.mean(rho.values))
     if not mean > 0 or float(rho.values.min()) <= 1e-12 * mean:
@@ -231,10 +246,6 @@ def series_energy(rho: Field, table: MomentTable, a: float, n_terms: int,
     _check_positive_density(rho)
     g = rho.grid
     a2 = math.copysign(float(a) ** 2, table.a2)
-    k2 = g.k**2
-    mult = np.zeros(g.n)
-    for n in range(n_terms + 1):
-        mult += (a2 * k2) ** n * table.c[n] / math.factorial(2 * n)
-    lam_hat = np.fft.fft(np.log(rho.values))
-    out = np.fft.ifft(mult * lam_hat).real
-    return Field(g, np.ascontiguousarray((p.kT / p.m) * out), _fresh=True)
+    mult = _series_multiplier(g, a2, table.c, 0, n_terms)
+    out = g.apply(mult, np.log(rho.values))
+    return Field(g, (p.kT / p.m) * out, _fresh=True)

@@ -11,6 +11,12 @@ where each right-hand term is switched by :class:`TermFlags`. Working in
 ``(kT/m)(lam + 1)`` linear in the state. Quadratic products in the right
 hand side are dealiased with the 2/3 rule (default on).
 
+The right-hand side takes four batched real transforms through the grid's
+operator layer: forward of ``(lam, phi)``, back of their masked gradients,
+forward of the quadratic products, back of the two tendencies. The quantum
+closure is written once, in spectral form, and :func:`quantum_potential`
+and :func:`diagnostics` read it off the same right-hand side.
+
 Time stepping is classical RK4. A run terminates early, with a partial
 trajectory and an error status, if the density floor is crossed (vacuum)
 or the state stops being finite (blowup). For quantum runs the time step
@@ -21,12 +27,12 @@ bound for the free dispersion branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, Grid
-from .kernels import MomentTable
+from .grid import Field, Grid, derivative
+from .kernels import MomentTable, _series_multiplier
 from .params import ExternalPotential, PhysParams
 
 __all__ = [
@@ -155,79 +161,67 @@ class SolverAbort(RuntimeError):
 # ---------------------------------------------------------------------------
 # right-hand side on raw arrays
 
-def _mask_product(a_hat, b, grid, on):
-    """Physical-space product of two spectra-held factors, 2/3 dealiased."""
-    if not on:
-        return np.fft.ifft(a_hat).real * b
-    mask = grid.dealias_mask
-    fa = np.fft.ifft(a_hat * mask).real
-    fb = np.fft.ifft(np.fft.fft(b) * mask).real
-    prod = fa * fb
-    return np.fft.ifft(np.fft.fft(prod) * mask).real
-
-
 def _rhs_arrays(lam, phi, grid, flags: TermFlags, p: PhysParams, vext, dealias_on):
-    k = grid.k
-    k2 = k * k
-    ik = 1j * k.copy()
-    ik[grid.n // 2] = 0.0  # odd-order multiplier is zeroed at Nyquist
+    mask = grid.half_mask if dealias_on else 1.0
+    bohm = flags.quantum and flags.quantum_order == 1
+    hats = grid.rfft(np.stack((lam, phi)))
+    lam_hat, phi_hat = hats
+    dlam, dphi = grid.irfft(grid.half_ik * mask * hats)
+    products = [dphi * dlam, dphi * dphi] + ([dlam * dlam] if bohm else [])
+    prod_hat = mask * grid.rfft(np.stack(products))
 
-    lam_hat = np.fft.fft(lam)
-    phi_hat = np.fft.fft(phi)
-    dlam_hat = ik * lam_hat
-    dphi_hat = ik * phi_hat
+    dlam_hat = prod_hat[0] - grid.half_k2 * phi_hat
+    dphi_hat = 0.5 * prod_hat[1]
+    rest = 0.0
+    if flags.quantum:
+        uq_hat, rest = _quantum_term(lam, lam_hat, prod_hat[-1], grid, flags, p)
+        dphi_hat = dphi_hat + uq_hat
+    dlam_dt, dphi_dt = grid.irfft(np.stack((dlam_hat, dphi_hat)))
 
-    dphi = np.fft.ifft(dphi_hat).real
-    d2phi = np.fft.ifft(-k2 * phi_hat).real
-
-    adv = _mask_product(dphi_hat, np.fft.ifft(dlam_hat).real, grid, dealias_on)
-    dlam_dt = adv + d2phi
-
-    dphi_dt = 0.5 * _mask_product(dphi_hat, dphi, grid, dealias_on)
+    dphi_dt = dphi_dt + rest
     if flags.thermo:
         dphi_dt = dphi_dt + (p.kT / p.m) * (lam + 1.0)
-    if flags.quantum:
-        dphi_dt = dphi_dt + _quantum_term(lam, lam_hat, grid, flags, p, dealias_on)
     if flags.external:
         dphi_dt = dphi_dt + vext
     return dlam_dt, dphi_dt
 
 
-def _quantum_term(lam, lam_hat, grid, flags: TermFlags, p: PhysParams, dealias_on):
-    k2 = grid.k**2
+def _quantum_term(lam, lam_hat, grad2_hat, grid, flags: TermFlags, p: PhysParams):
+    """The quantum closure as the spectrum of U_Q plus a real-space rest.
+
+    The Bohm closure (order 1) is wholly spectral,
+    ``-(qc/2) [lap lam + (grad lam)^2 / 2]``, with ``grad2_hat`` the
+    spectrum of ``(grad lam)^2``. The gradient series (order >= 2) is
+    ``(kT/m) [M lam + (M rho) / rho]`` for the series multiplier ``M``;
+    its second part is the rest.
+    """
     if flags.quantum_order == 1:
         qc = p.quantum_coefficient
-        d2lam = np.fft.ifft(-k2 * lam_hat).real
-        ik = 1j * grid.k.copy()
-        ik[grid.n // 2] = 0.0
-        dlam_hat = ik * lam_hat
-        grad2 = _mask_product(dlam_hat, np.fft.ifft(dlam_hat).real, grid, dealias_on)
-        return -0.5 * qc * (d2lam + 0.5 * grad2)
-    table = flags.moments
-    a2 = p.a2
-    mult = np.zeros(grid.n)
-    for n in range(1, flags.quantum_order + 1):
-        mult += (a2 * k2) ** n * table.c[n] / math.factorial(2 * n)
+        return -0.5 * qc * (0.5 * grad2_hat - grid.half_k2 * lam_hat), 0.0
+    theta = p.kT / p.m
+    mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
+                              flags.quantum_order)
     rho = np.exp(lam)
-    part_lam = np.fft.ifft(mult * lam_hat).real
-    part_rho = np.fft.ifft(mult * np.fft.fft(rho)).real / rho
-    return (p.kT / p.m) * (part_lam + part_rho)
+    return theta * mult * lam_hat, theta * grid.apply(mult, rho) / rho
 
 
 def velocity(s: State) -> Field:
     """``v = -grad phi``."""
-    from .grid import derivative
-
     return Field(s.grid, -derivative(s.phi, 1).values, _fresh=True)
 
 
 def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
-    """The quantum-potential field the active flags produce (zeros if off)."""
+    """The quantum-potential field the active flags produce (zeros if off).
+
+    It is the Bernoulli tendency of the state at rest with only the quantum
+    term on and dealiasing off.
+    """
     if not flags.quantum:
         return Field.constant(s.grid, 0.0)
-    vals = _quantum_term(s.lam.values, np.fft.fft(s.lam.values), s.grid,
-                         flags, p, False)
-    return Field(s.grid, np.ascontiguousarray(vals), _fresh=True)
+    only = replace(flags, thermo=False, external=False)
+    _, uq = _rhs_arrays(s.lam.values, np.zeros(s.grid.n), s.grid, only, p,
+                        None, False)
+    return Field(s.grid, uq, _fresh=True)
 
 
 def rhs(s: State, flags: TermFlags, p: PhysParams, vext: ExternalPotential,
@@ -235,8 +229,7 @@ def rhs(s: State, flags: TermFlags, p: PhysParams, vext: ExternalPotential,
     """Time derivatives ``(d lam/dt, d phi/dt)`` of the current state."""
     varr = vext.field(s.grid).values if flags.external else None
     dl, dp = _rhs_arrays(s.lam.values, s.phi.values, s.grid, flags, p, varr, dealias)
-    return (Field(s.grid, np.ascontiguousarray(dl), _fresh=True),
-            Field(s.grid, np.ascontiguousarray(dp), _fresh=True))
+    return Field(s.grid, dl, _fresh=True), Field(s.grid, dp, _fresh=True)
 
 
 def _check_state(lam, phi, grid, floor, t):
@@ -340,23 +333,23 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
 # diagnostics and the action
 
 def _energy_density(lam, phi, grid, flags: TermFlags, p: PhysParams, vext):
-    """Pointwise energy per unit volume for the active terms.
+    """Pointwise energy per unit volume for the active terms, with rho and v.
 
     The quantum part uses the sign-definite form
     ``(kT/m) a^2 rho (grad lam)^2 / 2`` whose density derivative is U_Q.
+    On shell the Lagrangian density is ``rho dphi/dt`` minus this.
     """
-    ik = 1j * grid.k.copy()
-    ik[grid.n // 2] = 0.0
     rho = np.exp(lam)
-    v = -np.fft.ifft(ik * np.fft.fft(phi)).real
+    grads = grid.apply(grid.half_ik,
+                       np.stack((phi, lam)) if flags.quantum else phi[None])
+    v = -grads[0]
     dens = 0.5 * rho * v * v
     if flags.thermo:
         dens = dens + rho * (p.kT / p.m) * lam
     if flags.external:
         dens = dens + rho * vext
     if flags.quantum:
-        dlam = np.fft.ifft(ik * np.fft.fft(lam)).real
-        dens = dens + 0.25 * p.quantum_coefficient * rho * dlam**2
+        dens = dens + 0.25 * p.quantum_coefficient * rho * grads[1]**2
     return dens, rho, v
 
 
@@ -379,7 +372,7 @@ def diagnostics(s: State, flags: TermFlags, p: PhysParams,
     if flags.external:
         bern = bern + varr
     if flags.quantum:
-        bern = bern + _quantum_term(lam, np.fft.fft(lam), grid, flags, p, False)
+        bern = bern + quantum_potential(s, flags, p).values
     mean_mag = float(np.mean(np.abs(bern)))
     spread = float(np.std(bern))
     bern_res = spread / mean_mag if mean_mag > 0 else spread
@@ -387,16 +380,9 @@ def diagnostics(s: State, flags: TermFlags, p: PhysParams,
     if flags.quantum:
         lmp = math.nan
     else:
-        dl, dp = _rhs_arrays(lam, phi, grid, flags, p,
-                             varr if flags.external else None, True)
-        ik = 1j * grid.k.copy()
-        ik[grid.n // 2] = 0.0
-        dphi = np.fft.ifft(ik * np.fft.fft(phi)).real
-        lag = rho * dp - 0.5 * rho * dphi**2
-        if flags.thermo:
-            lag = lag - rho * (p.kT / p.m) * lam
-        if flags.external:
-            lag = lag - rho * varr
+        _, dp = _rhs_arrays(lam, phi, grid, flags, p,
+                            varr if flags.external else None, True)
+        lag = rho * dp - dens
         pr = (p.kT / p.m) * rho
         pmax = np.abs(pr).max()
         lmp = float(np.abs(lag - pr).max() / pmax) if pmax > 0 else math.nan
@@ -434,8 +420,6 @@ def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
         raise ValueError("action needs uniformly spaced snapshots")
     grid = snaps[0].grid
     varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
-    ik = 1j * grid.k.copy()
-    ik[grid.n // 2] = 0.0
 
     phis = np.stack([s.phi.values for s in snaps])
     lams = np.stack([s.lam.values for s in snaps])
@@ -447,17 +431,8 @@ def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
 
     total = 0.0
     for j in range(m):
-        lam = lams[j]
-        rho = np.exp(lam)
-        dphi = np.fft.ifft(ik * np.fft.fft(phis[j])).real
-        lag = rho * dphi_dt[j] - 0.5 * rho * dphi**2
-        if flags.thermo:
-            lag = lag - rho * (p.kT / p.m) * lam
-        if flags.external:
-            lag = lag - rho * varr
-        if flags.quantum:
-            dlam = np.fft.ifft(ik * np.fft.fft(lam)).real
-            lag = lag - 0.25 * p.quantum_coefficient * rho * dlam**2
+        dens, rho, _ = _energy_density(lams[j], phis[j], grid, flags, p, varr)
+        lag = rho * dphi_dt[j] - dens
         w = 0.5 if j in (0, m - 1) else 1.0
         total += w * float(np.sum(lag) * grid.dx)
     return total * dt

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .grid import Grid
-from .madelung import TermFlags, Trajectory, quantum_potential
+from .madelung import TermFlags, Trajectory, quantum_potential, velocity
 from .params import ExternalPotential, PhysParams
 from .scenario import Scenario
 from .schrodinger import CompareResult
@@ -78,13 +78,10 @@ def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
     os.makedirs(snap_dir, exist_ok=True)
 
     varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
-    ik = 1j * grid.k.copy()
-    ik[grid.n // 2] = 0.0
     for idx, s in enumerate(traj.snapshots):
-        lam = s.lam.values
         phi = s.phi.values
-        rho = np.exp(lam)
-        v = -np.fft.ifft(ik * np.fft.fft(phi)).real
+        rho = np.exp(s.lam.values)
+        v = velocity(s).values
         uq = quantum_potential(s, flags, p).values
         base = os.path.join(snap_dir, f"{idx:04d}")
         _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e",

@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from .grid import Field, derivative
-from .kernels import MomentTable, _check_positive_density
+from .kernels import (MomentTable, _check_positive_density,
+                      _series_multiplier)
 from .params import PhysParams
 
 __all__ = [
@@ -66,8 +67,12 @@ def bohm_potential(rho: Field, p: PhysParams, form: str = "gradient_form") -> Fi
 
     The coefficient is ``2 (kT/m) a^2``; in de_broglie mode it reduces to
     ``hbar^2 / (2 m^2)`` exactly, so the result does not depend on kT.
+    The sqrt form takes ``sqrt(rho)`` from the density itself, without a
+    round trip through ``ln rho``.
     """
     _check_positive_density(rho)
+    if form == "sqrt_form":
+        return _sqrt_form(np.sqrt(rho.values), rho.grid, p)
     return bohm_potential_log(log_density(rho), p, form)
 
 
@@ -80,16 +85,18 @@ def bohm_potential_log(lam: Field, p: PhysParams, form: str = "gradient_form") -
     """Quantum potential evaluated from ``lam = ln rho``."""
     if form not in _FORMS:
         raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
-    qc = p.quantum_coefficient
-    g = lam.grid
-    if form == "gradient_form":
-        d1 = derivative(lam, 1).values
-        d2 = derivative(lam, 2).values
-        vals = -0.5 * qc * (d2 + 0.5 * d1**2)
-    else:
-        root = Field(g, np.exp(0.5 * lam.values), _fresh=True)
-        vals = -qc * derivative(root, 2).values / root.values
-    return Field(g, np.ascontiguousarray(vals), _fresh=True)
+    if form == "sqrt_form":
+        return _sqrt_form(np.exp(0.5 * lam.values), lam.grid, p)
+    d1 = derivative(lam, 1).values
+    d2 = derivative(lam, 2).values
+    vals = -0.5 * p.quantum_coefficient * (d2 + 0.5 * d1**2)
+    return Field(lam.grid, vals, _fresh=True)
+
+
+def _sqrt_form(root: np.ndarray, grid, p: PhysParams) -> Field:
+    """``-qc lap(root) / root`` for ``root = sqrt(rho)``."""
+    lap = derivative(Field(grid, root, _fresh=True), 2).values
+    return Field(grid, -p.quantum_coefficient * lap / root, _fresh=True)
 
 
 def bohm_identity_residual(rho: Field, p: PhysParams) -> float:
@@ -136,16 +143,11 @@ def higher_order_uq_log(lam: Field, table: MomentTable, a: float, n_terms: int,
     g = lam.grid
     # a is a length; the sign of a^2 comes from the kernel's second moment.
     a2 = math.copysign(float(a) ** 2, table.a2)
-    k2 = g.k**2
-    mult = np.zeros(g.n)
-    for n in range(1, n_terms + 1):
-        # (-1)^n lap^n  ->  (-1)^n (-k^2)^n = +k^{2n}
-        mult += (a2 * k2) ** n * table.c[n] / math.factorial(2 * n)
+    mult = _series_multiplier(g, a2, table.c, 1, n_terms)
     rho_vals = np.exp(lam.values)
-    part_lam = np.fft.ifft(mult * np.fft.fft(lam.values)).real
-    part_rho = np.fft.ifft(mult * np.fft.fft(rho_vals)).real / rho_vals
-    vals = (p.kT / p.m) * (part_lam + part_rho)
-    return Field(g, np.ascontiguousarray(vals), _fresh=True)
+    part_lam, part_rho = g.apply(mult, np.stack((lam.values, rho_vals)))
+    vals = (p.kT / p.m) * (part_lam + part_rho / rho_vals)
+    return Field(g, vals, _fresh=True)
 
 
 def quantum_lagrangian_energy(rho: Field, a: float, p: PhysParams) -> float:

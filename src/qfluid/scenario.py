@@ -610,8 +610,8 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
     from .madelung import rhs
 
     theta = params.kT / params.m
-    qc = params.quantum_coefficient
-    denom = theta + 0.5 * qc * grid.k ** 2
+    half_qc_k2 = 0.5 * params.quantum_coefficient * grid.half_k2
+    denom = theta + half_qc_k2
     log_norm = np.log(mean_density)
     zero_phi = Field.constant(grid, 0.0)
     vpart = varr if flags.external else 0.0
@@ -619,9 +619,9 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
         _, dphi = rhs(State(0.0, Field(grid, lam, _fresh=True), zero_phi),
                       flags, params, vext, dealias)
         uq = dphi.values - theta * (lam + 1.0) - vpart
-        resid = uq + 0.5 * qc * np.fft.ifft(
-            -grid.k ** 2 * np.fft.fft(lam)).real
-        new = np.fft.ifft(np.fft.fft(-varr - resid) / denom).real
+        # the lagged rest of U_Q is uq + (qc/2) lam''
+        src_hat, lam_hat = grid.rfft(np.stack((-varr - uq, lam)))
+        new = grid.irfft((src_hat + half_qc_k2 * lam_hat) / denom)
         new = new - np.log(np.exp(new).mean()) + log_norm
         delta = float(np.max(np.abs(new - lam)))
         lam = new

@@ -13,10 +13,10 @@ named suites:
     covariant     finite-signal-speed forms (C10a, C10b, C10c)
     all           everything above
 
-Scenario runs are shared through a cache, so a suite never integrates the
-same preset twice. Randomized inputs draw from per-check seeded
-generators: results are reproducible for a given --seed regardless of
---threads.
+Checks run one after another. Scenario runs are shared through a cache,
+so a suite never integrates the same preset twice. Randomized inputs draw
+from per-check seeded generators: results are reproducible for a given
+--seed, whichever suite the check runs in.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -72,13 +70,11 @@ class RunCache:
 
     def __init__(self):
         self._runs: dict[str, SimpleNamespace] = {}
-        self._lock = threading.Lock()
 
     def get(self, name: str) -> SimpleNamespace:
-        with self._lock:
-            if name not in self._runs:
-                self._runs[name] = self._integrate(presets.suite()[name])
-            return self._runs[name]
+        if name not in self._runs:
+            self._runs[name] = self._integrate(presets.suite()[name])
+        return self._runs[name]
 
     @staticmethod
     def _integrate(scn: Scenario) -> SimpleNamespace:
@@ -542,28 +538,19 @@ SUITES: dict[str, tuple] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(suite: str, seed: int = 0, threads: int = 1) -> list[CheckResult]:
+def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
     """Run one suite; results come back in declaration order."""
     if suite not in SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
-    checks = SUITES[suite]
     cache = RunCache()
-
-    def execute(idx_fn):
-        idx, fn = idx_fn
-        ctx = SimpleNamespace(cache=cache,
-                              rng=np.random.default_rng([seed, idx]))
+    results = []
+    for fn in SUITES[suite]:
+        ctx = SimpleNamespace(
+            cache=cache, rng=np.random.default_rng([seed, _CHECKS.index(fn)]))
         try:
-            return fn(ctx)
+            results.append(fn(ctx))
         except Exception as e:  # a crashed check is a failed check
-            return CheckResult("C?", fn.__name__, False,
-                               f"error: {e}", "check must complete")
-
-    indexed = [( _CHECKS.index(fn), fn) for fn in checks]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(execute, indexed))
-    else:
-        results = [execute(item) for item in indexed]
+            results.append(CheckResult("C?", fn.__name__, False,
+                                       f"error: {e}", "check must complete"))
     return results

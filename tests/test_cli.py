@@ -221,6 +221,14 @@ def test_scan_rejects_bad_orders(capsys):
 def test_main_routes_subcommands(tmp_path, capsys):
     path = scenario_file(tmp_path, QUICK_RUN)
     assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert main(["run", path, "-o", str(tmp_path / "short")]) == EXIT_OK
+    assert (tmp_path / "short" / "manifest.json").is_file()
+    cpath = scenario_file(tmp_path, COMPARE, "cmp.ini")
+    assert main(["compare", cpath, "-o", str(tmp_path / "cmp")]) == EXIT_OK
+    assert (tmp_path / "cmp" / "compare.csv").is_file()
+    assert main(["scan", "--n", "64", "--widths", "0.04,0.08",
+                 "--orders", "1", "-o", str(tmp_path / "scan")]) == EXIT_OK
+    assert (tmp_path / "scan" / "scan.csv").is_file()
     assert main(["verify", "identities"]) == EXIT_OK
     capsys.readouterr()
 
@@ -230,5 +238,4 @@ def test_main_rejects_bad_usage(capsys):
         main([])
     with pytest.raises(SystemExit):
         main(["verify", "everything"])  # not an argparse choice
-    assert main(["verify", "identities", "--threads", "0"]) == EXIT_USAGE
     capsys.readouterr()

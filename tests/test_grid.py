@@ -1,5 +1,8 @@
 """Grid construction rules, spectral derivatives, and field algebra."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,20 @@ def test_grid_samples_and_wavenumbers():
     assert g.k[1] == pytest.approx(np.pi)  # 2 pi / L
     assert g.signed_x.min() == pytest.approx(-1.0)
     assert g.signed_x.max() < 1.0
+    # real-FFT modes 0..n/2: i k, with the Nyquist mode zeroed
+    assert g.half_ik.shape == (g.n // 2 + 1,)
+    assert g.half_ik[-1] == 0.0
+    assert np.array_equal(g.half_ik[:-1], 1j * g.k[: g.n // 2])
+    assert np.array_equal(g.half_k2, np.abs(g.k[: g.n // 2 + 1]) ** 2)
+
+
+def test_equal_grids_share_operator_arrays():
+    a, b = Grid(n=16, length=2.0), Grid(n=16, length=2.0)
+    for name in ("x", "k", "signed_x", "dealias_mask", "half_ik", "half_k2",
+                 "half_mask"):
+        assert getattr(a, name) is getattr(b, name), name
+        assert not getattr(a, name).flags.writeable
+    assert Grid(n=16, length=1.0).k is not a.k
 
 
 def test_dealias_mask_keeps_two_thirds():
@@ -37,6 +54,10 @@ def test_dealias_mask_keeps_two_thirds():
     expected = int((np.abs(g.k) <= 2.0 / 3.0 * kmax * (1 + 1e-12)).sum())
     assert kept == expected
     assert kept < g.n
+    # the half-spectrum mask keeps the same modes, |k| read off rfft order
+    half = np.abs(g.k[: g.n // 2 + 1])
+    assert np.array_equal(g.half_mask, g.dealias_mask[: g.n // 2 + 1])
+    assert set(half[g.half_mask]) == set(np.abs(g.k[g.dealias_mask]))
 
 
 def test_derivative_matches_analytic_trig():
@@ -57,6 +78,39 @@ def test_derivative_zeroes_nyquist_for_odd_orders():
     # even orders keep it: second derivative is -k_nyq^2 * field
     d2 = derivative(nyq, 2).values
     assert np.abs(d2 + (np.pi * g.n) ** 2 * nyq.values).max() < 1e-7
+
+
+def test_apply_on_stacked_rows_matches_row_by_row():
+    g = Grid(n=32, length=1.0)
+    rows = np.random.default_rng(3).normal(size=(2, g.n))
+    for mult in (g.half_ik, -g.half_k2, g.half_mask):
+        stacked = g.apply(mult, rows)
+        assert stacked.shape == rows.shape
+        for j in range(2):
+            assert np.array_equal(stacked[j], g.apply(mult, rows[j]))
+
+
+def test_only_grid_and_oracle_call_numpy_fft():
+    """Real-field transforms go through Grid; the wave oracle keeps its own
+    complex FFT as an independent referee."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qfluid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("grid.py", "schrodinger.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                hit = True
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith("numpy.fft") or any(
+                    a.name == "fft" for a in node.names)
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.startswith("numpy.fft") for a in node.names)
+            else:
+                hit = False
+            if hit:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_derivative_rejects_order_zero():
