@@ -11,11 +11,14 @@ where each right-hand term is switched by :class:`TermFlags`. Working in
 ``(kT/m)(lam + 1)`` linear in the state. Quadratic products in the right
 hand side are dealiased with the 2/3 rule (default on).
 
-The right-hand side takes four batched real transforms through the grid's
-operator layer: forward of ``(lam, phi)``, back of their masked gradients,
-forward of the quadratic products, back of the two tendencies. The quantum
-closure is written once, in spectral form, and :func:`quantum_potential`
-and :func:`diagnostics` read it off the same right-hand side.
+Between RK4 stages and steps the state is the stacked half spectrum
+``(lam^, phi^)`` of the real FFT. One spectral kernel gives both
+tendencies from it in two batched transforms through the grid's operator
+layer: back of the masked gradients, forward of the quadratic products;
+the linear, thermal, quantum and external terms are added per mode. A run
+reads the state back once per step, so an RK4 step takes nine transforms.
+:func:`rhs`, :func:`quantum_potential` and :func:`diagnostics` read the
+same kernel as ``irfft(kernel(rfft(lam, phi)))``, four transforms.
 
 Time stepping is classical RK4. A run terminates early, with a partial
 trajectory and an error status, if the density floor is crossed (vacuum)
@@ -159,50 +162,60 @@ class SolverAbort(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# right-hand side on raw arrays
+# right-hand side on the half spectrum
+
+def _tendency_hat(hat, grid, flags: TermFlags, p: PhysParams, vhat, dealias_on):
+    """Spectra of ``(d lam/dt, d phi/dt)`` from the stacked ``(lam^, phi^)``.
+
+    Two transforms: back of the masked gradients, forward of the products.
+    The quantum closure is spectral. Bohm (order 1) is
+    ``-(qc/2) [lap lam + (grad lam)^2 / 2]``; the gradient series
+    (order >= 2) is ``(kT/m) [M lam + (M rho) / rho]`` for the series
+    multiplier ``M``, whose second part needs real rho, so lam goes back
+    as a third row and ``M rho`` costs two transforms more. ``vhat`` is
+    the spectrum of the external potential, or None to leave it out.
+    """
+    mask = grid.half_mask if dealias_on else 1.0
+    theta = p.kT / p.m
+    lam_hat, phi_hat = hat
+    series = flags.quantum and flags.quantum_order >= 2
+    grads = grid.half_ik * mask * hat
+    real = grid.irfft(np.concatenate((grads, hat[:1])) if series else grads)
+    dlam, dphi = real[0], real[1]
+    products = [dphi * dlam, dphi * dphi]
+    if series:
+        mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
+                                  flags.quantum_order)
+        rho = np.exp(real[2])
+        products.append(theta * grid.apply(mult, rho) / rho)
+    elif flags.quantum:
+        products.append(dlam * dlam)
+    prod_hat = grid.rfft(np.array(products))
+    quad = mask * prod_hat
+
+    dlam_hat = quad[0] - grid.half_k2 * phi_hat
+    dphi_hat = 0.5 * quad[1]
+    if series:
+        dphi_hat = dphi_hat + theta * mult * lam_hat + prod_hat[2]
+    elif flags.quantum:
+        qc = p.quantum_coefficient
+        dphi_hat = dphi_hat - 0.5 * qc * (0.5 * quad[2] - grid.half_k2 * lam_hat)
+    if flags.thermo:
+        # the enthalpy (kT/m)(lam + 1); its constant sits on mode 0
+        dphi_hat = dphi_hat + theta * lam_hat
+        dphi_hat[0] += grid.n * theta
+    if vhat is not None:
+        dphi_hat = dphi_hat + vhat
+    return np.array((dlam_hat, dphi_hat))
+
 
 def _rhs_arrays(lam, phi, grid, flags: TermFlags, p: PhysParams, vext, dealias_on):
-    mask = grid.half_mask if dealias_on else 1.0
-    bohm = flags.quantum and flags.quantum_order == 1
-    hats = grid.rfft(np.stack((lam, phi)))
-    lam_hat, phi_hat = hats
-    dlam, dphi = grid.irfft(grid.half_ik * mask * hats)
-    products = [dphi * dlam, dphi * dphi] + ([dlam * dlam] if bohm else [])
-    prod_hat = mask * grid.rfft(np.stack(products))
-
-    dlam_hat = prod_hat[0] - grid.half_k2 * phi_hat
-    dphi_hat = 0.5 * prod_hat[1]
-    rest = 0.0
-    if flags.quantum:
-        uq_hat, rest = _quantum_term(lam, lam_hat, prod_hat[-1], grid, flags, p)
-        dphi_hat = dphi_hat + uq_hat
-    dlam_dt, dphi_dt = grid.irfft(np.stack((dlam_hat, dphi_hat)))
-
-    dphi_dt = dphi_dt + rest
-    if flags.thermo:
-        dphi_dt = dphi_dt + (p.kT / p.m) * (lam + 1.0)
+    """``irfft(tendency(rfft(lam, phi)))``, with ``vext`` added after."""
+    dlam_dt, dphi_dt = grid.irfft(_tendency_hat(
+        grid.rfft(np.array((lam, phi))), grid, flags, p, None, dealias_on))
     if flags.external:
         dphi_dt = dphi_dt + vext
     return dlam_dt, dphi_dt
-
-
-def _quantum_term(lam, lam_hat, grad2_hat, grid, flags: TermFlags, p: PhysParams):
-    """The quantum closure as the spectrum of U_Q plus a real-space rest.
-
-    The Bohm closure (order 1) is wholly spectral,
-    ``-(qc/2) [lap lam + (grad lam)^2 / 2]``, with ``grad2_hat`` the
-    spectrum of ``(grad lam)^2``. The gradient series (order >= 2) is
-    ``(kT/m) [M lam + (M rho) / rho]`` for the series multiplier ``M``;
-    its second part is the rest.
-    """
-    if flags.quantum_order == 1:
-        qc = p.quantum_coefficient
-        return -0.5 * qc * (0.5 * grad2_hat - grid.half_k2 * lam_hat), 0.0
-    theta = p.kT / p.m
-    mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
-                              flags.quantum_order)
-    rho = np.exp(lam)
-    return theta * mult * lam_hat, theta * grid.apply(mult, rho) / rho
 
 
 def velocity(s: State) -> Field:
@@ -248,29 +261,32 @@ def _check_state(lam, phi, grid, floor, t):
         )
 
 
-def _step_arrays(lam, phi, dt, grid, flags, p, vext, dealias_on):
-    k1l, k1p = _rhs_arrays(lam, phi, grid, flags, p, vext, dealias_on)
-    k2l, k2p = _rhs_arrays(lam + 0.5 * dt * k1l, phi + 0.5 * dt * k1p,
-                           grid, flags, p, vext, dealias_on)
-    k3l, k3p = _rhs_arrays(lam + 0.5 * dt * k2l, phi + 0.5 * dt * k2p,
-                           grid, flags, p, vext, dealias_on)
-    k4l, k4p = _rhs_arrays(lam + dt * k3l, phi + dt * k3p,
-                           grid, flags, p, vext, dealias_on)
-    new_lam = lam + (dt / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
-    new_phi = phi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return new_lam, new_phi
+def _step_hat(hat, dt, grid, flags, p, vhat, dealias_on):
+    """One RK4 step of the stacked half spectrum ``(lam^, phi^)``."""
+    def f(h):
+        return _tendency_hat(h, grid, flags, p, vhat, dealias_on)
+    k1 = f(hat)
+    k2 = f(hat + 0.5 * dt * k1)
+    k3 = f(hat + 0.5 * dt * k2)
+    k4 = f(hat + dt * k3)
+    return hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _vhat(grid: Grid, flags: TermFlags, vext: ExternalPotential):
+    return grid.rfft(vext.field(grid).values) if flags.external else None
 
 
 def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
          vext: ExternalPotential) -> State:
     """One RK4 step. Raises :class:`SolverAbort` on vacuum or blowup."""
-    varr = vext.field(s.grid).values if flags.external else None
-    lam, phi = _step_arrays(s.lam.values, s.phi.values, cfg.dt, s.grid,
-                            flags, p, varr, cfg.dealias)
+    grid = s.grid
+    hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
+    lam, phi = grid.irfft(_step_hat(hat, cfg.dt, grid, flags, p,
+                                    _vhat(grid, flags, vext), cfg.dealias))
     t_new = s.t + cfg.dt
-    _check_state(lam, phi, s.grid, cfg.density_floor, t_new)
-    return State(t_new, Field(s.grid, lam, _fresh=True),
-                 Field(s.grid, phi, _fresh=True))
+    _check_state(lam, phi, grid, cfg.density_floor, t_new)
+    return State(t_new, Field(grid, lam, _fresh=True),
+                 Field(grid, phi, _fresh=True))
 
 
 def stability_bound(grid: Grid, p: PhysParams) -> float:
@@ -294,17 +310,19 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
                 f"dt={cfg.dt:g} violates the quantum stability bound "
                 f"0.5 dx^2 m / hbar_eff = {bound:g}"
             )
-    varr = vext.field(grid).values if flags.external else None
     n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
     if cfg.t_end > 0 and abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
         raise ValueError(
             f"t_end={cfg.t_end!r} is not an integer number of steps of dt={cfg.dt!r}"
         )
 
-    lam = initial.lam.values.copy()
-    phi = initial.phi.values.copy()
+    lam = initial.lam.values
+    phi = initial.phi.values
     t0 = initial.t
     _check_state(lam, phi, grid, cfg.density_floor, t0)
+    # the state lives on the half spectrum; one inverse per step reads it
+    hat = grid.rfft(np.array((lam, phi)))
+    vhat = _vhat(grid, flags, vext)
 
     traj = Trajectory(snapshots=[], records=[])
 
@@ -317,8 +335,8 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     record(t0, lam, phi)
     try:
         for i in range(1, n_steps + 1):
-            lam, phi = _step_arrays(lam, phi, cfg.dt, grid, flags, p, varr,
-                                    cfg.dealias)
+            hat = _step_hat(hat, cfg.dt, grid, flags, p, vhat, cfg.dealias)
+            lam, phi = grid.irfft(hat)
             t = t0 + i * cfg.dt
             _check_state(lam, phi, grid, cfg.density_floor, t)
             if i % cfg.snapshot_stride == 0 or i == n_steps:

@@ -29,16 +29,13 @@ __all__ = [
 ]
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def _write_csv(path, header: str, columns) -> None:
+    """Header plus one ``%.17g`` row per sample, formatted in one pass."""
     rows = np.column_stack(columns)
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def manifest_dict(scn: Scenario, grid: Grid, p: PhysParams, flags: TermFlags,

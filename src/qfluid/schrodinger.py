@@ -123,7 +123,7 @@ def _principal(angle: float) -> float:
 
 
 def _potential(psi_abs2, varr, p: PhysParams, nonlinearity: bool):
-    v = np.zeros_like(psi_abs2)
+    v = 0.0
     if varr is not None:
         v = v + p.m * varr
     if nonlinearity:
@@ -135,7 +135,7 @@ def oracle_step(w: WaveState, cfg: OracleConfig, p: PhysParams,
                 vext: ExternalPotential) -> WaveState:
     """One splitting step (Strang by default, Lie otherwise)."""
     varr = vext.field(w.grid).values if vext.kind != "zero" else None
-    psi = _step_psi(w.psi.values, w.grid, cfg, p, varr)
+    psi = _step_psi(w.psi.values, _kinetic(w.grid, cfg, p), cfg, p, varr)
     return WaveState(w.t + cfg.dt, ComplexField(w.grid, psi, _fresh=True))
 
 
@@ -148,9 +148,13 @@ def _check_rotation(v, cfg, p):
         )
 
 
-def _step_psi(psi, grid, cfg: OracleConfig, p: PhysParams, varr):
+def _kinetic(grid, cfg: OracleConfig, p: PhysParams):
+    """The exact kinetic propagator of one step, per Fourier mode."""
+    return np.exp(-0.5j * p.hbar_eff * grid.k**2 * cfg.dt / p.m)
+
+
+def _step_psi(psi, kin, cfg: OracleConfig, p: PhysParams, varr):
     h = p.hbar_eff
-    kin = np.exp(-0.5j * h * grid.k**2 * cfg.dt / p.m)
     if cfg.strang:
         v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
         _check_rotation(v, cfg, p)
@@ -177,6 +181,7 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
             f"t_end={cfg.t_end!r} is not an integer number of steps of dt={cfg.dt!r}"
         )
     psi = initial.psi.values.copy()
+    kin = _kinetic(grid, cfg, p)
     t0 = initial.t
     dx = grid.dx
 
@@ -188,7 +193,7 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
 
     record(t0, psi)
     for i in range(1, n_steps + 1):
-        psi = _step_psi(psi, grid, cfg, p, varr)
+        psi = _step_psi(psi, kin, cfg, p, varr)
         if i % cfg.snapshot_stride == 0 or i == n_steps:
             record(t0 + i * cfg.dt, psi)
     return traj

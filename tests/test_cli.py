@@ -7,6 +7,7 @@ import pytest
 
 from qfluid.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_VACUUM,
                         cmd_compare, cmd_run, cmd_scan, cmd_verify, main)
+from qfluid.output import _write_csv
 
 QUICK_RUN = """\
 [scenario]
@@ -118,6 +119,17 @@ def test_run_is_bit_identical_between_invocations(tmp_path):
     ma.pop("wall_time_seconds")
     mb.pop("wall_time_seconds")
     assert ma == mb
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    columns = ([0.0, np.nan, -0.0, 1e-300, 1.0 / 3.0],
+               [1e300, -1.5, np.nan, -np.pi, -1e-300])
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b", columns)
+    rows = np.column_stack(columns)
+    want = "a,b\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                             for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_run_vacuum_exit_code_and_partial_outputs(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Equations of motion, the RK4 driver, diagnostics, and the action."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qfluid import presets
 from qfluid.grid import Field, Grid
 from qfluid.kernels import MomentTable
 from qfluid.madelung import (DiagnosticRecord, SolverAbort, SolverConfig,
@@ -13,6 +15,9 @@ from qfluid.madelung import (DiagnosticRecord, SolverAbort, SolverConfig,
                              stability_bound, step, velocity)
 from qfluid.params import ExternalPotential, PhysParams
 from qfluid.potentials import bohm_potential
+from qfluid.scenario import (build_external, build_flags, build_grid,
+                             build_initial_state, build_params,
+                             build_solver_config, parse_scenario)
 
 
 def make_state(grid, lam, phi, t=0.0):
@@ -216,6 +221,104 @@ def test_blowup_mid_run_returns_partial_trajectory(grid):
     traj = run(s, SolverConfig(dt=1.0, t_end=3.0), TermFlags(thermo=False), p, ZERO)
     assert traj.status == "blowup"
     assert "finite" in traj.message
+
+
+SERIES = """\
+[scenario]
+name = series
+[grid]
+n = 64
+length = 1.0
+[physics]
+hbar = 0.1
+[terms]
+quantum = true
+quantum_order = 2
+[initial]
+kind = cosine
+amplitude = 0.1
+[kernel]
+family = difference_of_gaussians
+width = 0.03
+[solver]
+dt = 1e-5
+t_end = 1e-3
+"""
+
+
+def _series():
+    return parse_scenario(SERIES)
+
+
+def _setup(scn, n_steps, stride):
+    grid = build_grid(scn)
+    params = build_params(scn)
+    vext = build_external(scn)
+    state = build_initial_state(scn, grid, params, vext)
+    cfg = dataclasses.replace(build_solver_config(scn),
+                              t_end=n_steps * scn.solver.dt,
+                              snapshot_stride=stride)
+    return state, cfg, build_flags(scn, grid), params, vext
+
+
+@pytest.mark.parametrize("make", [presets.trap, presets.free, presets.traveling,
+                                  presets.equilibrium, _series])
+def test_run_matches_rk4_over_public_rhs(make):
+    # the spectral-state driver against RK4 written here on real fields
+    state, cfg, flags, p, vext = _setup(make(), 20, 20)
+    traj = run(state, cfg, flags, p, vext)
+    assert traj.status == "ok"
+
+    def f(lam, phi):
+        s = make_state(grid, lam, phi)
+        dl, dp = rhs(s, flags, p, vext, cfg.dealias)
+        return dl.values, dp.values
+
+    grid, dt = state.grid, cfg.dt
+    lam, phi = state.lam.values, state.phi.values
+    for _ in range(20):
+        k1 = f(lam, phi)
+        k2 = f(lam + 0.5 * dt * k1[0], phi + 0.5 * dt * k1[1])
+        k3 = f(lam + 0.5 * dt * k2[0], phi + 0.5 * dt * k2[1])
+        k4 = f(lam + dt * k3[0], phi + dt * k3[1])
+        lam = lam + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        phi = phi + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    final = traj.snapshots[-1]
+    for got, want in ((final.lam.values, lam), (final.phi.values, phi)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class _FFTCount:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, self._wrap(getattr(np.fft, name)))
+
+    def _wrap(self, fn):
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("make", [presets.trap, presets.traveling])
+def test_rk4_step_costs_at_most_nine_transforms(make, monkeypatch):
+    counter = _FFTCount(monkeypatch)
+    calls = []
+    for n_steps in (10, 20):
+        # stride = step count: both runs record the same two states
+        args = _setup(make(), n_steps, n_steps)
+        counter.calls = 0
+        assert run(*args).status == "ok"
+        calls.append(counter.calls)
+    assert calls[1] - calls[0] <= 9 * 10
+
+
+def test_rhs_takes_four_transforms(monkeypatch):
+    state, cfg, flags, p, vext = _setup(presets.trap(), 1, 1)
+    counter = _FFTCount(monkeypatch)
+    rhs(state, flags, p, vext)
+    assert counter.calls == 4
 
 
 # -------------------------------------------------------------- diagnostics
