@@ -29,12 +29,16 @@ from .schrodinger import (WaveState, OracleConfig, WaveTrajectory,
                           run_oracle, waves_from_states, compare,
                           CompareResult)
 from .covariant import DensityHistory, dalembert_uq, retarded_energy
-from .scenario import (ScenarioError, GridSpec, PhysSpec, TermSpec,
-                       InitialSpec, ExternalSpec, KernelSpec, SolverSpec,
-                       OracleSpec, OutputSpec, Scenario, parse_scenario,
-                       serialize, build_grid, build_params, build_flags,
-                       build_kernel, build_external, build_initial_state,
-                       build_solver_config, build_oracle_config)
+from .scenario import (ScenarioError, PhysSpec, TermSpec, InitialSpec,
+                       InitialGaussian, InitialCosine, InitialEquilibrium,
+                       InitialTabulated, ExternalSpec, ExternalZero,
+                       ExternalHarmonic, ExternalCosine, ExternalTabulated,
+                       KernelSpec, KernelGaussian, KernelDifferenceOfGaussians,
+                       KernelDelta, KernelTabulated, OracleSpec, OutputSpec,
+                       Scenario, parse_scenario, serialize, build_grid,
+                       build_params, build_flags, build_kernel, build_external,
+                       build_initial_state, build_solver_config,
+                       build_oracle_config)
 from . import presets
 from .verify import (CheckResult, RunCache, SUITES, SUITE_NAMES, run_suite,
                      format_line, direct_convolution)
@@ -65,8 +69,11 @@ __all__ = [
     # finite signal speed
     "DensityHistory", "dalembert_uq", "retarded_energy",
     # scenarios
-    "ScenarioError", "GridSpec", "PhysSpec", "TermSpec", "InitialSpec",
-    "ExternalSpec", "KernelSpec", "SolverSpec", "OracleSpec", "OutputSpec",
+    "ScenarioError", "PhysSpec", "TermSpec", "InitialSpec", "InitialGaussian",
+    "InitialCosine", "InitialEquilibrium", "InitialTabulated", "ExternalSpec",
+    "ExternalZero", "ExternalHarmonic", "ExternalCosine", "ExternalTabulated",
+    "KernelSpec", "KernelGaussian", "KernelDifferenceOfGaussians",
+    "KernelDelta", "KernelTabulated", "OracleSpec", "OutputSpec",
     "Scenario", "parse_scenario", "serialize", "build_grid", "build_params",
     "build_flags", "build_kernel", "build_external", "build_initial_state",
     "build_solver_config", "build_oracle_config", "presets",

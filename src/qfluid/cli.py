@@ -21,9 +21,8 @@ from .kernels import make_kernel, moments, nonlocal_energy, series_energy
 from .madelung import run
 from .output import write_compare, write_error, write_run
 from .params import PhysParams
-from .scenario import (OutputSpec, Scenario, ScenarioError, build_external,
-                       build_flags, build_grid, build_initial_state,
-                       build_oracle_config, build_params, build_solver_config,
+from .scenario import (OutputSpec, Scenario, build_external, build_flags,
+                       build_initial_state, build_oracle_config, build_params,
                        parse_scenario)
 from .schrodinger import compare, run_oracle, to_wavefunction
 from .svgplot import line_plot
@@ -43,10 +42,20 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _load_scenario(path: str) -> Scenario:
+def _load_and_build(path: str):
+    """Parse a scenario file; build its params, flags, potential, state.
+
+    Tabulated inputs resolve against the file's own directory.
+    """
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    base = os.path.dirname(os.path.abspath(path))
+    scn = parse_scenario(text, base_dir=base)
+    params = build_params(scn)
+    flags = build_flags(scn, scn.grid, base)
+    vext = build_external(scn, base)
+    state = build_initial_state(scn, scn.grid, params, vext, base)
+    return scn, params, flags, vext, state
 
 
 def _default_out(scn: Scenario, kind: str) -> str:
@@ -56,30 +65,20 @@ def _default_out(scn: Scenario, kind: str) -> str:
 def cmd_run(scenario_path: str, out_dir: str | None = None,
             plot: bool = False) -> int:
     try:
-        scn = _load_scenario(scenario_path)
-        if plot and not scn.output.plot:
-            scn = dataclasses.replace(scn, output=OutputSpec(plot=True))
-        grid = build_grid(scn)
-        params = build_params(scn)
-        flags = build_flags(scn, grid,
-                            os.path.dirname(os.path.abspath(scenario_path)))
-        vext = build_external(scn,
-                              os.path.dirname(os.path.abspath(scenario_path)))
-        state = build_initial_state(
-            scn, grid, params, vext,
-            os.path.dirname(os.path.abspath(scenario_path)))
-        cfg = build_solver_config(scn)
+        scn, params, flags, vext, state = _load_and_build(scenario_path)
     except (OSError, ValueError) as e:
         return _fail(str(e))
+    if plot and not scn.output.plot:
+        scn = dataclasses.replace(scn, output=OutputSpec(plot=True))
 
     out = out_dir or _default_out(scn, "run")
     t0 = time.perf_counter()
     try:
-        traj = run(state, cfg, flags, params, vext)
+        traj = run(state, scn.solver, flags, params, vext)
     except ValueError as e:
         return _fail(str(e))
     wall = time.perf_counter() - t0
-    write_run(out, scn, grid, params, flags, vext, traj, wall)
+    write_run(out, scn, scn.grid, params, flags, vext, traj, wall)
     n_snap = len(traj.snapshots)
     print(f"{scn.name}: {traj.status}, {n_snap} snapshots, "
           f"{wall:.2f} s -> {out}")
@@ -104,17 +103,11 @@ def cmd_verify(suite: str, seed: int = 0) -> int:
 
 def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
     try:
-        scn = _load_scenario(scenario_path)
-        base = os.path.dirname(os.path.abspath(scenario_path))
-        grid = build_grid(scn)
-        params = build_params(scn)
-        flags = build_flags(scn, grid, base)
-        vext = build_external(scn, base)
-        state = build_initial_state(scn, grid, params, vext, base)
-        cfg = build_solver_config(scn)
+        scn, params, flags, vext, state = _load_and_build(scenario_path)
         ocfg = build_oracle_config(scn)
     except (OSError, ValueError) as e:
         return _fail(str(e))
+    cfg = scn.solver
     if abs(ocfg.t_end - cfg.t_end) > 1e-12 * max(cfg.t_end, 1.0):
         return _fail("oracle t_end differs from solver t_end; the "
                      "trajectories cannot be compared snapshot by snapshot")

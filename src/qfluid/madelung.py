@@ -107,8 +107,8 @@ class TermFlags:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    dt: float
-    t_end: float
+    dt: float = 1e-3
+    t_end: float = 1.0
     snapshot_stride: int = 1
     dealias: bool = True
     density_floor: float = 1e-12

@@ -47,8 +47,11 @@ from __future__ import annotations
 
 import math
 
-from .scenario import (ExternalSpec, GridSpec, InitialSpec, OracleSpec,
-                       OutputSpec, PhysSpec, Scenario, SolverSpec, TermSpec)
+from .grid import Grid
+from .madelung import SolverConfig
+from .scenario import (ExternalCosine, ExternalHarmonic, ExternalZero,
+                       InitialCosine, InitialEquilibrium, InitialGaussian,
+                       OracleSpec, OutputSpec, PhysSpec, Scenario, TermSpec)
 
 __all__ = ["equilibrium", "traveling", "traveling_action", "trap", "free",
            "suite"]
@@ -57,16 +60,16 @@ __all__ = ["equilibrium", "traveling", "traveling_action", "trap", "free",
 def equilibrium() -> Scenario:
     return Scenario(
         name="equilibrium",
-        grid=GridSpec(n=128, length=1.0),
+        grid=Grid(n=128, length=1.0),
         physics=PhysSpec(hbar=1.0, mass=1.0, kT=1.0, a2_mode="de_broglie",
                          a2=None, c=1.0),
         terms=TermSpec(thermo=True, quantum=False, external=True,
                        quantum_order=1),
-        initial=InitialSpec(kind="equilibrium", mean_density=1.0,
-                            amplitude=0.0, width=None, center=None),
-        external=ExternalSpec(kind="cosine", v0=0.3),
+        initial=InitialEquilibrium(mean_density=1.0, amplitude=0.0,
+                                   width=None, center=None),
+        external=ExternalCosine(v0=0.3),
         kernel=None,
-        solver=SolverSpec(dt=2e-3, t_end=10.0, snapshot_stride=250),
+        solver=SolverConfig(dt=2e-3, t_end=10.0, snapshot_stride=250),
         oracle=OracleSpec(),
         output=OutputSpec(),
     )
@@ -75,15 +78,14 @@ def equilibrium() -> Scenario:
 def traveling() -> Scenario:
     return Scenario(
         name="traveling",
-        grid=GridSpec(n=256, length=1.0),
+        grid=Grid(n=256, length=1.0),
         physics=PhysSpec(),
         terms=TermSpec(thermo=True, quantum=False, external=False),
-        initial=InitialSpec(kind="cosine", base=1.0, amplitude=0.05, mode=1,
-                            phase=0.0, phi_amplitude=0.0, phi_mode=1,
-                            phi_phase=0.0),
-        external=ExternalSpec(kind="zero"),
+        initial=InitialCosine(base=1.0, amplitude=0.05, mode=1, phase=0.0,
+                              phi_amplitude=0.0, phi_mode=1, phi_phase=0.0),
+        external=ExternalZero(),
         kernel=None,
-        solver=SolverSpec(dt=5e-4, t_end=1.0, snapshot_stride=20),
+        solver=SolverConfig(dt=5e-4, t_end=1.0, snapshot_stride=20),
         oracle=OracleSpec(),
         output=OutputSpec(),
     )
@@ -99,7 +101,7 @@ def traveling_action() -> Scenario:
         initial=base.initial,
         external=base.external,
         kernel=None,
-        solver=SolverSpec(dt=1e-3, t_end=0.4, snapshot_stride=1),
+        solver=SolverConfig(dt=1e-3, t_end=0.4, snapshot_stride=1),
         oracle=OracleSpec(),
         output=OutputSpec(),
     )
@@ -113,16 +115,16 @@ def trap() -> Scenario:
     kT = omega**2 * sigma**2 - (hbar**2 / 2.0) / (2.0 * sigma**2)
     return Scenario(
         name="trap",
-        grid=GridSpec(n=256, length=1.0),
+        grid=Grid(n=256, length=1.0),
         physics=PhysSpec(hbar=hbar, mass=1.0, kT=kT, a2_mode="de_broglie",
                          a2=None, c=1.0),
         terms=TermSpec(thermo=True, quantum=True, external=True,
                        quantum_order=1),
-        initial=InitialSpec(kind="equilibrium", mean_density=1.0,
-                            amplitude=0.05, width=sigma, center=0.5),
-        external=ExternalSpec(kind="harmonic", omega=omega),
+        initial=InitialEquilibrium(mean_density=1.0, amplitude=0.05,
+                                   width=sigma, center=0.5),
+        external=ExternalHarmonic(omega=omega),
         kernel=None,
-        solver=SolverSpec(dt=5e-5, t_end=0.25, snapshot_stride=1250),
+        solver=SolverConfig(dt=5e-5, t_end=0.25, snapshot_stride=1250),
         oracle=OracleSpec(dt=2.5e-5, t_end=0.25, snapshot_stride=2500,
                           nonlinearity=True, strang=True),
         output=OutputSpec(),
@@ -132,16 +134,16 @@ def trap() -> Scenario:
 def free() -> Scenario:
     return Scenario(
         name="free",
-        grid=GridSpec(n=256, length=1.0),
+        grid=Grid(n=256, length=1.0),
         physics=PhysSpec(hbar=0.12, mass=1.0, kT=1.0, a2_mode="de_broglie",
                          a2=None, c=1.0),
         terms=TermSpec(thermo=False, quantum=True, external=False,
                        quantum_order=1),
-        initial=InitialSpec(kind="gaussian", center=0.5, width=0.13,
-                            amplitude=1.0, boost=0.0, pedestal=0.0),
-        external=ExternalSpec(kind="zero"),
+        initial=InitialGaussian(center=0.5, width=0.13, amplitude=1.0,
+                                boost=0.0, pedestal=0.0),
+        external=ExternalZero(),
         kernel=None,
-        solver=SolverSpec(dt=6e-5, t_end=0.492, snapshot_stride=2050),
+        solver=SolverConfig(dt=6e-5, t_end=0.492, snapshot_stride=2050),
         oracle=OracleSpec(dt=None, t_end=None, snapshot_stride=None,
                           nonlinearity=False, strang=True),
         output=OutputSpec(),

@@ -34,7 +34,9 @@ rejected. ``parse_scenario`` validates the whole tree eagerly (grid rules,
 parameter ranges, density floor of the initial state), so a Scenario in
 hand is runnable.
 
-Defaults, applied when a key or section is absent:
+A section's keys, types, defaults and order are the fields of its
+dataclass, one per kind where the section has a ``kind`` (the kernel: a
+``family``). Defaults, applied when a key or section is absent:
 
     name unnamed | physics: hbar 1, mass 1, kT 1, a2_mode de_broglie, c 1
     terms: thermo on, quantum off, external off, quantum_order 1
@@ -48,9 +50,12 @@ Defaults, applied when a key or section is absent:
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -62,13 +67,16 @@ from .schrodinger import OracleConfig
 
 __all__ = [
     "ScenarioError",
-    "GridSpec",
     "PhysSpec",
     "TermSpec",
     "InitialSpec",
+    "InitialGaussian", "InitialCosine", "InitialEquilibrium",
+    "InitialTabulated",
     "ExternalSpec",
+    "ExternalZero", "ExternalHarmonic", "ExternalCosine", "ExternalTabulated",
     "KernelSpec",
-    "SolverSpec",
+    "KernelGaussian", "KernelDifferenceOfGaussians", "KernelDelta",
+    "KernelTabulated",
     "OracleSpec",
     "OutputSpec",
     "Scenario",
@@ -93,10 +101,8 @@ class ScenarioError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    n: int
-    length: float
+# one dataclass per kind: keyword-only, so fields follow file order
+_kinded = dataclass(frozen=True, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ class PhysSpec:
     hbar: float = 1.0
     mass: float = 1.0
     kT: float = 1.0
-    a2_mode: str = "de_broglie"
+    a2_mode: Literal["de_broglie", "explicit"] = "de_broglie"
     a2: float | None = None
     c: float = 1.0
 
@@ -117,68 +123,127 @@ class TermSpec:
     quantum_order: int = 1
 
 
-@dataclass(frozen=True)
-class InitialSpec:
-    """Initial condition. Kind selects which other fields apply.
+@_kinded
+class InitialGaussian:
+    """Periodized gaussian packet.
 
-    gaussian: center (defaults to mid-box), width, amplitude, boost
-        (velocity at the packet center, imposed through a winding-free
-        cosine velocity profile), pedestal (background floor as a fraction
-        of amplitude), pedestal_kind (uniform, or thermal for a
-        Boltzmann-weighted floor exp(-m (V - Vmin) / kT)).
-    cosine: rho = base + amplitude cos(2 pi mode x / L + phase), and an
-        optional velocity potential phi_amplitude cos(2 pi phi_mode x / L
-        + phi_phase).
-    equilibrium: rho proportional to exp(-m V / kT), normalized to
-        mean_density, at rest. When both the thermo and quantum terms are
-        active the profile is refined on the grid until the full
-        stationarity condition kT/m (lam + 1) + U_Q + V = const holds, so
-        the state is a fixed point of the discrete equations, not just of
-        their classical limit. An optional bump (amplitude, width, center)
-        multiplies rho by exp of a periodized gaussian, seeding dynamics
-        without disturbing the box seam.
-    tabulated: density read from a two-column CSV (x, rho), at rest.
+    ``center`` defaults to mid-box. ``boost`` is the velocity at the packet
+    center, imposed through a winding-free cosine velocity profile.
+    ``pedestal`` is a background floor as a fraction of ``amplitude``,
+    uniform or, for ``pedestal_kind = thermal``, Boltzmann-weighted
+    ``exp(-m (V - Vmin) / kT)``.
     """
 
-    kind: str
+    kind: str = field(default="gaussian", init=False)
     center: float | None = None
-    width: float | None = None
+    width: float
     amplitude: float = 1.0
     boost: float = 0.0
     pedestal: float = 0.0
-    pedestal_kind: str = "uniform"
+    pedestal_kind: Literal["uniform", "thermal"] = "uniform"
+
+
+@_kinded
+class InitialCosine:
+    """``rho = base + amplitude cos(2 pi mode x / L + phase)``, with the
+    velocity potential ``phi_amplitude cos(2 pi phi_mode x / L + phi_phase)``.
+    """
+
+    kind: str = field(default="cosine", init=False)
     base: float = 1.0
+    amplitude: float = 0.0
     mode: int = 1
     phase: float = 0.0
     phi_amplitude: float = 0.0
     phi_mode: int = 1
     phi_phase: float = 0.0
+
+
+@_kinded
+class InitialEquilibrium:
+    """``rho`` proportional to ``exp(-m V / kT)``, normalized to
+    ``mean_density``, at rest.
+
+    When both the thermo and quantum terms are active the profile is
+    refined on the grid until the full stationarity condition
+    ``kT/m (lam + 1) + U_Q + V = const`` holds, so the state is a fixed
+    point of the discrete equations, not just of their classical limit. A
+    nonzero ``amplitude`` multiplies rho by exp of a periodized gaussian
+    bump (``width``, ``center``), seeding dynamics without disturbing the
+    box seam.
+    """
+
+    kind: str = field(default="equilibrium", init=False)
     mean_density: float = 1.0
-    file: str | None = None
-
-
-@dataclass(frozen=True)
-class ExternalSpec:
-    kind: str = "zero"
-    omega: float | None = None
-    v0: float | None = None
-    file: str | None = None
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    family: str
+    amplitude: float = 0.0
     width: float | None = None
+    center: float | None = None
+
+
+@_kinded
+class InitialTabulated:
+    """Density read from a two-column CSV ``(x, rho)``, at rest."""
+
+    kind: str = field(default="tabulated", init=False)
+    file: str
+
+
+InitialSpec = (InitialGaussian | InitialCosine | InitialEquilibrium
+               | InitialTabulated)
+
+
+@_kinded
+class ExternalZero:
+    kind: str = field(default="zero", init=False)
+
+
+@_kinded
+class ExternalHarmonic:
+    kind: str = field(default="harmonic", init=False)
+    omega: float
+
+
+@_kinded
+class ExternalCosine:
+    kind: str = field(default="cosine", init=False)
+    v0: float
+
+
+@_kinded
+class ExternalTabulated:
+    kind: str = field(default="tabulated", init=False)
+    file: str
+
+
+ExternalSpec = (ExternalZero | ExternalHarmonic | ExternalCosine
+                | ExternalTabulated)
+
+
+@_kinded
+class KernelGaussian:
+    family: str = field(default="gaussian", init=False)
+    width: float | None = None
+
+
+@_kinded
+class KernelDifferenceOfGaussians(KernelGaussian):
+    family: str = field(default="difference_of_gaussians", init=False)
+
+
+@_kinded
+class KernelDelta:
+    family: str = field(default="delta", init=False)
+
+
+@_kinded
+class KernelTabulated:
+    family: str = field(default="tabulated", init=False)
     file: str | None = None
 
 
-@dataclass(frozen=True)
-class SolverSpec:
-    dt: float = 1e-3
-    t_end: float = 1.0
-    snapshot_stride: int = 1
-    dealias: bool = True
-    density_floor: float = 1e-12
+# supplies the moments of quantum_order >= 2
+KernelSpec = (KernelGaussian | KernelDifferenceOfGaussians | KernelDelta
+              | KernelTabulated)
 
 
 @dataclass(frozen=True)
@@ -198,19 +263,20 @@ class OutputSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    grid: GridSpec
+    grid: Grid
     physics: PhysSpec
     terms: TermSpec
     initial: InitialSpec
     external: ExternalSpec
     kernel: KernelSpec | None
-    solver: SolverSpec
+    solver: SolverConfig
     oracle: OracleSpec
     output: OutputSpec
 
 
-_SECTIONS = ("scenario", "grid", "physics", "terms", "initial", "external",
-             "kernel", "solver", "oracle", "output")
+@dataclass(frozen=True)
+class _Header:
+    name: str = "unnamed"
 
 
 def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -224,10 +290,10 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             if not line.endswith("]"):
                 raise ScenarioError("malformed section header", ln)
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise ScenarioError(
                     f"unknown section [{name}]; known sections: "
-                    + ", ".join(_SECTIONS), ln)
+                    + ", ".join(_SCHEMA), ln)
             if name in sections:
                 raise ScenarioError(f"duplicate section [{name}]", ln)
             current = {}
@@ -248,52 +314,13 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-class _Section:
-    """Typed key extraction with line-precise errors and leftovers check."""
-
-    _REQUIRED = object()
-
-    def __init__(self, name: str, entries: dict[str, tuple[str, int]]):
-        self.name = name
-        self.entries = dict(entries)
-        self.lines = {k: ln for k, (_, ln) in entries.items()}
-
-    def _convert(self, key: str, conv, raw: str, ln: int):
+def _number(tp, what: str):
+    def conv(raw: str):
         try:
-            return conv(raw)
-        except ValueError as e:
-            raise ScenarioError(f"key {key!r}: {e}", ln) from None
-
-    def take(self, key: str, conv, default=_REQUIRED):
-        if key not in self.entries:
-            if default is _Section._REQUIRED:
-                raise ScenarioError(
-                    f"section [{self.name}] is missing required key {key!r}")
-            return default
-        raw, ln = self.entries.pop(key)
-        return self._convert(key, conv, raw, ln)
-
-    def line(self, key: str) -> int | None:
-        return self.lines.get(key)
-
-    def finish(self) -> None:
-        for key, (_, ln) in self.entries.items():
-            raise ScenarioError(
-                f"unknown key {key!r} in section [{self.name}]", ln)
-
-
-def _to_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {raw!r}") from None
-
-
-def _to_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"expected a number, got {raw!r}") from None
+            return tp(raw)
+        except ValueError:
+            raise ValueError(f"expected {what}, got {raw!r}") from None
+    return conv
 
 
 _TRUE = {"true", "yes", "on", "1"}
@@ -309,10 +336,6 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
-def _to_str(raw: str) -> str:
-    return raw
-
-
 def _choice(*allowed: str):
     def conv(raw: str) -> str:
         if raw not in allowed:
@@ -320,6 +343,88 @@ def _choice(*allowed: str):
                 f"expected one of {', '.join(allowed)}; got {raw!r}")
         return raw
     return conv
+
+
+# field type -> (parse, format); floats keep all 17 digits
+_TYPES = {
+    int: (_number(int, "an integer"), str),
+    float: (_number(float, "a number"), lambda v: "%.17g" % v),
+    bool: (_to_bool, lambda v: "true" if v else "false"),
+    str: (str, str),
+}
+_REQUIRED = object()
+
+
+def _keys(cls) -> tuple:
+    """``(key, parse, format, default)`` per settable field, in order."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        tp = hints[f.name]
+        args = typing.get_args(tp)
+        if typing.get_origin(tp) is Literal:
+            conv = (_choice(*args), str)
+        else:
+            conv = _TYPES[args[0] if args else tp]  # T | None parses as T
+        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+        out.append((f.name, *conv, default))
+    return tuple(out)
+
+
+def _tagged(key: str, default, union) -> tuple:
+    by_tag = {getattr(cls, key): cls for cls in typing.get_args(union)}
+    return key, _choice(*by_tag), default, by_tag
+
+
+# section -> (tag key, tag parser, default tag, class by tag); an untagged
+# section has one class under the tag None
+_SCHEMA = {
+    "scenario": (None, None, None, {None: _Header}),
+    "grid": (None, None, None, {None: Grid}),
+    "physics": (None, None, None, {None: PhysSpec}),
+    "terms": (None, None, None, {None: TermSpec}),
+    "initial": _tagged("kind", _REQUIRED, InitialSpec),
+    "external": _tagged("kind", "zero", ExternalSpec),
+    "kernel": _tagged("family", _REQUIRED, KernelSpec),
+    "solver": (None, None, None, {None: SolverConfig}),
+    "oracle": (None, None, None, {None: OracleSpec}),
+    "output": (None, None, None, {None: OutputSpec}),
+}
+_KEYS = {cls: _keys(cls)
+         for *_, by_tag in _SCHEMA.values() for cls in by_tag.values()}
+
+
+def _take(section: str, entries: dict, key: str, conv, default):
+    if key not in entries:
+        if default is _REQUIRED:
+            raise ScenarioError(
+                f"section [{section}] is missing required key {key!r}")
+        return default
+    raw, ln = entries[key]
+    try:
+        return conv(raw)
+    except ValueError as e:
+        raise ScenarioError(f"key {key!r}: {e}", ln) from None
+
+
+def _parse_section(name: str, entries: dict):
+    tag_key, tag_conv, tag_default, by_tag = _SCHEMA[name]
+    cls = by_tag[tag_key and _take(name, entries, tag_key, tag_conv,
+                                   tag_default)]
+    kwargs = {key: _take(name, entries, key, conv, default)
+              for key, conv, _, default in _KEYS[cls]}
+    for key, (_, ln) in entries.items():
+        if key not in kwargs and key != tag_key:
+            raise ScenarioError(f"unknown key {key!r} in section [{name}]", ln)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:  # Grid and SolverConfig check their values
+        line = None
+        if cls is Grid:
+            line = entries["length" if "length" in str(e) else "n"][1]
+        raise ScenarioError(str(e), line) from None
 
 
 def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
@@ -331,166 +436,43 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
     surfaces here, tagged with the closest source line.
     """
     raw = _tokenize(text)
-    seen = {name: _Section(name, raw.get(name, {})) for name in _SECTIONS}
     for required in ("grid", "initial"):
         if required not in raw:
             raise ScenarioError(f"missing required section [{required}]")
+    parts = {name: None if name == "kernel" and name not in raw
+             else _parse_section(name, raw.get(name, {})) for name in _SCHEMA}
 
-    sec = seen["scenario"]
-    name = sec.take("name", _to_str, "unnamed")
-    sec.finish()
-
-    sec = seen["grid"]
-    gspec = GridSpec(n=sec.take("n", _to_int),
-                     length=sec.take("length", _to_float))
-    grid_lines = (sec.line("n"), sec.line("length"))
-    sec.finish()
-
-    sec = seen["physics"]
-    pspec = PhysSpec(
-        hbar=sec.take("hbar", _to_float, 1.0),
-        mass=sec.take("mass", _to_float, 1.0),
-        kT=sec.take("kT", _to_float, 1.0),
-        a2_mode=sec.take("a2_mode", _choice("de_broglie", "explicit"),
-                         "de_broglie"),
-        a2=sec.take("a2", _to_float, None),
-        c=sec.take("c", _to_float, 1.0),
-    )
-    phys_line = sec.line("a2_mode") or sec.line("kT")
-    if pspec.a2_mode == "de_broglie" and pspec.a2 is not None:
+    phys = parts["physics"]
+    if phys.a2_mode == "de_broglie" and phys.a2 is not None:
         raise ScenarioError(
             "key 'a2' only applies to a2_mode = explicit",
-            sec.line("a2"))
-    sec.finish()
+            _line(raw, "physics", "a2"))
+    kspec = parts["kernel"]
+    if isinstance(kspec, KernelGaussian) and kspec.width is None:
+        raise ScenarioError(f"kernel family {kspec.family!r} needs a width")
+    if isinstance(kspec, KernelTabulated) and kspec.file is None:
+        raise ScenarioError("kernel family 'tabulated' needs a file")
 
-    sec = seen["terms"]
-    tspec = TermSpec(
-        thermo=sec.take("thermo", _to_bool, True),
-        quantum=sec.take("quantum", _to_bool, False),
-        external=sec.take("external", _to_bool, False),
-        quantum_order=sec.take("quantum_order", _to_int, 1),
-    )
-    terms_line = sec.line("quantum_order") or sec.line("quantum")
-    sec.finish()
-
-    sec = seen["initial"]
-    kind = sec.take("kind", _choice("gaussian", "cosine", "equilibrium",
-                                    "tabulated"))
-    ispec = _parse_initial(sec, kind)
-    sec.finish()
-
-    sec = seen["external"]
-    ekind = sec.take("kind", _choice("zero", "harmonic", "cosine",
-                                     "tabulated"), "zero")
-    espec = _parse_external(sec, ekind)
-    external_line = sec.line("kind")
-    sec.finish()
-
-    sec = seen["kernel"]
-    kspec = None
-    if "kernel" in raw:
-        family = sec.take("family", _choice(
-            "gaussian", "difference_of_gaussians", "delta", "tabulated"))
-        kspec = KernelSpec(
-            family=family,
-            width=sec.take("width", _to_float, None),
-            file=sec.take("file", _to_str, None),
-        )
-        if family in ("gaussian", "difference_of_gaussians") and kspec.width is None:
-            raise ScenarioError(
-                f"kernel family {family!r} needs a width")
-        if family == "tabulated" and kspec.file is None:
-            raise ScenarioError("kernel family 'tabulated' needs a file")
-    sec.finish()
-
-    sec = seen["solver"]
-    sspec = SolverSpec(
-        dt=sec.take("dt", _to_float, 1e-3),
-        t_end=sec.take("t_end", _to_float, 1.0),
-        snapshot_stride=sec.take("snapshot_stride", _to_int, 1),
-        dealias=sec.take("dealias", _to_bool, True),
-        density_floor=sec.take("density_floor", _to_float, 1e-12),
-    )
-    sec.finish()
-
-    sec = seen["oracle"]
-    ospec = OracleSpec(
-        dt=sec.take("dt", _to_float, None),
-        t_end=sec.take("t_end", _to_float, None),
-        snapshot_stride=sec.take("snapshot_stride", _to_int, None),
-        nonlinearity=sec.take("nonlinearity", _to_bool, True),
-        strang=sec.take("strang", _to_bool, True),
-    )
-    sec.finish()
-
-    sec = seen["output"]
-    outspec = OutputSpec(plot=sec.take("plot", _to_bool, False))
-    sec.finish()
-
-    scn = Scenario(name=name, grid=gspec, physics=pspec, terms=tspec,
-                   initial=ispec, external=espec, kernel=kspec,
-                   solver=sspec, oracle=ospec, output=outspec)
-    _validate(scn, base_dir, grid_lines, phys_line, terms_line, external_line)
+    scn = Scenario(name=parts.pop("scenario").name, **parts)
+    _validate(scn, base_dir, raw)
     return scn
 
 
-def _parse_initial(sec: _Section, kind: str) -> InitialSpec:
-    if kind == "gaussian":
-        return InitialSpec(
-            kind=kind,
-            center=sec.take("center", _to_float, None),
-            width=sec.take("width", _to_float),
-            amplitude=sec.take("amplitude", _to_float, 1.0),
-            boost=sec.take("boost", _to_float, 0.0),
-            pedestal=sec.take("pedestal", _to_float, 0.0),
-            pedestal_kind=sec.take("pedestal_kind",
-                                   _choice("uniform", "thermal"), "uniform"),
-        )
-    if kind == "cosine":
-        return InitialSpec(
-            kind=kind,
-            base=sec.take("base", _to_float, 1.0),
-            amplitude=sec.take("amplitude", _to_float, 0.0),
-            mode=sec.take("mode", _to_int, 1),
-            phase=sec.take("phase", _to_float, 0.0),
-            phi_amplitude=sec.take("phi_amplitude", _to_float, 0.0),
-            phi_mode=sec.take("phi_mode", _to_int, 1),
-            phi_phase=sec.take("phi_phase", _to_float, 0.0),
-        )
-    if kind == "equilibrium":
-        return InitialSpec(
-            kind=kind,
-            mean_density=sec.take("mean_density", _to_float, 1.0),
-            amplitude=sec.take("amplitude", _to_float, 0.0),
-            width=sec.take("width", _to_float, None),
-            center=sec.take("center", _to_float, None),
-        )
-    return InitialSpec(kind=kind, file=sec.take("file", _to_str))
+def _line(raw: dict, section: str, key: str) -> int | None:
+    return raw.get(section, {}).get(key, (None, None))[1]
 
 
-def _parse_external(sec: _Section, kind: str) -> ExternalSpec:
-    if kind == "harmonic":
-        return ExternalSpec(kind=kind, omega=sec.take("omega", _to_float))
-    if kind == "cosine":
-        return ExternalSpec(kind=kind, v0=sec.take("v0", _to_float))
-    if kind == "tabulated":
-        return ExternalSpec(kind=kind, file=sec.take("file", _to_str))
-    return ExternalSpec(kind=kind)
-
-
-def _validate(scn: Scenario, base_dir, grid_lines, phys_line, terms_line,
-              external_line) -> None:
-    n_line, length_line = grid_lines
-    try:
-        grid = build_grid(scn)
-    except ValueError as e:
-        line = length_line if "length" in str(e) else n_line
-        raise ScenarioError(str(e), line) from None
+def _validate(scn: Scenario, base_dir, raw) -> None:
+    grid = scn.grid
     try:
         params = build_params(scn)
     except ValueError as e:
-        raise ScenarioError(str(e), phys_line) from None
+        raise ScenarioError(str(e), _line(raw, "physics", "a2_mode")
+                            or _line(raw, "physics", "kT")) from None
 
+    terms_line = (_line(raw, "terms", "quantum_order")
+                  or _line(raw, "terms", "quantum"))
+    external_line = _line(raw, "external", "kind")
     if scn.terms.external and scn.external.kind == "zero":
         raise ScenarioError(
             "terms enable the external potential but [external] kind is zero",
@@ -516,7 +498,6 @@ def _validate(scn: Scenario, base_dir, grid_lines, phys_line, terms_line,
         raise ScenarioError(str(e)) from None
 
     try:
-        build_solver_config(scn)
         build_oracle_config(scn)
     except ValueError as e:
         raise ScenarioError(str(e)) from None
@@ -529,7 +510,7 @@ def _resolve(path: str, base_dir: str | None) -> str:
 
 
 def build_grid(scn: Scenario) -> Grid:
-    return Grid(n=scn.grid.n, length=scn.grid.length)
+    return scn.grid
 
 
 def build_params(scn: Scenario) -> PhysParams:
@@ -556,7 +537,7 @@ def build_kernel(scn: Scenario, grid: Grid,
         return None
     if k.family == "tabulated":
         return kernel_from_csv(_resolve(k.file, base_dir), grid)
-    return make_kernel(k.family, grid, width=k.width)
+    return make_kernel(k.family, grid, width=getattr(k, "width", None))
 
 
 def build_flags(scn: Scenario, grid: Grid,
@@ -575,10 +556,7 @@ def build_flags(scn: Scenario, grid: Grid,
 
 
 def build_solver_config(scn: Scenario) -> SolverConfig:
-    s = scn.solver
-    return SolverConfig(dt=s.dt, t_end=s.t_end,
-                        snapshot_stride=s.snapshot_stride, dealias=s.dealias,
-                        density_floor=s.density_floor)
+    return scn.solver
 
 
 def build_oracle_config(scn: Scenario) -> OracleConfig:
@@ -605,7 +583,8 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
     contractive, and the remaining nonlinearity is lagged. U_Q is read off
     the solver's own right-hand side (at rest), so the converged profile
     is a fixed point of the equations as stepped, dealiasing included. The
-    constant is fixed by normalizing mean rho each sweep.
+    constant is fixed by normalizing mean rho each sweep. A sweep whose
+    update is not finite ends the iteration as diverged.
     """
     from .madelung import rhs
 
@@ -621,9 +600,12 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
         uq = dphi.values - theta * (lam + 1.0) - vpart
         # the lagged rest of U_Q is uq + (qc/2) lam''
         src_hat, lam_hat = grid.rfft(np.stack((-varr - uq, lam)))
-        new = grid.irfft((src_hat + half_qc_k2 * lam_hat) / denom)
-        new = new - np.log(np.exp(new).mean()) + log_norm
-        delta = float(np.max(np.abs(new - lam)))
+        with np.errstate(all="ignore"):
+            new = grid.irfft((src_hat + half_qc_k2 * lam_hat) / denom)
+            new = new - np.log(np.exp(new).mean()) + log_norm
+            delta = float(np.max(np.abs(new - lam)))
+        if not np.isfinite(delta):
+            break
         lam = new
         if delta < 1e-14:
             return lam
@@ -715,72 +697,19 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
                  Field(grid, phi, _fresh=True))
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
 def serialize(scn: Scenario) -> str:
     """Write a scenario back to text, every resolved key explicit."""
     out: list[str] = []
-
-    def section(name: str, pairs: list[tuple[str, object]]) -> None:
+    for name, (tag_key, *_) in _SCHEMA.items():
+        spec = _Header(scn.name) if name == "scenario" else getattr(scn, name)
+        if spec is None:
+            continue
         out.append(f"[{name}]")
-        for key, val in pairs:
-            if val is None:
-                continue
-            out.append(f"{key} = {_fmt(val)}")
+        if tag_key:
+            out.append(f"{tag_key} = {getattr(spec, tag_key)}")
+        for key, _, fmt, _ in _KEYS[type(spec)]:
+            val = getattr(spec, key)
+            if val is not None:
+                out.append(f"{key} = {fmt(val)}")
         out.append("")
-
-    section("scenario", [("name", scn.name)])
-    section("grid", [("n", scn.grid.n), ("length", scn.grid.length)])
-    p = scn.physics
-    section("physics", [("hbar", p.hbar), ("mass", p.mass), ("kT", p.kT),
-                        ("a2_mode", p.a2_mode), ("a2", p.a2), ("c", p.c)])
-    t = scn.terms
-    section("terms", [("thermo", t.thermo), ("quantum", t.quantum),
-                      ("external", t.external),
-                      ("quantum_order", t.quantum_order)])
-    ic = scn.initial
-    pairs: list[tuple[str, object]] = [("kind", ic.kind)]
-    if ic.kind == "gaussian":
-        pairs += [("center", ic.center), ("width", ic.width),
-                  ("amplitude", ic.amplitude), ("boost", ic.boost),
-                  ("pedestal", ic.pedestal),
-                  ("pedestal_kind", ic.pedestal_kind)]
-    elif ic.kind == "cosine":
-        pairs += [("base", ic.base), ("amplitude", ic.amplitude),
-                  ("mode", ic.mode), ("phase", ic.phase),
-                  ("phi_amplitude", ic.phi_amplitude),
-                  ("phi_mode", ic.phi_mode), ("phi_phase", ic.phi_phase)]
-    elif ic.kind == "equilibrium":
-        pairs += [("mean_density", ic.mean_density),
-                  ("amplitude", ic.amplitude), ("width", ic.width),
-                  ("center", ic.center)]
-    else:
-        pairs += [("file", ic.file)]
-    section("initial", pairs)
-    e = scn.external
-    section("external", [("kind", e.kind), ("omega", e.omega), ("v0", e.v0),
-                         ("file", e.file)])
-    if scn.kernel is not None:
-        k = scn.kernel
-        section("kernel", [("family", k.family), ("width", k.width),
-                           ("file", k.file)])
-    s = scn.solver
-    section("solver", [("dt", s.dt), ("t_end", s.t_end),
-                       ("snapshot_stride", s.snapshot_stride),
-                       ("dealias", s.dealias),
-                       ("density_floor", s.density_floor)])
-    o = scn.oracle
-    section("oracle", [("dt", o.dt), ("t_end", o.t_end),
-                       ("snapshot_stride", o.snapshot_stride),
-                       ("nonlinearity", o.nonlinearity),
-                       ("strang", o.strang)])
-    section("output", [("plot", scn.output.plot)])
     return "\n".join(out)

@@ -100,6 +100,10 @@ def test_run_writes_contracted_outputs(tmp_path, capsys):
     assert manifest["scenario"]["grid"]["n"] == 64
     assert manifest["scenario"]["solver"]["density_floor"] == 1e-12
     assert manifest["scenario"]["physics"]["a2_mode"] == "de_broglie"
+    assert manifest["scenario"]["initial"] == {
+        "kind": "cosine", "base": 1.0, "amplitude": 0.0, "mode": 1,
+        "phase": 0.0, "phi_amplitude": 0.0, "phi_mode": 1, "phi_phase": 0.0}
+    assert manifest["scenario"]["external"] == {"kind": "cosine", "v0": 2.0}
     assert manifest["derived"]["dx"] == pytest.approx(1.0 / 64)
     assert manifest["derived"]["n_steps"] == 100
     assert "version" in manifest

@@ -1,5 +1,7 @@
 """Scenario parsing, validation, construction, and serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -467,3 +469,33 @@ nonlinearity = false
     assert oc.dt == 5e-5
     assert oc.t_end == 0.01  # inherited from the solver
     assert oc.nonlinearity is False
+
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+
+@pytest.mark.parametrize("name", sorted(presets.suite()))
+def test_demo_scenario_files_are_serialized_presets(name):
+    on_disk = (DEMO_SCENARIOS / f"{name}.ini").read_bytes()
+    assert on_disk == serialize(presets.suite()[name]).encode("utf-8")
+
+
+def test_evacuation_demo_round_trips():
+    scn = parse_scenario((DEMO_SCENARIOS / "evacuation.ini").read_text())
+    assert parse_scenario(serialize(scn)) == scn
+
+
+def test_kernel_keys_follow_the_family():
+    text = MINIMAL + "\n[kernel]\nfamily = delta\nwidth = 0.05\n"
+    with pytest.raises(ScenarioError,
+                       match=r"unknown key 'width' in section \[kernel\]"):
+        parse_scenario(text)
+
+
+def test_diverging_equilibrium_refinement_fails_cleanly():
+    # the series closure of a narrow kernel is too stiff for the trap well
+    text = (serialize(presets.trap()).replace("quantum_order = 1",
+                                              "quantum_order = 2")
+            + "\n[kernel]\nfamily = difference_of_gaussians\nwidth = 0.01\n")
+    with pytest.raises(ScenarioError, match="did not converge"):
+        parse_scenario(text)
