@@ -12,13 +12,11 @@ where each right-hand term is switched by :class:`TermFlags`. Working in
 hand side are dealiased with the 2/3 rule (default on).
 
 Between RK4 stages and steps the state is the stacked half spectrum
-``(lam^, phi^)`` of the real FFT. One spectral kernel gives both
-tendencies from it in two batched transforms through the grid's operator
-layer: back of the masked gradients, forward of the quadratic products;
-the linear, thermal, quantum and external terms are added per mode. A run
-reads the state back once per step, so an RK4 step takes nine transforms.
-:func:`rhs`, :func:`quantum_potential` and :func:`diagnostics` read the
-same kernel as ``irfft(kernel(rfft(lam, phi)))``, four transforms.
+``(lam^, phi^)`` of the real FFT. A :class:`Tendency`, built once per run,
+gives both tendencies from it in two batched transforms through the grid's
+operator layer, so an RK4 step, which reads the state back once, takes
+nine. :func:`rhs`, :func:`quantum_potential` and a :func:`diagnostics`
+record read the same operator in four transforms each.
 
 Time stepping is classical RK4. A run terminates early, with a partial
 trajectory and an error status, if the density floor is crossed (vacuum)
@@ -31,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +44,7 @@ __all__ = [
     "DiagnosticRecord",
     "Trajectory",
     "SolverAbort",
+    "Tendency",
     "velocity",
     "quantum_potential",
     "rhs",
@@ -164,58 +164,90 @@ class SolverAbort(RuntimeError):
 # ---------------------------------------------------------------------------
 # right-hand side on the half spectrum
 
-def _tendency_hat(hat, grid, flags: TermFlags, p: PhysParams, vhat, dealias_on):
+class Tendency:
     """Spectra of ``(d lam/dt, d phi/dt)`` from the stacked ``(lam^, phi^)``.
 
-    Two transforms: back of the masked gradients, forward of the products.
-    The quantum closure is spectral. Bohm (order 1) is
-    ``-(qc/2) [lap lam + (grad lam)^2 / 2]``; the gradient series
-    (order >= 2) is ``(kT/m) [M lam + (M rho) / rho]`` for the series
-    multiplier ``M``, whose second part needs real rho, so lam goes back
-    as a third row and ``M rho`` costs two transforms more. ``vhat`` is
-    the spectrum of the external potential, or None to leave it out.
+    Built once per ``(grid, flags, params, dealias, vext)``. A call takes
+    two batched transforms, back of the masked gradients and forward of two
+    product rows; the rest is a per-mode linear table and a forcing row:
+
+        d lam^/dt = mask F[grad phi grad lam] - k^2 phi^
+        d phi^/dt = mask F[(grad phi)^2 / 2 - (qc/4) (grad lam)^2]
+                    + (theta + qc k^2 / 2) lam^ + n theta delta_k0 + V^
+
+    ``theta = kT/m`` enters with thermo on, the ``qc`` (Bohm) terms with
+    quantum on at order 1, and ``V^`` with external on and ``vext`` given.
+    The gradient series (order >= 2) replaces Bohm's terms by
+    ``theta [M lam + (M rho) / rho]``: lam goes back as a third row for
+    real rho, and ``M rho`` costs two transforms more.
     """
-    mask = grid.half_mask if dealias_on else 1.0
-    theta = p.kT / p.m
-    lam_hat, phi_hat = hat
-    series = flags.quantum and flags.quantum_order >= 2
-    grads = grid.half_ik * mask * hat
-    real = grid.irfft(np.concatenate((grads, hat[:1])) if series else grads)
-    dlam, dphi = real[0], real[1]
-    products = [dphi * dlam, dphi * dphi]
-    if series:
-        mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
-                                  flags.quantum_order)
-        rho = np.exp(real[2])
-        products.append(theta * grid.apply(mult, rho) / rho)
-    elif flags.quantum:
-        products.append(dlam * dlam)
-    prod_hat = grid.rfft(np.array(products))
-    quad = mask * prod_hat
 
-    dlam_hat = quad[0] - grid.half_k2 * phi_hat
-    dphi_hat = 0.5 * quad[1]
-    if series:
-        dphi_hat = dphi_hat + theta * mult * lam_hat + prod_hat[2]
-    elif flags.quantum:
-        qc = p.quantum_coefficient
-        dphi_hat = dphi_hat - 0.5 * qc * (0.5 * quad[2] - grid.half_k2 * lam_hat)
-    if flags.thermo:
-        # the enthalpy (kT/m)(lam + 1); its constant sits on mode 0
-        dphi_hat = dphi_hat + theta * lam_hat
-        dphi_hat[0] += grid.n * theta
-    if vhat is not None:
-        dphi_hat = dphi_hat + vhat
-    return np.array((dlam_hat, dphi_hat))
+    def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
+                 dealias: bool, vext: ExternalPotential | None = None):
+        mask = grid.half_mask if dealias else np.ones(grid.half_k2.shape)
+        thermal = p.kT / p.m if flags.thermo else 0.0
+        self.grid = grid
+        self.grad = grid.half_ik * mask
+        # the Bernoulli product row carries twice its value; the 1/2 is here
+        self.masks = np.stack((mask, 0.5 * mask))
+        self.bohm = 0.0
+        self.series = None
+        lin = np.full(mask.shape, thermal)
+        if flags.quantum and flags.quantum_order >= 2:
+            self.series = (p.kT / p.m) * _series_multiplier(
+                grid, p.a2, flags.moments.c, 1, flags.quantum_order)
+            lin = lin + self.series
+        elif flags.quantum:
+            self.bohm = 0.5 * p.quantum_coefficient
+            lin = lin + self.bohm * grid.half_k2
+        self.linear = np.stack((-grid.half_k2, lin))
+        self.force = np.zeros(mask.shape, dtype=complex)
+        self.force[0] = grid.n * thermal
+        if flags.external and vext is not None:
+            self.force += grid.rfft(vext.field(grid).values)
+
+    def __call__(self, hat: np.ndarray) -> np.ndarray:
+        grads = self.grad * hat
+        real = self.grid.irfft(grads if self.series is None
+                               else np.concatenate((grads, hat[:1])))
+        dlam, dphi = real[0], real[1]
+        bern = dphi * dphi
+        if self.bohm:
+            bern -= self.bohm * dlam * dlam
+        rows = [dlam * dphi, bern]
+        if self.series is not None:
+            rho = np.exp(real[2])
+            rows.append(self.grid.apply(self.series, rho) / rho)
+        prods = self.grid.rfft(np.array(rows))
+        out = self.masks * prods[:2] + self.linear * hat[::-1]
+        out[1] += self.force
+        if self.series is not None:
+            out[1] += prods[2]
+        return out
+
+    def rk4(self, hat: np.ndarray, dt: float) -> np.ndarray:
+        """One classical RK4 step of the stacked half spectrum."""
+        k1 = self(hat)
+        k2 = self(hat + 0.5 * dt * k1)
+        k3 = self(hat + 0.5 * dt * k2)
+        k4 = self(hat + dt * k3)
+        return hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rhs_arrays(lam, phi, grid, flags: TermFlags, p: PhysParams, vext, dealias_on):
-    """``irfft(tendency(rfft(lam, phi)))``, with ``vext`` added after."""
-    dlam_dt, dphi_dt = grid.irfft(_tendency_hat(
-        grid.rfft(np.array((lam, phi))), grid, flags, p, None, dealias_on))
-    if flags.external:
-        dphi_dt = dphi_dt + vext
-    return dlam_dt, dphi_dt
+@lru_cache(maxsize=16)
+def _reader(grid: Grid, flags: TermFlags, p: PhysParams,
+            dealias: bool) -> Tendency:
+    """The tendency that :func:`rhs` and the records read, ``V_e`` left out."""
+    return Tendency(grid, flags, p, dealias)
+
+
+def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams):
+    """Spectrum of U_Q: the Bernoulli tendency of the state at rest with
+    only the quantum term on and dealiasing off."""
+    rest = np.zeros((2, lam_hat.shape[-1]), dtype=complex)
+    rest[0] = lam_hat
+    only = replace(flags, thermo=False, external=False)
+    return _reader(grid, only, p, False)(rest)[1]
 
 
 def velocity(s: State) -> Field:
@@ -229,20 +261,22 @@ def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
     It is the Bernoulli tendency of the state at rest with only the quantum
     term on and dealiasing off.
     """
+    grid = s.grid
     if not flags.quantum:
-        return Field.constant(s.grid, 0.0)
-    only = replace(flags, thermo=False, external=False)
-    _, uq = _rhs_arrays(s.lam.values, np.zeros(s.grid.n), s.grid, only, p,
-                        None, False)
-    return Field(s.grid, uq, _fresh=True)
+        return Field.constant(grid, 0.0)
+    uq = grid.irfft(_uq_hat(grid, grid.rfft(s.lam.values), flags, p))
+    return Field(grid, uq, _fresh=True)
 
 
 def rhs(s: State, flags: TermFlags, p: PhysParams, vext: ExternalPotential,
         dealias: bool = True) -> tuple[Field, Field]:
     """Time derivatives ``(d lam/dt, d phi/dt)`` of the current state."""
-    varr = vext.field(s.grid).values if flags.external else None
-    dl, dp = _rhs_arrays(s.lam.values, s.phi.values, s.grid, flags, p, varr, dealias)
-    return Field(s.grid, dl, _fresh=True), Field(s.grid, dp, _fresh=True)
+    grid = s.grid
+    hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
+    dlam, dphi = grid.irfft(_reader(grid, flags, p, dealias)(hat))
+    if flags.external:
+        dphi = dphi + vext.field(grid).values
+    return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
 def _check_state(lam, phi, grid, floor, t):
@@ -261,28 +295,13 @@ def _check_state(lam, phi, grid, floor, t):
         )
 
 
-def _step_hat(hat, dt, grid, flags, p, vhat, dealias_on):
-    """One RK4 step of the stacked half spectrum ``(lam^, phi^)``."""
-    def f(h):
-        return _tendency_hat(h, grid, flags, p, vhat, dealias_on)
-    k1 = f(hat)
-    k2 = f(hat + 0.5 * dt * k1)
-    k3 = f(hat + 0.5 * dt * k2)
-    k4 = f(hat + dt * k3)
-    return hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _vhat(grid: Grid, flags: TermFlags, vext: ExternalPotential):
-    return grid.rfft(vext.field(grid).values) if flags.external else None
-
-
 def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
          vext: ExternalPotential) -> State:
     """One RK4 step. Raises :class:`SolverAbort` on vacuum or blowup."""
     grid = s.grid
     hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
-    lam, phi = grid.irfft(_step_hat(hat, cfg.dt, grid, flags, p,
-                                    _vhat(grid, flags, vext), cfg.dealias))
+    op = Tendency(grid, flags, p, cfg.dealias, vext)
+    lam, phi = grid.irfft(op.rk4(hat, cfg.dt))
     t_new = s.t + cfg.dt
     _check_state(lam, phi, grid, cfg.density_floor, t_new)
     return State(t_new, Field(grid, lam, _fresh=True),
@@ -322,7 +341,7 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     _check_state(lam, phi, grid, cfg.density_floor, t0)
     # the state lives on the half spectrum; one inverse per step reads it
     hat = grid.rfft(np.array((lam, phi)))
-    vhat = _vhat(grid, flags, vext)
+    op = Tendency(grid, flags, p, cfg.dealias, vext)
 
     traj = Trajectory(snapshots=[], records=[])
 
@@ -335,7 +354,7 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     record(t0, lam, phi)
     try:
         for i in range(1, n_steps + 1):
-            hat = _step_hat(hat, cfg.dt, grid, flags, p, vhat, cfg.dealias)
+            hat = op.rk4(hat, cfg.dt)
             lam, phi = grid.irfft(hat)
             t = t0 + i * cfg.dt
             _check_state(lam, phi, grid, cfg.density_floor, t)
@@ -350,16 +369,15 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
 # ---------------------------------------------------------------------------
 # diagnostics and the action
 
-def _energy_density(lam, phi, grid, flags: TermFlags, p: PhysParams, vext):
+def _energy_density(lam, grads, flags: TermFlags, p: PhysParams, vext):
     """Pointwise energy per unit volume for the active terms, with rho and v.
 
+    ``grads`` holds the rows ``grad phi`` and, when quantum, ``grad lam``.
     The quantum part uses the sign-definite form
     ``(kT/m) a^2 rho (grad lam)^2 / 2`` whose density derivative is U_Q.
     On shell the Lagrangian density is ``rho dphi/dt`` minus this.
     """
     rho = np.exp(lam)
-    grads = grid.apply(grid.half_ik,
-                       np.stack((phi, lam)) if flags.quantum else phi[None])
     v = -grads[0]
     dens = 0.5 * rho * v * v
     if flags.thermo:
@@ -373,11 +391,19 @@ def _energy_density(lam, phi, grid, flags: TermFlags, p: PhysParams, vext):
 
 def diagnostics(s: State, flags: TermFlags, p: PhysParams,
                 vext: ExternalPotential) -> DiagnosticRecord:
+    """One record: the gradients and the tendency row it needs (U_Q when
+    quantum, else the Bernoulli rate) come back in one inverse."""
     grid = s.grid
     varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
     lam = s.lam.values
-    phi = s.phi.values
-    dens, rho, v = _energy_density(lam, phi, grid, flags, p, varr)
+    hat = grid.rfft(np.array((lam, s.phi.values)))
+    if flags.quantum:
+        rows = (grid.half_ik * hat[1], grid.half_ik * hat[0],
+                _uq_hat(grid, hat[0], flags, p))
+    else:
+        rows = (grid.half_ik * hat[1], _reader(grid, flags, p, True)(hat)[1])
+    back = grid.irfft(np.array(rows))
+    dens, rho, v = _energy_density(lam, back, flags, p, varr)
     dx = grid.dx
     mass = float(np.sum(rho) * dx)
     energy = float(np.sum(dens) * dx)
@@ -390,7 +416,7 @@ def diagnostics(s: State, flags: TermFlags, p: PhysParams,
     if flags.external:
         bern = bern + varr
     if flags.quantum:
-        bern = bern + quantum_potential(s, flags, p).values
+        bern = bern + back[2]
     mean_mag = float(np.mean(np.abs(bern)))
     spread = float(np.std(bern))
     bern_res = spread / mean_mag if mean_mag > 0 else spread
@@ -398,8 +424,7 @@ def diagnostics(s: State, flags: TermFlags, p: PhysParams,
     if flags.quantum:
         lmp = math.nan
     else:
-        _, dp = _rhs_arrays(lam, phi, grid, flags, p,
-                            varr if flags.external else None, True)
+        dp = back[1] + varr if flags.external else back[1]
         lag = rho * dp - dens
         pr = (p.kT / p.m) * rho
         pmax = np.abs(pr).max()
@@ -449,7 +474,9 @@ def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
 
     total = 0.0
     for j in range(m):
-        dens, rho, _ = _energy_density(lams[j], phis[j], grid, flags, p, varr)
+        grads = grid.apply(grid.half_ik, np.stack((phis[j], lams[j]))
+                           if flags.quantum else phis[j][None])
+        dens, rho, _ = _energy_density(lams[j], grads, flags, p, varr)
         lag = rho * dphi_dt[j] - dens
         w = 0.5 if j in (0, m - 1) else 1.0
         total += w * float(np.sum(lag) * grid.dx)

@@ -28,7 +28,11 @@ free             quantum-only packet spreading freely until its width
                  the other side: narrow enough that the periodic images
                  overlap weakly, wide enough that the seam log-gradient
                  k-scaled growth (rate ~ hbar k |grad lam| / 2m at the
-                 dealiasing edge) stays below one e-fold over the run.
+                 dealiasing edge) starts slowly. It does not stay below
+                 one e-fold: the run survives only because RK4 at its
+                 step, 0.94 of the quantum bound, damps the top retained
+                 modes, so it is not converged in dt (at dt/2 the seam
+                 density crosses the floor at t = 0.216).
                  On a ring the analytic infinite-line width law is only
                  approximate; the self-interference of the wrapped tails
                  shifts the fitted width at the few-percent level once

@@ -61,7 +61,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
-from .madelung import SolverConfig, State, TermFlags
+from .madelung import SolverConfig, State, Tendency, TermFlags
 from .params import ExternalPotential, PhysParams
 from .schrodinger import OracleConfig
 
@@ -492,6 +492,12 @@ def _validate(scn: Scenario, base_dir, raw) -> None:
     except (ValueError, OSError) as e:
         raise ScenarioError(str(e), terms_line) from None
 
+    ic = scn.initial
+    if isinstance(ic, InitialGaussian) and not np.isfinite(
+            ic.boost * grid.length):
+        raise ScenarioError(
+            f"gaussian boost {ic.boost:g} times the box length "
+            f"{grid.length:g} must be finite", _line(raw, "initial", "boost"))
     try:
         build_initial_state(scn, grid, params, vext, base_dir)
     except (ValueError, OSError) as e:
@@ -572,36 +578,34 @@ def build_oracle_config(scn: Scenario) -> OracleConfig:
 
 
 def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
-                        params: PhysParams, vext: ExternalPotential,
-                        varr: np.ndarray, mean_density: float,
-                        dealias: bool) -> np.ndarray:
+                        params: PhysParams, varr: np.ndarray,
+                        mean_density: float, dealias: bool) -> np.ndarray:
     """Sharpen the Boltzmann ansatz into a discrete quantum fixed point.
 
     Solves kT/m (lam + 1) + U_Q[lam] + V = const by damped iteration: the
     thermal restoring term plus the leading -qc/2 lam'' piece of U_Q are
     inverted spectrally each sweep, which keeps high wavenumbers
     contractive, and the remaining nonlinearity is lagged. U_Q is read off
-    the solver's own right-hand side (at rest), so the converged profile
-    is a fixed point of the equations as stepped, dealiasing included. The
-    constant is fixed by normalizing mean rho each sweep. A sweep whose
-    update is not finite ends the iteration as diverged.
+    the solver's own tendency (at rest, only the quantum term on), built
+    once per refinement, so the converged profile is a fixed point of the
+    equations as stepped, dealiasing included. The constant is fixed by
+    normalizing mean rho each sweep. A sweep whose update is not finite
+    ends the iteration as diverged.
     """
-    from .madelung import rhs
-
     theta = params.kT / params.m
     half_qc_k2 = 0.5 * params.quantum_coefficient * grid.half_k2
     denom = theta + half_qc_k2
     log_norm = np.log(mean_density)
-    zero_phi = Field.constant(grid, 0.0)
-    vpart = varr if flags.external else 0.0
+    only = dataclasses.replace(flags, thermo=False, external=False)
+    uq = Tendency(grid, only, params, dealias)
+    rest = np.zeros((2, grid.half_k2.size), dtype=complex)
+    v_hat = grid.rfft(varr)
     for _ in range(400):
-        _, dphi = rhs(State(0.0, Field(grid, lam, _fresh=True), zero_phi),
-                      flags, params, vext, dealias)
-        uq = dphi.values - theta * (lam + 1.0) - vpart
+        rest[0] = grid.rfft(lam)
         # the lagged rest of U_Q is uq + (qc/2) lam''
-        src_hat, lam_hat = grid.rfft(np.stack((-varr - uq, lam)))
+        src_hat = -v_hat - uq(rest)[1]
         with np.errstate(all="ignore"):
-            new = grid.irfft((src_hat + half_qc_k2 * lam_hat) / denom)
+            new = grid.irfft((src_hat + half_qc_k2 * rest[0]) / denom)
             new = new - np.log(np.exp(new).mean()) + log_norm
             delta = float(np.max(np.abs(new - lam)))
         if not np.isfinite(delta):
@@ -663,8 +667,8 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
         rho = ic.mean_density * w / w.mean()
         if scn.terms.quantum and scn.terms.thermo:
             flags = build_flags(scn, grid, base_dir)
-            lam = _refine_equilibrium(np.log(rho), grid, flags, params, vext,
-                                      v, ic.mean_density, scn.solver.dealias)
+            lam = _refine_equilibrium(np.log(rho), grid, flags, params, v,
+                                      ic.mean_density, scn.solver.dealias)
             rho = np.exp(lam)
         if ic.amplitude != 0.0:
             if ic.width is None or not ic.width > 0:

@@ -14,6 +14,11 @@ kept so the oracle phase stays comparable to phi without regauging.
 Integration is Strang splitting: half a potential phase rotation, a full
 spectral kinetic step, half a potential rotation with the updated density.
 Both sub-steps are exact, so the map is unitary and second order in dt.
+The closing half rotation of one step and the opening half of the next
+see the same ``|psi|^2``, so between snapshots they merge into one full
+rotation: one potential and one phase factor per step, with half rotations
+only at the start and at each snapshot. :func:`oracle_step` is this loop
+run for one step.
 """
 
 from __future__ import annotations
@@ -134,8 +139,7 @@ def _potential(psi_abs2, varr, p: PhysParams, nonlinearity: bool):
 def oracle_step(w: WaveState, cfg: OracleConfig, p: PhysParams,
                 vext: ExternalPotential) -> WaveState:
     """One splitting step (Strang by default, Lie otherwise)."""
-    varr = vext.field(w.grid).values if vext.kind != "zero" else None
-    psi = _step_psi(w.psi.values, _kinetic(w.grid, cfg, p), cfg, p, varr)
+    psi = _advance(w.psi.values, 1, w.grid, cfg, p, vext, lambda i, psi: None)
     return WaveState(w.t + cfg.dt, ComplexField(w.grid, psi, _fresh=True))
 
 
@@ -148,25 +152,30 @@ def _check_rotation(v, cfg, p):
         )
 
 
-def _kinetic(grid, cfg: OracleConfig, p: PhysParams):
-    """The exact kinetic propagator of one step, per Fourier mode."""
-    return np.exp(-0.5j * p.hbar_eff * grid.k**2 * cfg.dt / p.m)
-
-
-def _step_psi(psi, kin, cfg: OracleConfig, p: PhysParams, varr):
-    h = p.hbar_eff
-    if cfg.strang:
-        v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
-        _check_rotation(v, cfg, p)
-        psi = psi * np.exp(-0.5j * v * cfg.dt / h)
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
-        v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
-        psi = psi * np.exp(-0.5j * v * cfg.dt / h)
-    else:
-        v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
-        _check_rotation(v, cfg, p)
-        psi = psi * np.exp(-1j * v * cfg.dt / h)
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
+def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
+             vext: ExternalPotential, record) -> np.ndarray:
+    """Take ``n_steps`` splitting steps from ``psi`` and return the last
+    state, calling ``record(i, psi)`` after every stride-th step and the
+    last. Between snapshots Strang's adjacent half rotations merge."""
+    varr = vext.field(grid).values if vext.kind != "zero" else None
+    kin = np.exp(-0.5j * p.hbar_eff * grid.k**2 * cfg.dt / p.m)
+    full = -1j * cfg.dt / p.hbar_eff
+    first = 0.5 * full if cfg.strang else full
+    v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
+    _check_rotation(v, cfg, p)
+    rot = np.exp(first * v)
+    for i in range(1, n_steps + 1):
+        psi = np.fft.ifft(kin * np.fft.fft(psi * rot))
+        snap = i % cfg.snapshot_stride == 0 or i == n_steps
+        if cfg.strang or i < n_steps:
+            v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
+            if i < n_steps:
+                _check_rotation(v, cfg, p)
+            rot = np.exp((first if snap else full) * v)
+        if snap:
+            if cfg.strang:
+                psi = psi * rot
+            record(i, psi)
     return psi
 
 
@@ -174,28 +183,24 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
                vext: ExternalPotential) -> WaveTrajectory:
     """Integrate the wave equation, recording every stride-th snapshot."""
     grid = initial.grid
-    varr = vext.field(grid).values if vext.kind != "zero" else None
     n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
     if cfg.t_end > 0 and abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
         raise ValueError(
             f"t_end={cfg.t_end!r} is not an integer number of steps of dt={cfg.dt!r}"
         )
-    psi = initial.psi.values.copy()
-    kin = _kinetic(grid, cfg, p)
     t0 = initial.t
     dx = grid.dx
 
     traj = WaveTrajectory(snapshots=[], norms=[])
 
-    def record(t, arr):
-        traj.snapshots.append(WaveState(t, ComplexField(grid, arr.copy(), _fresh=True)))
+    def record(i, arr):
+        traj.snapshots.append(WaveState(t0 + i * cfg.dt,
+                                        ComplexField(grid, arr, _fresh=True)))
         traj.norms.append(float(np.sum(np.abs(arr) ** 2) * dx))
 
-    record(t0, psi)
-    for i in range(1, n_steps + 1):
-        psi = _step_psi(psi, kin, cfg, p, varr)
-        if i % cfg.snapshot_stride == 0 or i == n_steps:
-            record(t0 + i * cfg.dt, psi)
+    record(0, initial.psi.values.copy())
+    if n_steps:
+        _advance(initial.psi.values, n_steps, grid, cfg, p, vext, record)
     return traj
 
 

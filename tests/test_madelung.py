@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qfluid import presets
+from qfluid import madelung, presets
 from qfluid.grid import Field, Grid
 from qfluid.kernels import MomentTable
 from qfluid.madelung import (DiagnosticRecord, SolverAbort, SolverConfig,
@@ -319,6 +319,32 @@ def test_rhs_takes_four_transforms(monkeypatch):
     counter = _FFTCount(monkeypatch)
     rhs(state, flags, p, vext)
     assert counter.calls == 4
+
+
+def test_run_builds_its_tendency_once(monkeypatch):
+    built = []
+    init = madelung.Tendency.__init__
+
+    def counted(self, grid, flags, p, dealias, vext=None):
+        built.append(vext)
+        init(self, grid, flags, p, dealias, vext)
+
+    monkeypatch.setattr(madelung.Tendency, "__init__", counted)
+    for n_steps in (10, 20):
+        state, cfg, flags, p, vext = _setup(presets.trap(), n_steps, 5)
+        built.clear()
+        assert run(state, cfg, flags, p, vext).status == "ok"
+        # the records read V_e in real space; only the run's own operator
+        # carries it
+        assert sum(v is vext for v in built) == 1
+
+
+@pytest.mark.parametrize("make", [presets.trap, presets.traveling])
+def test_diagnostics_take_four_transforms(make, monkeypatch):
+    state, cfg, flags, p, vext = _setup(make(), 1, 1)
+    counter = _FFTCount(monkeypatch)
+    diagnostics(state, flags, p, vext)
+    assert counter.calls <= 4
 
 
 # -------------------------------------------------------------- diagnostics

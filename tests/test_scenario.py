@@ -235,6 +235,22 @@ def test_gaussian_rejects_bad_width_and_amplitude():
         parse_scenario(base + "width = 0.1\namplitude = 0.0\n")
 
 
+def test_gaussian_rejects_overflowing_boost_with_its_line():
+    text = """\
+[grid]
+n = 32
+length = 2.0
+
+[initial]
+kind = gaussian
+width = 0.2
+boost = 1e308
+"""
+    with pytest.raises(ScenarioError, match="boost") as info:
+        parse_scenario(text)
+    assert info.value.line == 8
+
+
 def test_initial_density_floor_enforced():
     text = """\
 [grid]

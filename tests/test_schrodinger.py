@@ -1,11 +1,16 @@
 """Wavefunction oracle: the Madelung map, splitting steps, and compare."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qfluid import presets, schrodinger
 from qfluid.grid import ComplexField, Field, Grid
 from qfluid.madelung import State, Trajectory
 from qfluid.params import ExternalPotential, PhysParams
+from qfluid.scenario import (build_external, build_initial_state,
+                             build_oracle_config, build_params)
 from qfluid.schrodinger import (OracleConfig, WaveState, compare,
                                 from_wavefunction, oracle_step, run_oracle,
                                 to_wavefunction, waves_from_states)
@@ -132,6 +137,49 @@ def test_strang_beats_lie_by_one_order(grid, p):
     r_lie = err(8e-3, False) / err(4e-3, False)
     assert 3.3 < r_strang < 4.7
     assert 1.6 < r_lie < 2.5
+
+
+def _oracle_setup(make, strang, n_steps, stride):
+    scn = make()
+    p = build_params(scn)
+    vext = build_external(scn)
+    state = build_initial_state(scn, scn.grid, p, vext)
+    cfg = build_oracle_config(scn)
+    cfg = dataclasses.replace(cfg, t_end=n_steps * cfg.dt,
+                              snapshot_stride=stride, strang=strang)
+    return to_wavefunction(state, p), cfg, p, vext
+
+
+@pytest.mark.parametrize("strang", [True, False])
+@pytest.mark.parametrize("make", [presets.trap, presets.free])
+def test_run_oracle_matches_a_loop_of_oracle_step(make, strang):
+    # trap: nonlinear with a harmonic potential; free: linear, no potential
+    w, cfg, p, vext = _oracle_setup(make, strang, 24, 5)
+    traj = run_oracle(w, cfg, p, vext)
+    want = [w]
+    for i in range(1, 25):
+        w = oracle_step(w, cfg, p, vext)
+        if i % 5 == 0 or i == 24:
+            want.append(w)
+    assert len(traj.snapshots) == len(want)
+    for got, ref in zip(traj.snapshots, want):
+        assert got.t == pytest.approx(ref.t, abs=1e-15)
+        scale = np.abs(ref.psi.values).max()
+        assert np.abs(got.psi.values - ref.psi.values).max() <= 1e-12 * scale
+
+
+def test_strang_run_takes_one_potential_per_step(monkeypatch):
+    w, cfg, p, vext = _oracle_setup(presets.trap, True, 24, 5)
+    calls = []
+    potential = schrodinger._potential
+
+    def counted(*args):
+        calls.append(1)
+        return potential(*args)
+
+    monkeypatch.setattr(schrodinger, "_potential", counted)
+    traj = run_oracle(w, cfg, p, vext)
+    assert len(calls) <= 24 + len(traj.snapshots)
 
 
 # ------------------------------------------------------------------ compare
