@@ -10,10 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from qfluid import presets
-from qfluid.scenario import (build_external, build_flags, build_grid,
-                             build_initial_state, build_params,
-                             build_solver_config)
+from qfluid import build, presets
 from qfluid.madelung import run, velocity
 
 scn = presets.equilibrium()
@@ -21,21 +18,18 @@ scn = presets.equilibrium()
 scn = dataclasses.replace(
     scn, solver=dataclasses.replace(scn.solver, t_end=2.0))
 
-grid = build_grid(scn)
-params = build_params(scn)
-flags = build_flags(scn, grid)
-vext = build_external(scn)
-state0 = build_initial_state(scn, grid, params, vext)
+setup = build(scn)
+grid, params, vext = scn.grid, setup.params, setup.vext
 
 theta = params.kT / params.m
-rho0 = np.exp(state0.lam.values)
+rho0 = np.exp(setup.state.lam.values)
 boltz = np.exp(-vext.field(grid).values / theta)
 boltz *= rho0.mean() / boltz.mean()
 print("initial profile vs exp(-m V / kT), max rel diff: %.3e"
       % np.abs(rho0 / boltz - 1.0).max())
 print()
 
-traj = run(state0, build_solver_config(scn), flags, params, vext)
+traj = run(setup.state, scn.solver, setup.flags, params, vext)
 
 print("   t      mass            energy         bernoulli    max |v|")
 for s, r in zip(traj.snapshots, traj.records):

@@ -9,11 +9,8 @@
 
 import dataclasses
 
-from qfluid import presets
+from qfluid import build, presets
 from qfluid.madelung import run
-from qfluid.scenario import (build_external, build_flags, build_grid,
-                             build_initial_state, build_oracle_config,
-                             build_params, build_solver_config)
 from qfluid.schrodinger import compare, run_oracle, to_wavefunction
 
 scn = presets.trap()
@@ -24,19 +21,16 @@ scn = dataclasses.replace(
     solver=dataclasses.replace(scn.solver, t_end=0.05, snapshot_stride=250),
     oracle=dataclasses.replace(scn.oracle, t_end=0.05, snapshot_stride=500))
 
-grid = build_grid(scn)
-params = build_params(scn)
-flags = build_flags(scn, grid)
-vext = build_external(scn)
-state0 = build_initial_state(scn, grid, params, vext)
+setup = build(scn)
+params = setup.params
 
 print("trap run: n = %d, hbar = %g, kT = %.4f, %d fluid steps"
-      % (grid.n, params.hbar, params.kT,
+      % (scn.grid.n, params.hbar, params.kT,
          round(scn.solver.t_end / scn.solver.dt)))
 
-traj = run(state0, build_solver_config(scn), flags, params, vext)
-wtraj = run_oracle(to_wavefunction(state0, params),
-                   build_oracle_config(scn), params, vext)
+traj = run(setup.state, scn.solver, setup.flags, params, setup.vext)
+wtraj = run_oracle(to_wavefunction(setup.state, params), setup.oracle, params,
+                   setup.vext)
 res = compare(traj, wtraj, params)
 
 print()

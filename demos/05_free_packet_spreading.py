@@ -13,22 +13,16 @@ solver is fine, the law's assumption is what breaks.
 
 import math
 
-from qfluid import presets
+from qfluid import build, presets
 from qfluid.madelung import run
-from qfluid.scenario import (build_external, build_flags, build_grid,
-                             build_initial_state, build_oracle_config,
-                             build_params, build_solver_config)
 from qfluid.schrodinger import compare, run_oracle, to_wavefunction
 # same width estimator the verification checks use (periodized gaussian
 # least-squares fit), so the numbers here match `qfluid verify oracle`
 from qfluid.verify import _packet_width
 
 scn = presets.free()
-grid = build_grid(scn)
-params = build_params(scn)
-flags = build_flags(scn, grid)
-vext = build_external(scn)
-state0 = build_initial_state(scn, grid, params, vext)
+setup = build(scn)
+grid, params = scn.grid, setup.params
 
 sigma0 = scn.initial.width
 center = scn.initial.center
@@ -37,9 +31,9 @@ print("free packet: n = %d, hbar = %g, sigma0 = %g, box length %g"
 print("running fluid and oracle to t = %g ..." % scn.solver.t_end)
 print()
 
-traj = run(state0, build_solver_config(scn), flags, params, vext)
-wtraj = run_oracle(to_wavefunction(state0, params),
-                   build_oracle_config(scn), params, vext)
+traj = run(setup.state, scn.solver, setup.flags, params, setup.vext)
+wtraj = run_oracle(to_wavefunction(setup.state, params), setup.oracle, params,
+                   setup.vext)
 res = compare(traj, wtraj, params)
 
 print("    t     density vs oracle   width (fit)   width (line law)   rel dev")

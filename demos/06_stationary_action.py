@@ -11,20 +11,14 @@ import math
 
 import numpy as np
 
-from qfluid import Field, State, Trajectory, presets
+from qfluid import Field, State, Trajectory, build, presets
 from qfluid.madelung import action, run
-from qfluid.scenario import (build_external, build_flags, build_grid,
-                             build_initial_state, build_params,
-                             build_solver_config)
 
 scn = presets.traveling_action()
-grid = build_grid(scn)
-params = build_params(scn)
-flags = build_flags(scn, grid)
-vext = build_external(scn)
-state0 = build_initial_state(scn, grid, params, vext)
+setup = build(scn)
+grid, params, flags, vext = scn.grid, setup.params, setup.flags, setup.vext
 
-traj = run(state0, build_solver_config(scn), flags, params, vext)
+traj = run(setup.state, scn.solver, flags, params, vext)
 base = action(traj, flags, params, vext)
 print("trajectory of %d snapshots, action S = %.12f"
       % (len(traj.snapshots), base))

@@ -13,11 +13,8 @@ import os
 
 import numpy as np
 
-from qfluid import parse_scenario, presets, serialize
+from qfluid import load, parse_scenario, presets, serialize
 from qfluid.madelung import run
-from qfluid.scenario import (build_external, build_flags, build_grid,
-                             build_initial_state, build_params,
-                             build_solver_config)
 
 here = os.path.dirname(os.path.abspath(__file__))
 
@@ -29,16 +26,13 @@ for name, scn in presets.suite().items():
 print("scenarios/: all five preset files parse back to their presets")
 print()
 
+# load() parses, validates and hands back what validation built
 with open(os.path.join(here, "scenarios", "evacuation.ini")) as f:
-    scn = parse_scenario(f.read())
-grid = build_grid(scn)
-params = build_params(scn)
-vext = build_external(scn)
-state0 = build_initial_state(scn, grid, params, vext)
+    setup = load(f.read())
+scn = setup.scn
 
 print("running '%s' (asked for t_end = %g) ..." % (scn.name, scn.solver.t_end))
-traj = run(state0, build_solver_config(scn), build_flags(scn, grid),
-           params, vext)
+traj = run(setup.state, scn.solver, setup.flags, setup.params, setup.vext)
 
 print("status:  %s" % traj.status)
 print("message: %s" % traj.message)

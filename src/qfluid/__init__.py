@@ -35,10 +35,10 @@ from .scenario import (ScenarioError, PhysSpec, TermSpec, InitialSpec,
                        ExternalHarmonic, ExternalCosine, ExternalTabulated,
                        KernelSpec, KernelGaussian, KernelDifferenceOfGaussians,
                        KernelDelta, KernelTabulated, OracleSpec, OutputSpec,
-                       Scenario, parse_scenario, serialize, build_grid,
-                       build_params, build_flags, build_kernel, build_external,
-                       build_initial_state, build_solver_config,
-                       build_oracle_config)
+                       Scenario, Setup, parse_scenario, load, build,
+                       serialize, build_grid, build_params, build_flags,
+                       build_kernel, build_external, build_initial_state,
+                       build_solver_config, build_oracle_config)
 from . import presets
 from .verify import (CheckResult, RunCache, SUITES, SUITE_NAMES, run_suite,
                      format_line, direct_convolution)
@@ -74,9 +74,10 @@ __all__ = [
     "ExternalZero", "ExternalHarmonic", "ExternalCosine", "ExternalTabulated",
     "KernelSpec", "KernelGaussian", "KernelDifferenceOfGaussians",
     "KernelDelta", "KernelTabulated", "OracleSpec", "OutputSpec",
-    "Scenario", "parse_scenario", "serialize", "build_grid", "build_params",
-    "build_flags", "build_kernel", "build_external", "build_initial_state",
-    "build_solver_config", "build_oracle_config", "presets",
+    "Scenario", "Setup", "parse_scenario", "load", "build", "serialize",
+    "build_grid", "build_params", "build_flags", "build_kernel",
+    "build_external", "build_initial_state", "build_solver_config",
+    "build_oracle_config", "presets",
     # verification
     "CheckResult", "RunCache", "SUITES", "SUITE_NAMES", "run_suite",
     "format_line", "direct_convolution",

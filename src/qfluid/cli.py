@@ -9,21 +9,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from .grid import Field, Grid
-from .kernels import make_kernel, moments, nonlocal_energy, series_energy
+from .grid import Grid
+from .kernels import truncation_sweep
 from .madelung import run
 from .output import write_compare, write_error, write_run
-from .params import PhysParams
-from .scenario import (OutputSpec, Scenario, build_external, build_flags,
-                       build_initial_state, build_oracle_config, build_params,
-                       parse_scenario)
+from .scenario import OutputSpec, Scenario, Setup, load
 from .schrodinger import compare, run_oracle, to_wavefunction
 from .svgplot import line_plot
 from .verify import SUITE_NAMES, format_line, run_suite
@@ -42,20 +38,12 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _load_and_build(path: str):
-    """Parse a scenario file; build its params, flags, potential, state.
-
-    Tabulated inputs resolve against the file's own directory.
-    """
+def _load(path: str) -> Setup:
+    """Parse and build a scenario file; tabulated inputs resolve against
+    the file's own directory."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    base = os.path.dirname(os.path.abspath(path))
-    scn = parse_scenario(text, base_dir=base)
-    params = build_params(scn)
-    flags = build_flags(scn, scn.grid, base)
-    vext = build_external(scn, base)
-    state = build_initial_state(scn, scn.grid, params, vext, base)
-    return scn, params, flags, vext, state
+    return load(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _default_out(scn: Scenario, kind: str) -> str:
@@ -65,20 +53,19 @@ def _default_out(scn: Scenario, kind: str) -> str:
 def cmd_run(scenario_path: str, out_dir: str | None = None,
             plot: bool = False) -> int:
     try:
-        scn, params, flags, vext, state = _load_and_build(scenario_path)
+        setup = _load(scenario_path)
     except (OSError, ValueError) as e:
         return _fail(str(e))
+    scn = setup.scn
     if plot and not scn.output.plot:
         scn = dataclasses.replace(scn, output=OutputSpec(plot=True))
 
     out = out_dir or _default_out(scn, "run")
     t0 = time.perf_counter()
-    try:
-        traj = run(state, scn.solver, flags, params, vext)
-    except ValueError as e:
-        return _fail(str(e))
+    traj = run(setup.state, scn.solver, setup.flags, setup.params, setup.vext)
     wall = time.perf_counter() - t0
-    write_run(out, scn, scn.grid, params, flags, vext, traj, wall)
+    write_run(out, scn, scn.grid, setup.params, setup.flags, setup.vext, traj,
+              wall)
     n_snap = len(traj.snapshots)
     print(f"{scn.name}: {traj.status}, {n_snap} snapshots, "
           f"{wall:.2f} s -> {out}")
@@ -103,10 +90,10 @@ def cmd_verify(suite: str, seed: int = 0) -> int:
 
 def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
     try:
-        scn, params, flags, vext, state = _load_and_build(scenario_path)
-        ocfg = build_oracle_config(scn)
+        setup = _load(scenario_path)
     except (OSError, ValueError) as e:
         return _fail(str(e))
+    scn, params, vext, ocfg = setup.scn, setup.params, setup.vext, setup.oracle
     cfg = scn.solver
     if abs(ocfg.t_end - cfg.t_end) > 1e-12 * max(cfg.t_end, 1.0):
         return _fail("oracle t_end differs from solver t_end; the "
@@ -117,17 +104,15 @@ def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
                      "snapshots would sit at different times")
 
     out = out_dir or _default_out(scn, "compare")
-    try:
-        traj = run(state, cfg, flags, params, vext)
-    except ValueError as e:
-        return _fail(str(e))
+    traj = run(setup.state, cfg, setup.flags, params, vext)
     if traj.status != "ok":
         os.makedirs(out, exist_ok=True)
         write_error(out, traj)
         print(f"{scn.name}: solver aborted: {traj.message}", file=sys.stderr)
         return _STATUS_CODES[traj.status]
     try:
-        wtraj = run_oracle(to_wavefunction(state, params), ocfg, params, vext)
+        wtraj = run_oracle(to_wavefunction(setup.state, params), ocfg, params,
+                           vext)
         result = compare(traj, wtraj, params)
     except ValueError as e:
         return _fail(str(e))
@@ -148,56 +133,33 @@ def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians"
             raise ValueError("need at least one width and one order")
         if min(order_list) < 1:
             raise ValueError("orders must be >= 1")
-        grid = Grid(n=n, length=1.0)
+        sweep = truncation_sweep(Grid(n=n, length=1.0), fracs, order_list,
+                                 family)
     except ValueError as e:
         return _fail(str(e))
-    p = PhysParams()
-    rho = Field(grid, np.exp(0.4 * np.cos(2 * np.pi * grid.x / grid.length)),
-                _fresh=True)
-    max_order = max(order_list)
-    table_rows = []
-    try:
-        for frac in fracs:
-            a_target = frac * grid.length
-            width = (a_target / math.sqrt(2.0)
-                     if family == "difference_of_gaussians" else a_target)
-            kern = make_kernel(family, grid, width=width)
-            tab = moments(kern, max_n=max_order)
-            a = math.sqrt(abs(tab.a2))
-            exact = nonlocal_energy(rho, kern, p).values
-            errs = []
-            for order in order_list:
-                ser = series_energy(rho, tab, a, order, p).values
-                errs.append(float(np.abs(exact - ser).max()))
-            table_rows.append((frac, errs))
-    except ValueError as e:
-        return _fail(str(e))
-
     header = "a_over_L" + "".join(f",err_n{o}" for o in order_list)
     print(header.replace(",", "  "))
-    for frac, errs in table_rows:
+    for frac, errs in zip(fracs, sweep):
         print(f"{frac:<8.4g}" + "".join(f"  {e:.6e}" for e in errs))
-    for idx, order in enumerate(order_list):
-        if len(table_rows) >= 2:
-            la = np.log([r[0] for r in table_rows])
-            le = np.log([max(r[1][idx], 1e-300) for r in table_rows])
-            slope = float(np.polyfit(la, le, 1)[0])
+    # error per order across widths, floored so the logs stay finite
+    cols = [[max(e, 1e-300) for e in col] for col in zip(*sweep)]
+    if len(fracs) >= 2:
+        for order, col in zip(order_list, cols):
+            slope = float(np.polyfit(np.log(fracs), np.log(col), 1)[0])
             print(f"fitted exponent, series n<={order}: {slope:.3f}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "scan.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(header + "\n")
-            for frac, errs in table_rows:
+            for frac, errs in zip(fracs, sweep):
                 f.write("%.17g" % frac
                         + "".join(",%.17g" % e for e in errs) + "\n")
-        if len(table_rows) >= 2:
-            la = np.log10([r[0] for r in table_rows])
-            series = [(f"n<={o}",
-                       np.log10([max(r[1][i], 1e-300) for r in table_rows]))
-                      for i, o in enumerate(order_list)]
-            line_plot(os.path.join(out_dir, "scan.svg"), la, series,
-                      title="series truncation error",
+        if len(fracs) >= 2:
+            series = [(f"n<={o}", np.log10(col))
+                      for o, col in zip(order_list, cols)]
+            line_plot(os.path.join(out_dir, "scan.svg"), np.log10(fracs),
+                      series, title="series truncation error",
                       xlabel="log10 a/L", ylabel="log10 max error")
         print(f"wrote {path}")
     return EXIT_OK

@@ -32,6 +32,7 @@ __all__ = [
     "moments",
     "nonlocal_energy",
     "series_energy",
+    "truncation_sweep",
 ]
 
 _FAMILIES = ("gaussian", "difference_of_gaussians", "delta", "tabulated")
@@ -249,3 +250,28 @@ def series_energy(rho: Field, table: MomentTable, a: float, n_terms: int,
     mult = _series_multiplier(g, a2, table.c, 0, n_terms)
     out = g.apply(mult, np.log(rho.values))
     return Field(g, (p.kT / p.m) * out, _fresh=True)
+
+
+def truncation_sweep(grid: Grid, fracs, orders,
+                     family: str = "difference_of_gaussians") -> list:
+    """Max error of the series against the exact non-local energy.
+
+    One row per kernel length ``a = frac L`` (a difference of gaussians of
+    width ``a / sqrt 2``, else a gaussian of width ``a``), one error per
+    series order, on ``rho = exp(0.4 cos(2 pi x / L))`` at unit constants.
+    """
+    p = PhysParams()
+    rho = Field(grid, np.exp(0.4 * np.cos(2 * np.pi * grid.x / grid.length)),
+                _fresh=True)
+    rows = []
+    for frac in fracs:
+        width = frac * grid.length
+        if family == "difference_of_gaussians":
+            width /= math.sqrt(2.0)
+        kern = make_kernel(family, grid, width=width)
+        tab = moments(kern, max_n=max(orders))
+        a = math.sqrt(abs(tab.a2))
+        exact = nonlocal_energy(rho, kern, p).values
+        errs = [exact - series_energy(rho, tab, a, n, p).values for n in orders]
+        rows.append([float(np.abs(e).max()) for e in errs])
+    return rows

@@ -313,6 +313,27 @@ def stability_bound(grid: Grid, p: PhysParams) -> float:
     return 0.5 * grid.dx**2 * p.m / p.hbar_eff
 
 
+def whole_steps(t_end: float, dt: float) -> int:
+    """``t_end / dt``; ValueError unless that is a whole number."""
+    ratio = t_end / dt
+    if not math.isfinite(ratio) or abs(round(ratio) * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(
+            f"t_end={t_end!r} is not an integer number of steps of dt={dt!r}")
+    return round(ratio)
+
+
+def solver_steps(cfg: SolverConfig, grid: Grid, flags: TermFlags,
+                 p: PhysParams) -> int:
+    """Steps a run of ``cfg`` takes; ValueError if ``t_end`` is not whole
+    steps or, with the quantum term on, ``dt`` breaks the stability bound
+    (or no real ``hbar_eff`` exists)."""
+    bound = stability_bound(grid, p) if flags.quantum else math.inf
+    if cfg.dt > bound * (1.0 + 1e-12):
+        raise ValueError(f"dt={cfg.dt:g} violates the quantum stability bound "
+                         f"0.5 dx^2 m / hbar_eff = {bound:g}")
+    return whole_steps(cfg.t_end, cfg.dt)
+
+
 def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
         vext: ExternalPotential) -> Trajectory:
     """Integrate to ``t_end``, recording every ``snapshot_stride``-th state.
@@ -322,18 +343,7 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     corresponding status instead of raising.
     """
     grid = initial.grid
-    if flags.quantum:
-        bound = stability_bound(grid, p)
-        if cfg.dt > bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt={cfg.dt:g} violates the quantum stability bound "
-                f"0.5 dx^2 m / hbar_eff = {bound:g}"
-            )
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
-    if cfg.t_end > 0 and abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
-        raise ValueError(
-            f"t_end={cfg.t_end!r} is not an integer number of steps of dt={cfg.dt!r}"
-        )
+    n_steps = solver_steps(cfg, grid, flags, p)
 
     lam = initial.lam.values
     phi = initial.phi.values

@@ -14,7 +14,8 @@ import os
 import numpy as np
 
 from .grid import Grid
-from .madelung import TermFlags, Trajectory, quantum_potential, velocity
+from .madelung import (TermFlags, Trajectory, quantum_potential,
+                       stability_bound, velocity, whole_steps)
 from .params import ExternalPotential, PhysParams
 from .scenario import Scenario
 from .schrodinger import CompareResult
@@ -45,14 +46,14 @@ def manifest_dict(scn: Scenario, grid: Grid, p: PhysParams, flags: TermFlags,
         "dx": grid.dx,
         "a2": p.a2,
         "quantum_coefficient": p.quantum_coefficient,
-        "n_steps": int(round(scn.solver.t_end / scn.solver.dt)),
+        "n_steps": whole_steps(scn.solver.t_end, scn.solver.dt),
     }
     try:
         derived["hbar_eff"] = p.hbar_eff
     except ValueError:
         derived["hbar_eff"] = None
     if flags.quantum:
-        derived["stability_dt_bound"] = 0.5 * grid.dx**2 * p.m / p.hbar_eff
+        derived["stability_dt_bound"] = stability_bound(grid, p)
     if flags.moments is not None:
         derived["kernel_a2"] = flags.moments.a2
         derived["kernel_moments"] = list(flags.moments.c)

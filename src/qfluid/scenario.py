@@ -30,9 +30,11 @@ A scenario is a sectioned text file::
 Full-line comments start with ``#`` or ``;``. Unknown sections or keys are
 hard errors with line numbers: a physics typo must not silently run a
 different scenario. Every key irrelevant to the chosen kind is likewise
-rejected. ``parse_scenario`` validates the whole tree eagerly (grid rules,
-parameter ranges, density floor of the initial state), so a Scenario in
-hand is runnable.
+rejected. Validation is :func:`build`, the one function that turns a
+Scenario into a :class:`Setup` (parameters, flags, external potential,
+initial state, oracle config) and checks the solver's step count and
+stability bound; ``parse_scenario`` runs it, so a Scenario in hand is
+runnable, and :func:`load` hands back the Setup it built.
 
 A section's keys, types, defaults and order are the fields of its
 dataclass, one per kind where the section has a ``kind`` (the kernel: a
@@ -61,7 +63,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
-from .madelung import SolverConfig, State, Tendency, TermFlags
+from .madelung import SolverConfig, State, Tendency, TermFlags, solver_steps
 from .params import ExternalPotential, PhysParams
 from .schrodinger import OracleConfig
 
@@ -80,7 +82,10 @@ __all__ = [
     "OracleSpec",
     "OutputSpec",
     "Scenario",
+    "Setup",
     "parse_scenario",
+    "load",
+    "build",
     "serialize",
     "build_grid",
     "build_params",
@@ -427,12 +432,28 @@ def _parse_section(name: str, entries: dict):
         raise ScenarioError(str(e), line) from None
 
 
+@dataclass(frozen=True)
+class Setup:
+    """A scenario built: everything a run or a compare starts from."""
+
+    scn: Scenario
+    params: PhysParams
+    flags: TermFlags
+    vext: ExternalPotential
+    state: State
+    oracle: OracleConfig
+
+
 def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
-    """Parse and fully validate a scenario file.
+    """Parse and fully validate a scenario file; see :func:`load`."""
+    return load(text, base_dir).scn
+
+
+def load(text: str, base_dir: str | None = None) -> Setup:
+    """Parse a scenario file and :func:`build` it.
 
     ``base_dir`` anchors relative paths of tabulated inputs (the CLI passes
-    the scenario file's directory). Validation constructs the actual grid,
-    parameters, and initial state, so any rule those objects enforce
+    the scenario file's directory). Any rule the built objects enforce
     surfaces here, tagged with the closest source line.
     """
     raw = _tokenize(text)
@@ -454,15 +475,22 @@ def parse_scenario(text: str, base_dir: str | None = None) -> Scenario:
         raise ScenarioError("kernel family 'tabulated' needs a file")
 
     scn = Scenario(name=parts.pop("scenario").name, **parts)
-    _validate(scn, base_dir, raw)
-    return scn
+    return _build(scn, base_dir, raw)
 
 
 def _line(raw: dict, section: str, key: str) -> int | None:
     return raw.get(section, {}).get(key, (None, None))[1]
 
 
-def _validate(scn: Scenario, base_dir, raw) -> None:
+def build(scn: Scenario, base_dir: str | None = None) -> Setup:
+    """Build a scenario's parameters, flags, potential, initial state and
+    oracle config, and check that its solver section can run. The one
+    place the builders run in sequence; a broken rule is a ScenarioError.
+    """
+    return _build(scn, base_dir, {})
+
+
+def _build(scn: Scenario, base_dir, raw) -> Setup:
     grid = scn.grid
     try:
         params = build_params(scn)
@@ -488,9 +516,15 @@ def _validate(scn: Scenario, base_dir, raw) -> None:
         raise ScenarioError(str(e), external_line) from None
 
     try:
-        build_flags(scn, grid, base_dir)
+        flags = build_flags(scn, grid, base_dir)
     except (ValueError, OSError) as e:
         raise ScenarioError(str(e), terms_line) from None
+
+    try:
+        solver_steps(scn.solver, grid, flags, params)
+    except ValueError as e:
+        raise ScenarioError(str(e), _line(raw, "solver", "dt")
+                            or _line(raw, "solver", "t_end")) from None
 
     ic = scn.initial
     if isinstance(ic, InitialGaussian) and not np.isfinite(
@@ -499,14 +533,11 @@ def _validate(scn: Scenario, base_dir, raw) -> None:
             f"gaussian boost {ic.boost:g} times the box length "
             f"{grid.length:g} must be finite", _line(raw, "initial", "boost"))
     try:
-        build_initial_state(scn, grid, params, vext, base_dir)
+        state = build_initial_state(scn, grid, params, vext, base_dir)
+        oracle = build_oracle_config(scn)
     except (ValueError, OSError) as e:
         raise ScenarioError(str(e)) from None
-
-    try:
-        build_oracle_config(scn)
-    except ValueError as e:
-        raise ScenarioError(str(e)) from None
+    return Setup(scn, params, flags, vext, state, oracle)
 
 
 def _resolve(path: str, base_dir: str | None) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField, Field, Grid
-from .madelung import State, Trajectory
+from .madelung import State, Trajectory, whole_steps
 from .params import ExternalPotential, PhysParams
 
 __all__ = [
@@ -183,11 +183,7 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
                vext: ExternalPotential) -> WaveTrajectory:
     """Integrate the wave equation, recording every stride-th snapshot."""
     grid = initial.grid
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
-    if cfg.t_end > 0 and abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
-        raise ValueError(
-            f"t_end={cfg.t_end!r} is not an integer number of steps of dt={cfg.dt!r}"
-        )
+    n_steps = whole_steps(cfg.t_end, cfg.dt)
     t0 = initial.t
     dx = grid.dx
 

@@ -32,14 +32,12 @@ import numpy as np
 from . import presets
 from .covariant import DensityHistory, dalembert_uq, retarded_energy
 from .grid import Field, Grid, derivative
-from .kernels import make_kernel, moments, nonlocal_energy, series_energy
+from .kernels import make_kernel, nonlocal_energy, truncation_sweep
 from .madelung import SolverConfig, State, Trajectory, action, run
 from .params import PhysParams
 from .potentials import (bohm_identity_residual, bohm_potential,
                          euler_lagrange_oracle)
-from .scenario import (Scenario, build_external, build_flags, build_grid,
-                       build_initial_state, build_oracle_config, build_params,
-                       build_solver_config, serialize)
+from .scenario import Scenario, Setup, build, serialize
 from .schrodinger import compare, run_oracle, to_wavefunction
 
 __all__ = ["CheckResult", "RunCache", "SUITES", "SUITE_NAMES",
@@ -66,30 +64,25 @@ def format_line(r: CheckResult) -> str:
 
 
 class RunCache:
-    """Lazily integrates presets; one trajectory per name per verify call."""
+    """Lazily builds and integrates presets, once per name per verify call."""
 
     def __init__(self):
-        self._runs: dict[str, SimpleNamespace] = {}
+        self._runs: dict[str, tuple[Setup, Trajectory]] = {}
 
-    def get(self, name: str) -> SimpleNamespace:
+    def get(self, name: str) -> tuple[Setup, Trajectory]:
         if name not in self._runs:
             self._runs[name] = self._integrate(presets.suite()[name])
         return self._runs[name]
 
     @staticmethod
-    def _integrate(scn: Scenario) -> SimpleNamespace:
-        grid = build_grid(scn)
-        params = build_params(scn)
-        flags = build_flags(scn, grid)
-        vext = build_external(scn)
-        state = build_initial_state(scn, grid, params, vext)
-        cfg = build_solver_config(scn)
-        traj = run(state, cfg, flags, params, vext)
+    def _integrate(scn: Scenario) -> tuple[Setup, Trajectory]:
+        setup = build(scn)
+        traj = run(setup.state, scn.solver, setup.flags, setup.params,
+                   setup.vext)
         if traj.status != "ok":
             raise RuntimeError(
                 f"preset {scn.name!r} aborted: {traj.status}: {traj.message}")
-        return SimpleNamespace(scn=scn, grid=grid, params=params, flags=flags,
-                               vext=vext, initial=state, cfg=cfg, traj=traj)
+        return setup, traj
 
 
 def direct_convolution(f: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
@@ -150,23 +143,11 @@ def check_euler_lagrange(ctx) -> CheckResult:
 
 
 def check_truncation(ctx) -> CheckResult:
-    grid = Grid(n=256, length=1.0)
-    p = PhysParams()
-    rho = Field(grid, np.exp(0.4 * np.cos(2 * np.pi * grid.x)), _fresh=True)
+    """``qfluid scan`` at its defaults."""
     fracs = (0.02, 0.04, 0.08)
-    errs1 = []
-    err2_small = None
-    for frac in fracs:
-        s = frac * grid.length / math.sqrt(2.0)
-        kern = make_kernel("difference_of_gaussians", grid, width=s)
-        exact = nonlocal_energy(rho, kern, p).values
-        tab = moments(kern, max_n=2)
-        a = math.sqrt(tab.a2)
-        ser1 = series_energy(rho, tab, a, 1, p).values
-        errs1.append(float(np.abs(exact - ser1).max()))
-        if frac == fracs[0]:
-            ser2 = series_energy(rho, tab, a, 2, p).values
-            err2_small = float(np.abs(exact - ser2).max())
+    rows = truncation_sweep(Grid(n=256, length=1.0), fracs, (1, 2))
+    errs1 = [r[0] for r in rows]
+    err2_small = rows[0][1]
     slope = float(np.polyfit(np.log(fracs), np.log(errs1), 1)[0])
     improved = err2_small < errs1[0]
     ok = abs(slope - 4.0) <= 0.3 and improved
@@ -191,16 +172,14 @@ def check_convolution(ctx) -> CheckResult:
                        f"max_rel_diff={rel:.3e}", "< 1e-10")
 
 
-def _oracle_for(entry) -> object:
-    ocfg = build_oracle_config(entry.scn)
-    wave0 = to_wavefunction(entry.initial, entry.params)
-    return run_oracle(wave0, ocfg, entry.params, entry.vext)
+def _oracle_for(setup: Setup) -> object:
+    wave0 = to_wavefunction(setup.state, setup.params)
+    return run_oracle(wave0, setup.oracle, setup.params, setup.vext)
 
 
 def check_trap_equivalence(ctx) -> CheckResult:
-    entry = ctx.cache.get("trap")
-    wtraj = _oracle_for(entry)
-    res = compare(entry.traj, wtraj, entry.params)
+    setup, traj = ctx.cache.get("trap")
+    res = compare(traj, _oracle_for(setup), setup.params)
     worst = res.max_density_error
     return CheckResult("C5a", "trap-vs-oracle", worst < 1e-3,
                        f"max_l2_density={worst:.3e}", "< 1e-3",
@@ -250,24 +229,23 @@ def _packet_width(state: State, center: float, lo: float, hi: float) -> float:
 
 
 def check_free_packet(ctx) -> CheckResult:
-    entry = ctx.cache.get("free")
-    wtraj = _oracle_for(entry)
-    res = compare(entry.traj, wtraj, entry.params)
+    setup, traj = ctx.cache.get("free")
+    res = compare(traj, _oracle_for(setup), setup.params)
     dens = res.max_density_error
 
-    sigma0 = entry.scn.initial.width
-    center = entry.scn.initial.center
+    sigma0 = setup.scn.initial.width
+    center = setup.scn.initial.center
     if center is None:
-        center = 0.5 * entry.scn.grid.length
-    h = entry.params.hbar_eff
-    m = entry.params.m
+        center = 0.5 * setup.scn.grid.length
+    h = setup.params.hbar_eff
+    m = setup.params.m
     lo, hi = 0.5 * sigma0, 4.0 * sigma0
     worst_law = 0.0
-    for s in entry.traj.snapshots:
+    for s in traj.snapshots:
         law = sigma0 * math.sqrt(1.0 + (h * s.t / (2.0 * m * sigma0**2)) ** 2)
         fitted = _packet_width(s, center, lo, hi)
         worst_law = max(worst_law, abs(fitted / law - 1.0))
-    growth = _packet_width(entry.traj.snapshots[-1], center, lo, hi) / sigma0
+    growth = _packet_width(traj.snapshots[-1], center, lo, hi) / sigma0
     ok = dens < 1e-3 and worst_law < 1e-3 and growth >= 2.0
     return CheckResult(
         "C5b", "free-packet", ok,
@@ -285,9 +263,9 @@ def check_conservation(ctx) -> CheckResult:
     worst_mass = worst_energy = 0.0
     lines = []
     for name in presets.suite():
-        entry = ctx.cache.get(name)
-        masses = np.array([r.mass for r in entry.traj.records])
-        energies = np.array([r.energy for r in entry.traj.records])
+        _, traj = ctx.cache.get(name)
+        masses = np.array([r.mass for r in traj.records])
+        energies = np.array([r.energy for r in traj.records])
         dm = float(np.abs(masses - masses[0]).max() / abs(masses[0]))
         de = float(np.abs(energies - energies[0]).max() / abs(energies[0]))
         worst_mass = max(worst_mass, dm)
@@ -302,14 +280,14 @@ def check_conservation(ctx) -> CheckResult:
 
 
 def check_equilibrium_fixed_point(ctx) -> CheckResult:
-    entry = ctx.cache.get("equilibrium")
-    rho0 = np.exp(entry.traj.snapshots[0].lam.values)
+    _, traj = ctx.cache.get("equilibrium")
+    rho0 = np.exp(traj.snapshots[0].lam.values)
     drift = 0.0
-    for s in entry.traj.snapshots[1:]:
+    for s in traj.snapshots[1:]:
         rho = np.exp(s.lam.values)
         drift = max(drift, float(np.abs(rho - rho0).max()))
     drift /= float(rho0.max())
-    bern = max(r.bernoulli_residual for r in entry.traj.records)
+    bern = max(r.bernoulli_residual for r in traj.records)
     ok = drift < 1e-8 and bern < 1e-8
     return CheckResult("C7", "equilibrium-fixed-point", ok,
                        f"linf_drift={drift:.3e} bernoulli={bern:.3e}",
@@ -317,10 +295,10 @@ def check_equilibrium_fixed_point(ctx) -> CheckResult:
 
 
 def check_onshell(ctx) -> CheckResult:
-    eq = ctx.cache.get("equilibrium")
-    tr = ctx.cache.get("traveling")
-    worst_eq = max(r.lagrangian_minus_pressure for r in eq.traj.records)
-    worst_tr = max(r.lagrangian_minus_pressure for r in tr.traj.records)
+    _, eq = ctx.cache.get("equilibrium")
+    _, tr = ctx.cache.get("traveling")
+    worst_eq = max(r.lagrangian_minus_pressure for r in eq.records)
+    worst_tr = max(r.lagrangian_minus_pressure for r in tr.records)
     ok = worst_eq < 1e-6 and worst_tr < 1e-4
     return CheckResult("C8", "onshell-lagrangian", ok,
                        f"equilibrium={worst_eq:.3e} traveling={worst_tr:.3e}",
@@ -328,10 +306,9 @@ def check_onshell(ctx) -> CheckResult:
 
 
 def check_action_stationarity(ctx) -> CheckResult:
-    entry = ctx.cache.get("traveling_action")
-    traj = entry.traj
-    grid = entry.grid
-    base = action(traj, entry.flags, entry.params, entry.vext)
+    setup, traj = ctx.cache.get("traveling_action")
+    grid = setup.scn.grid
+    base = action(traj, setup.flags, setup.params, setup.vext)
     x = grid.x
     g_lam = np.cos(4 * np.pi * x / grid.length + 0.2)
     g_phi = np.sin(2 * np.pi * x / grid.length + 0.7)
@@ -346,7 +323,7 @@ def check_action_stationarity(ctx) -> CheckResult:
                 Field(grid, s.lam.values + eps * w * g_lam, _fresh=True),
                 Field(grid, s.phi.values + eps * w * g_phi, _fresh=True)))
         pert = Trajectory(snapshots=snaps, records=[])
-        return action(pert, entry.flags, entry.params, entry.vext)
+        return action(pert, setup.flags, setup.params, setup.vext)
 
     d1 = abs(perturbed(1e-3) - base)
     d2 = abs(perturbed(1e-2) - base)
@@ -441,18 +418,13 @@ def check_retarded_rate(ctx) -> CheckResult:
 
 
 def check_rk4_order(ctx) -> CheckResult:
-    scn = presets.trap()
-    grid = build_grid(scn)
-    params = build_params(scn)
-    flags = build_flags(scn, grid)
-    vext = build_external(scn)
-    state = build_initial_state(scn, grid, params, vext)
+    setup = build(presets.trap())
     t_end = 0.02
 
     def final_lam(dt: float) -> np.ndarray:
         steps = int(round(t_end / dt))
         cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_stride=steps)
-        traj = run(state, cfg, flags, params, vext)
+        traj = run(setup.state, cfg, setup.flags, setup.params, setup.vext)
         if traj.status != "ok":
             raise RuntimeError(f"rk4-order run aborted: {traj.message}")
         return traj.snapshots[-1].lam.values

@@ -56,7 +56,8 @@ def test_c5a_trapped_run_tracks_oracle():
     t0 = time.perf_counter()
     result = execute(verify.check_trap_equivalence)
     elapsed = time.perf_counter() - t0
-    assert CACHE.get("trap").grid.n == 256
+    setup, _ = CACHE.get("trap")
+    assert setup.scn.grid.n == 256
     assert elapsed < RUNTIME_LIMIT
     assert result.passed
 

@@ -1,10 +1,13 @@
 """End-to-end command line behavior on small, fast scenarios."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from qfluid import presets, scenario, serialize
 from qfluid.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_VACUUM,
                         cmd_compare, cmd_run, cmd_scan, cmd_verify, main)
 from qfluid.output import _write_csv
@@ -150,6 +153,37 @@ def test_run_vacuum_exit_code_and_partial_outputs(tmp_path, capsys):
     assert "vacuum" in capsys.readouterr().out
 
 
+# a gaussian two widths from the harmonic seam: the build warns about it
+SEAM = QUICK_RUN.replace("name = hillstart", "name = seam").replace(
+    "kind = cosine\n\n[external]", "kind = gaussian\nwidth = 0.05\n"
+    "center = 0.1\npedestal = 0.01\n\n[external]").replace(
+    "kind = cosine\nv0 = 2.0", "kind = harmonic\nomega = 1.0")
+
+
+def test_run_emits_the_seam_warning_once(tmp_path):
+    path = scenario_file(tmp_path, SEAM)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        assert cmd_run(path, str(tmp_path / "out")) == EXIT_OK
+    assert sum("seam" in str(w.message) for w in caught) == 1
+
+
+def test_compare_refines_the_equilibrium_once(tmp_path, monkeypatch):
+    calls = []
+    refine = scenario._refine_equilibrium
+    monkeypatch.setattr(scenario, "_refine_equilibrium",
+                        lambda *a: calls.append(1) or refine(*a))
+    scn = presets.trap()
+    short = dataclasses.replace(
+        scn, solver=dataclasses.replace(scn.solver, t_end=2.5e-3,
+                                        snapshot_stride=25),
+        oracle=dataclasses.replace(scn.oracle, t_end=2.5e-3,
+                                   snapshot_stride=50))
+    path = scenario_file(tmp_path, serialize(short))
+    assert cmd_compare(path, str(tmp_path / "cmp")) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_run_bad_inputs_exit_usage(tmp_path, capsys):
     assert cmd_run(str(tmp_path / "missing.ini"), str(tmp_path / "o")) == EXIT_USAGE
     bad = scenario_file(tmp_path, QUICK_RUN + "\n[solver2]\n", "bad.ini")
@@ -159,6 +193,12 @@ def test_run_bad_inputs_exit_usage(tmp_path, capsys):
                          "typo.ini")
     assert cmd_run(typo, str(tmp_path / "o3")) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+    partial = scenario_file(tmp_path,
+                            QUICK_RUN.replace("t_end = 0.05", "t_end = 0.0501"),
+                            "partial.ini")
+    assert cmd_run(partial, str(tmp_path / "o4")) == EXIT_USAGE
+    assert "line 20: t_end=0.0501 is not an integer number of steps" \
+        in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- verify

@@ -1,5 +1,8 @@
 """Scenario parsing, validation, construction, and serialization."""
 
+import ast
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -515,3 +518,35 @@ def test_diverging_equilibrium_refinement_fails_cleanly():
             + "\n[kernel]\nfamily = difference_of_gaussians\nwidth = 0.01\n")
     with pytest.raises(ScenarioError, match="did not converge"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("change,match", [
+    (dict(dt=2e-4), "violates the quantum stability bound"),
+    (dict(t_end=0.250001), "not an integer number of steps"),
+    (dict(t_end=math.inf), "not an integer number of steps"),
+    (dict(t_end=math.nan), "not an integer number of steps"),
+])
+def test_unrunnable_solver_section_fails_on_its_dt_line(change, match):
+    scn = presets.trap()
+    text = serialize(dataclasses.replace(
+        scn, solver=dataclasses.replace(scn.solver, **change)))
+    with pytest.raises(ScenarioError, match=match) as info:
+        parse_scenario(text)
+    assert info.value.line == text.splitlines().index("[solver]") + 2
+
+
+def test_only_scenario_runs_the_builders():
+    """The builder sequence runs in scenario.build alone."""
+    builders = {"build_initial_state", "build_flags", "build_external"}
+    src = Path(__file__).resolve().parents[1] / "src" / "qfluid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "scenario.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in builders:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

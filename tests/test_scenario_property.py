@@ -2,9 +2,12 @@
 
 Each section and each kind is drawn from its own spec class, field by
 field; floats take arbitrary bit patterns, so the ``%.17g`` round trip is
-exercised, within ranges that keep the scenario valid. An equilibrium
-initial state keeps the quantum term off, so no example pays for the
-equilibrium refinement.
+exercised, within ranges that keep the scenario valid. Validation builds
+the scenario and checks that its solver section can run, so ``t_end`` is
+a whole number of steps and, with the quantum term on, ``dt`` sits within
+the stability bound of a real ``hbar_eff``. An equilibrium initial state
+keeps the quantum term off, so no example pays for the equilibrium
+refinement.
 """
 
 import dataclasses
@@ -17,12 +20,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qfluid import Grid, SolverConfig  # noqa: E402
+from qfluid.madelung import stability_bound  # noqa: E402
 from qfluid.scenario import (  # noqa: E402
     ExternalCosine, ExternalHarmonic, ExternalSpec, ExternalTabulated,
     ExternalZero, InitialCosine, InitialEquilibrium, InitialGaussian,
     InitialSpec, InitialTabulated, KernelDelta, KernelDifferenceOfGaussians,
     KernelGaussian, KernelSpec, KernelTabulated, OracleSpec, OutputSpec,
-    PhysSpec, Scenario, TermSpec, parse_scenario, serialize)
+    PhysSpec, Scenario, TermSpec, build_params, parse_scenario, serialize)
 
 
 def floats(lo=None, hi=None, **kw):
@@ -69,7 +73,9 @@ FIELDS = {
     KernelDifferenceOfGaussians: dict(width=floats(0.035, 0.056)),
     KernelDelta: dict(),
     KernelTabulated: dict(file=st.just("kern.csv")),
-    SolverConfig: dict(dt=POSITIVE, t_end=NON_NEGATIVE,
+    # t_end is set to a whole number of steps in scenarios()
+    SolverConfig: dict(dt=floats(0.0, 1e300, exclude_min=True),
+                       t_end=st.just(0.0),
                        snapshot_stride=st.integers(min_value=1),
                        dealias=st.booleans(),
                        density_floor=floats(0.0, 1.0, exclude_min=True,
@@ -107,12 +113,21 @@ def scenarios(draw):
     physics = draw(SPECS[PhysSpec])
     if physics.a2_mode == "de_broglie":
         physics = dataclasses.replace(physics, a2=None)
-    return Scenario(
+    elif terms.quantum:  # a real hbar_eff needs a2 > 0
+        physics = dataclasses.replace(physics, a2=draw(floats(1e-6, 1.0)))
+    scn = Scenario(
         name=draw(NAME), grid=Grid(n=2 * draw(st.integers(8, 16)),
                                    length=draw(LENGTH)),
         physics=physics, terms=terms, initial=initial, external=external,
         kernel=draw(kernels), solver=draw(SPECS[SolverConfig]),
         oracle=draw(SPECS[OracleSpec]), output=draw(SPECS[OutputSpec]))
+    dt = scn.solver.dt
+    if terms.quantum:
+        bound = stability_bound(scn.grid, build_params(scn))
+        dt = draw(floats(0.0, bound, exclude_min=True))
+    solver = dataclasses.replace(scn.solver, dt=dt,
+                                 t_end=draw(st.integers(0, 1000)) * dt)
+    return dataclasses.replace(scn, solver=solver)
 
 
 @pytest.fixture(scope="module")
