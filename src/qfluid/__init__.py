@@ -1,8 +1,8 @@
 """Variational quantum-fluid laboratory on a periodic 1D grid.
 
 The fluid is evolved in log-density / velocity-potential variables
-``(lam, phi)`` with a Bernoulli equation whose quantum term comes from a
-non-local kernel energy, its gradient expansion, or the Bohm closed forms.
+``(lam, phi)`` with a Bernoulli equation whose quantum term is the
+gradient expansion of a non-local kernel energy, Bohm's closed form first.
 A split-step wave-equation oracle, a brute-force variational oracle, and a
 retarded (finite signal speed) energy route cross-check the solver.
 
@@ -18,8 +18,7 @@ from .kernels import (Kernel, MomentTable, make_kernel, kernel_from_csv,
                       moments, nonlocal_energy, series_energy)
 from .potentials import (internal_energy, enthalpy, pressure, log_density,
                          bohm_potential, bohm_potential_log,
-                         bohm_identity_residual, higher_order_uq,
-                         higher_order_uq_log, quantum_lagrangian_energy,
+                         bohm_identity_residual, quantum_lagrangian_energy,
                          euler_lagrange_oracle)
 from .madelung import (State, TermFlags, SolverConfig, DiagnosticRecord,
                        Trajectory, SolverAbort, velocity, quantum_potential,
@@ -56,8 +55,7 @@ __all__ = [
     # potentials
     "internal_energy", "enthalpy", "pressure", "log_density",
     "bohm_potential", "bohm_potential_log", "bohm_identity_residual",
-    "higher_order_uq", "higher_order_uq_log", "quantum_lagrangian_energy",
-    "euler_lagrange_oracle",
+    "quantum_lagrangian_energy", "euler_lagrange_oracle",
     # fluid solver
     "State", "TermFlags", "SolverConfig", "DiagnosticRecord", "Trajectory",
     "SolverAbort", "velocity", "quantum_potential", "rhs", "step", "run",

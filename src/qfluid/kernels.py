@@ -239,11 +239,7 @@ def series_energy(rho: Field, table: MomentTable, a: float, n_terms: int,
     """
     if n_terms < 0:
         raise ValueError(f"n_terms must be >= 0, got {n_terms}")
-    if n_terms >= len(table.c):
-        raise ValueError(
-            f"moment table holds c_0..c_{2 * (len(table.c) - 1)}, need "
-            f"c_{2 * n_terms} for n_terms={n_terms}"
-        )
+    table.coefficient(n_terms)
     _check_positive_density(rho)
     g = rho.grid
     a2 = math.copysign(float(a) ** 2, table.a2)

@@ -6,7 +6,9 @@ State is the pair ``(lam, phi)`` with ``lam = ln rho`` and velocity
     d lam / dt = grad phi . grad lam + lap phi          (continuity)
     d phi / dt = (grad phi)^2 / 2 + H_th + U_Q + V_e    (Bernoulli)
 
-where each right-hand term is switched by :class:`TermFlags`. Working in
+where each right-hand term is switched by :class:`TermFlags`. U_Q is the
+gradient series of the non-local log-density energy, cut after
+``c_{2 quantum_order}``; its first term is Bohm's potential. Working in
 ``lam`` keeps the density positive by construction and makes the enthalpy
 ``(kT/m)(lam + 1)`` linear in the state. Quadratic products in the right
 hand side are dealiased with the 2/3 rule (default on).
@@ -44,6 +46,7 @@ __all__ = [
     "DiagnosticRecord",
     "Trajectory",
     "SolverAbort",
+    "IllPosedSeries",
     "Tendency",
     "velocity",
     "quantum_potential",
@@ -79,9 +82,9 @@ class State:
 class TermFlags:
     """Which Bernoulli terms participate in the dynamics.
 
-    ``quantum_order`` selects the quantum closure: 1 is the closed-form
-    Bohm potential, >= 2 adds gradient-series corrections and then needs a
-    :class:`MomentTable` (``moments``) reaching ``c_{2 quantum_order}``.
+    ``quantum_order`` cuts the quantum closure's gradient series: 1 keeps
+    Bohm's first term; >= 2 keeps the terms through ``c_{2 quantum_order}``
+    from a :class:`MomentTable` (``moments``; ``c_2 = 1`` by construction).
     """
 
     thermo: bool = True
@@ -93,16 +96,19 @@ class TermFlags:
     def __post_init__(self) -> None:
         if self.quantum_order < 1:
             raise ValueError(f"quantum_order must be >= 1, got {self.quantum_order}")
-        if self.quantum and self.quantum_order >= 2:
+        if self.series:
             if self.moments is None:
                 raise ValueError(
                     "quantum_order >= 2 needs kernel moments (TermFlags.moments)"
                 )
-            if self.quantum_order >= len(self.moments.c):
-                raise ValueError(
-                    f"moment table holds c_0..c_{2 * (len(self.moments.c) - 1)}, "
-                    f"need c_{2 * self.quantum_order}"
-                )
+            self.moments.coefficient(self.quantum_order)
+            if self.moments.c[1] != 1.0:  # the n = 1 term is Bohm's
+                raise ValueError(f"c_2 must be 1, got {self.moments.c[1]}")
+
+    @property
+    def series(self) -> bool:
+        """The closure carries series terms beyond Bohm's."""
+        return self.quantum and self.quantum_order >= 2
 
 
 @dataclass(frozen=True)
@@ -173,13 +179,16 @@ class Tendency:
 
         d lam^/dt = mask F[grad phi grad lam] - k^2 phi^
         d phi^/dt = mask F[(grad phi)^2 / 2 - (qc/4) (grad lam)^2]
-                    + (theta + qc k^2 / 2) lam^ + n theta delta_k0 + V^
+                    + (theta + qc k^2 / 2 + R) lam^ + F[(R rho) / rho]
+                    + n theta delta_k0 + V^
 
-    ``theta = kT/m`` enters with thermo on, the ``qc`` (Bohm) terms with
-    quantum on at order 1, and ``V^`` with external on and ``vext`` given.
-    The gradient series (order >= 2) replaces Bohm's terms by
-    ``theta [M lam + (M rho) / rho]``: lam goes back as a third row for
-    real rho, and ``M rho`` costs two transforms more.
+    ``theta = kT/m`` enters with thermo on, and ``V^`` with external on
+    and ``vext`` given. With quantum on the closure is
+    ``theta [M lam + (M rho) / rho]``, ``M = sum_{n=1}^{N} (a^2 k^2)^n
+    c_{2n} / (2n)!``. Its n = 1 term is Bohm's, the ``qc`` terms above;
+    only the ``remainder`` ``R = theta sum_{n=2}^{N}`` (order >= 2) goes
+    through rho: lam goes back as a third row, and ``R rho`` costs two
+    transforms more.
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
@@ -190,16 +199,13 @@ class Tendency:
         self.grad = grid.half_ik * mask
         # the Bernoulli product row carries twice its value; the 1/2 is here
         self.masks = np.stack((mask, 0.5 * mask))
-        self.bohm = 0.0
-        self.series = None
-        lin = np.full(mask.shape, thermal)
-        if flags.quantum and flags.quantum_order >= 2:
-            self.series = (p.kT / p.m) * _series_multiplier(
-                grid, p.a2, flags.moments.c, 1, flags.quantum_order)
-            lin = lin + self.series
-        elif flags.quantum:
-            self.bohm = 0.5 * p.quantum_coefficient
-            lin = lin + self.bohm * grid.half_k2
+        self.bohm = 0.5 * p.quantum_coefficient if flags.quantum else 0.0
+        lin = thermal + self.bohm * grid.half_k2
+        self.remainder = None
+        if flags.series:
+            self.remainder = (p.kT / p.m) * _series_multiplier(
+                grid, p.a2, flags.moments.c, 2, flags.quantum_order)
+            lin = lin + self.remainder
         self.linear = np.stack((-grid.half_k2, lin))
         self.force = np.zeros(mask.shape, dtype=complex)
         self.force[0] = grid.n * thermal
@@ -208,20 +214,20 @@ class Tendency:
 
     def __call__(self, hat: np.ndarray) -> np.ndarray:
         grads = self.grad * hat
-        real = self.grid.irfft(grads if self.series is None
+        real = self.grid.irfft(grads if self.remainder is None
                                else np.concatenate((grads, hat[:1])))
         dlam, dphi = real[0], real[1]
         bern = dphi * dphi
         if self.bohm:
             bern -= self.bohm * dlam * dlam
         rows = [dlam * dphi, bern]
-        if self.series is not None:
+        if self.remainder is not None:
             rho = np.exp(real[2])
-            rows.append(self.grid.apply(self.series, rho) / rho)
+            rows.append(self.grid.apply(self.remainder, rho) / rho)
         prods = self.grid.rfft(np.array(rows))
         out = self.masks * prods[:2] + self.linear * hat[::-1]
         out[1] += self.force
-        if self.series is not None:
+        if self.remainder is not None:
             out[1] += prods[2]
         return out
 
@@ -235,17 +241,17 @@ class Tendency:
 
 
 @lru_cache(maxsize=16)
-def _reader(grid: Grid, flags: TermFlags, p: PhysParams,
-            dealias: bool) -> Tendency:
-    """The tendency that :func:`rhs` and the records read, ``V_e`` left out."""
-    return Tendency(grid, flags, p, dealias)
+def _reader(grid: Grid, flags: TermFlags, p: PhysParams, dealias: bool,
+            vext: ExternalPotential | None = None) -> Tendency:
+    """The tendency per key: :func:`rhs` and the records read it with
+    ``V_e`` left out, :func:`step` with ``V_e`` in."""
+    return Tendency(grid, flags, p, dealias, vext)
 
 
 def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams):
     """Spectrum of U_Q: the Bernoulli tendency of the state at rest with
     only the quantum term on and dealiasing off."""
-    rest = np.zeros((2, lam_hat.shape[-1]), dtype=complex)
-    rest[0] = lam_hat
+    rest = np.stack((lam_hat, np.zeros_like(lam_hat)))
     only = replace(flags, thermo=False, external=False)
     return _reader(grid, only, p, False)(rest)[1]
 
@@ -256,10 +262,9 @@ def velocity(s: State) -> Field:
 
 
 def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
-    """The quantum-potential field the active flags produce (zeros if off).
-
-    It is the Bernoulli tendency of the state at rest with only the quantum
-    term on and dealiasing off.
+    """The quantum-potential field the active flags produce (zeros if off):
+    the series closure, Bohm's at order 1. It is the Bernoulli tendency of
+    the state at rest with only the quantum term on and dealiasing off.
     """
     grid = s.grid
     if not flags.quantum:
@@ -300,7 +305,7 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     """One RK4 step. Raises :class:`SolverAbort` on vacuum or blowup."""
     grid = s.grid
     hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
-    op = Tendency(grid, flags, p, cfg.dealias, vext)
+    op = _reader(grid, flags, p, cfg.dealias, vext)
     lam, phi = grid.irfft(op.rk4(hat, cfg.dt))
     t_new = s.t + cfg.dt
     _check_state(lam, phi, grid, cfg.density_floor, t_new)
@@ -322,15 +327,31 @@ def whole_steps(t_end: float, dt: float) -> int:
     return round(ratio)
 
 
+class IllPosedSeries(ValueError):
+    """The series multiplier ``M(k)`` is negative on a mode of the grid:
+    about a uniform state ``d phi^/dt = 2 (kT/m) M lam^``, so that mode
+    grows at a rate rising with k (Rosenau, Phys. Rev. A 40:7193, 1989)."""
+
+
 def solver_steps(cfg: SolverConfig, grid: Grid, flags: TermFlags,
                  p: PhysParams) -> int:
     """Steps a run of ``cfg`` takes; ValueError if ``t_end`` is not whole
     steps or, with the quantum term on, ``dt`` breaks the stability bound
-    (or no real ``hbar_eff`` exists)."""
+    (or no real ``hbar_eff`` exists), IllPosedSeries if a series closure
+    is ill-posed on any mode (the table and the rho row act unmasked)."""
     bound = stability_bound(grid, p) if flags.quantum else math.inf
     if cfg.dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={cfg.dt:g} violates the quantum stability bound "
                          f"0.5 dx^2 m / hbar_eff = {bound:g}")
+    if flags.series:
+        mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
+                                  flags.quantum_order)
+        j = int(np.argmin(mult))
+        if mult[j] < 0:
+            raise IllPosedSeries(
+                f"the gradient series cut after c_{2 * flags.quantum_order} is"
+                f" ill-posed: its multiplier falls to {mult[j]:.4g} at a^2 k^2"
+                f" = {p.a2 * grid.half_k2[j]:.4g}, where a mode grows unbounded")
     return whole_steps(cfg.t_end, cfg.dt)
 
 
@@ -379,39 +400,51 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
 # ---------------------------------------------------------------------------
 # diagnostics and the action
 
-def _energy_density(lam, grads, flags: TermFlags, p: PhysParams, vext):
+def _energy_rows(grid: Grid, lam_hat, phi_hat, flags: TermFlags,
+                 p: PhysParams) -> list:
+    """Spectra of ``grad phi``, ``grad lam`` when quantum, and ``R lam``
+    with the series, ``R`` the operator's own remainder."""
+    rows = [grid.half_ik * phi_hat]
+    if flags.quantum:
+        rows.append(grid.half_ik * lam_hat)
+    if flags.series:
+        rows.append(_reader(grid, flags, p, True).remainder * lam_hat)
+    return rows
+
+
+def _energy_density(lam, rows, flags: TermFlags, p: PhysParams, vext):
     """Pointwise energy per unit volume for the active terms, with rho and v.
 
-    ``grads`` holds the rows ``grad phi`` and, when quantum, ``grad lam``.
-    The quantum part uses the sign-definite form
-    ``(kT/m) a^2 rho (grad lam)^2 / 2`` whose density derivative is U_Q.
+    ``rows`` are :func:`_energy_rows` in real space. The quantum part is
+    ``(kT/m) rho (M lam)``, whose density derivative is U_Q, with Bohm's
+    term in the sign-definite form ``(kT/m) a^2 rho (grad lam)^2 / 2``.
     On shell the Lagrangian density is ``rho dphi/dt`` minus this.
     """
     rho = np.exp(lam)
-    v = -grads[0]
+    v = -rows[0]
     dens = 0.5 * rho * v * v
     if flags.thermo:
         dens = dens + rho * (p.kT / p.m) * lam
     if flags.external:
         dens = dens + rho * vext
     if flags.quantum:
-        dens = dens + 0.25 * p.quantum_coefficient * rho * grads[1]**2
+        dens = dens + 0.25 * p.quantum_coefficient * rho * rows[1]**2
+    if flags.series:
+        dens = dens + rho * rows[2]
     return dens, rho, v
 
 
 def diagnostics(s: State, flags: TermFlags, p: PhysParams,
                 vext: ExternalPotential) -> DiagnosticRecord:
-    """One record: the gradients and the tendency row it needs (U_Q when
-    quantum, else the Bernoulli rate) come back in one inverse."""
+    """One record: the energy's rows and the tendency row it needs (U_Q
+    when quantum, else the Bernoulli rate) come back in one inverse."""
     grid = s.grid
     varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
     lam = s.lam.values
     hat = grid.rfft(np.array((lam, s.phi.values)))
-    if flags.quantum:
-        rows = (grid.half_ik * hat[1], grid.half_ik * hat[0],
-                _uq_hat(grid, hat[0], flags, p))
-    else:
-        rows = (grid.half_ik * hat[1], _reader(grid, flags, p, True)(hat)[1])
+    rows = _energy_rows(grid, hat[0], hat[1], flags, p)
+    rows.append(_uq_hat(grid, hat[0], flags, p) if flags.quantum
+                else _reader(grid, flags, p, True)(hat)[1])
     back = grid.irfft(np.array(rows))
     dens, rho, v = _energy_density(lam, back, flags, p, varr)
     dx = grid.dx
@@ -426,7 +459,7 @@ def diagnostics(s: State, flags: TermFlags, p: PhysParams,
     if flags.external:
         bern = bern + varr
     if flags.quantum:
-        bern = bern + back[2]
+        bern = bern + back[-1]
     mean_mag = float(np.mean(np.abs(bern)))
     spread = float(np.std(bern))
     bern_res = spread / mean_mag if mean_mag > 0 else spread
@@ -434,7 +467,7 @@ def diagnostics(s: State, flags: TermFlags, p: PhysParams,
     if flags.quantum:
         lmp = math.nan
     else:
-        dp = back[1] + varr if flags.external else back[1]
+        dp = back[-1] + varr if flags.external else back[-1]
         lag = rho * dp - dens
         pr = (p.kT / p.m) * rho
         pmax = np.abs(pr).max()
@@ -484,9 +517,12 @@ def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
 
     total = 0.0
     for j in range(m):
-        grads = grid.apply(grid.half_ik, np.stack((phis[j], lams[j]))
-                           if flags.quantum else phis[j][None])
-        dens, rho, _ = _energy_density(lams[j], grads, flags, p, varr)
+        # classical: one row, phi^, stands in for the unread lam^
+        hat = grid.rfft(np.stack((phis[j], lams[j])) if flags.quantum
+                        else phis[j][None])
+        rows = grid.irfft(np.array(
+            _energy_rows(grid, hat[-1], hat[0], flags, p)))
+        dens, rho, _ = _energy_density(lams[j], rows, flags, p, varr)
         lag = rho * dphi_dt[j] - dens
         w = 0.5 if j in (0, m - 1) else 1.0
         total += w * float(np.sum(lag) * grid.dx)

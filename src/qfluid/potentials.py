@@ -14,17 +14,17 @@ The leading non-local correction is the quantum (Bohm) potential. With
 
 related through ``lap sqrt(rho)/sqrt(rho) = lap(lam)/2 + (grad lam)^2/4``.
 Both are provided; their mutual residual is a cheap discretization check.
+They are the first term of the gradient series whose whole sum, the
+solver's closure, is :func:`qfluid.madelung.quantum_potential`; here
+they stay as its closed-form referee.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grid import Field, derivative
-from .kernels import (MomentTable, _check_positive_density,
-                      _series_multiplier)
+from .kernels import _check_positive_density
 from .params import PhysParams
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "bohm_potential",
     "bohm_potential_log",
     "bohm_identity_residual",
-    "higher_order_uq",
-    "higher_order_uq_log",
     "quantum_lagrangian_energy",
     "euler_lagrange_oracle",
 ]
@@ -116,38 +114,6 @@ def bohm_identity_residual(rho: Field, p: PhysParams) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.abs(ga - sa).max() / denom)
-
-
-def higher_order_uq(rho: Field, table: MomentTable, a: float, n_terms: int,
-                    p: PhysParams) -> Field:
-    """Quantum potential from the first ``n_terms`` of the gradient series.
-
-    ``U_Q = (kT/m) sum_{n=1}^{N} (-1)^n a^{2n} (c_{2n}/(2n)!)
-    [lap^n ln rho + rho^{-1} lap^n rho]``. The ``n = 1`` term reproduces
-    the closed-form gradient expression because ``rho^{-1} lap rho =
-    lap ln rho + (grad ln rho)^2``.
-    """
-    _check_positive_density(rho)
-    return higher_order_uq_log(log_density(rho), table, a, n_terms, p)
-
-
-def higher_order_uq_log(lam: Field, table: MomentTable, a: float, n_terms: int,
-                        p: PhysParams) -> Field:
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    if n_terms >= len(table.c):
-        raise ValueError(
-            f"moment table holds c_0..c_{2 * (len(table.c) - 1)}, need "
-            f"c_{2 * n_terms} for n_terms={n_terms}"
-        )
-    g = lam.grid
-    # a is a length; the sign of a^2 comes from the kernel's second moment.
-    a2 = math.copysign(float(a) ** 2, table.a2)
-    mult = _series_multiplier(g, a2, table.c, 1, n_terms)
-    rho_vals = np.exp(lam.values)
-    part_lam, part_rho = g.apply(mult, np.stack((lam.values, rho_vals)))
-    vals = (p.kT / p.m) * (part_lam + part_rho / rho_vals)
-    return Field(g, vals, _fresh=True)
 
 
 def quantum_lagrangian_energy(rho: Field, a: float, p: PhysParams) -> float:

@@ -32,9 +32,9 @@ hard errors with line numbers: a physics typo must not silently run a
 different scenario. Every key irrelevant to the chosen kind is likewise
 rejected. Validation is :func:`build`, the one function that turns a
 Scenario into a :class:`Setup` (parameters, flags, external potential,
-initial state, oracle config) and checks the solver's step count and
-stability bound; ``parse_scenario`` runs it, so a Scenario in hand is
-runnable, and :func:`load` hands back the Setup it built.
+initial state, oracle config) and checks the solver's step count, bound
+and series well-posedness; ``parse_scenario`` runs it, so a Scenario in
+hand is runnable, and :func:`load` hands back the Setup it built.
 
 A section's keys, types, defaults and order are the fields of its
 dataclass, one per kind where the section has a ``kind`` (the kernel: a
@@ -63,7 +63,8 @@ import numpy as np
 
 from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
-from .madelung import SolverConfig, State, Tendency, TermFlags, solver_steps
+from .madelung import (IllPosedSeries, SolverConfig, State, TermFlags,
+                       _reader, solver_steps)
 from .params import ExternalPotential, PhysParams
 from .schrodinger import OracleConfig
 
@@ -522,6 +523,8 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
 
     try:
         solver_steps(scn.solver, grid, flags, params)
+    except IllPosedSeries as e:
+        raise ScenarioError(str(e), _line(raw, "kernel", "family")) from None
     except ValueError as e:
         raise ScenarioError(str(e), _line(raw, "solver", "dt")
                             or _line(raw, "solver", "t_end")) from None
@@ -617,18 +620,17 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
     thermal restoring term plus the leading -qc/2 lam'' piece of U_Q are
     inverted spectrally each sweep, which keeps high wavenumbers
     contractive, and the remaining nonlinearity is lagged. U_Q is read off
-    the solver's own tendency (at rest, only the quantum term on), built
-    once per refinement, so the converged profile is a fixed point of the
-    equations as stepped, dealiasing included. The constant is fixed by
-    normalizing mean rho each sweep. A sweep whose update is not finite
-    ends the iteration as diverged.
+    the solver's own cached tendency (at rest, only the quantum term on),
+    so the converged profile is a fixed point of the equations as stepped,
+    dealiasing included. The constant is fixed by normalizing mean rho each
+    sweep. A sweep whose update is not finite ends the iteration as diverged.
     """
     theta = params.kT / params.m
     half_qc_k2 = 0.5 * params.quantum_coefficient * grid.half_k2
     denom = theta + half_qc_k2
     log_norm = np.log(mean_density)
     only = dataclasses.replace(flags, thermo=False, external=False)
-    uq = Tendency(grid, only, params, dealias)
+    uq = _reader(grid, only, params, dealias)
     rest = np.zeros((2, grid.half_k2.size), dtype=complex)
     v_hat = grid.rfft(varr)
     for _ in range(400):

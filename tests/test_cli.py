@@ -201,6 +201,42 @@ def test_run_bad_inputs_exit_usage(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+# a series cut after c_4 = -10.5 whose multiplier is negative on most modes
+ILL_POSED = """\
+[grid]
+n = 64
+length = 1.0
+
+[physics]
+hbar = 0.1
+
+[terms]
+quantum = true
+quantum_order = 2
+
+[initial]
+kind = cosine
+amplitude = 0.1
+
+[kernel]
+family = difference_of_gaussians
+width = 0.03
+
+[solver]
+dt = 1e-4
+t_end = 2e-3
+"""
+
+
+def test_run_refuses_an_ill_posed_series(tmp_path, capsys):
+    path = scenario_file(tmp_path, ILL_POSED)
+    assert main(["run", path, "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    line = ILL_POSED.splitlines().index("family = difference_of_gaussians")
+    assert f"line {line + 1}: the gradient series cut after c_4 is ill-posed" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_identities_passes(capsys):

@@ -1,5 +1,8 @@
 """Kernel families, moment tables, and the non-local energy series."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,3 +211,19 @@ def test_kernel_from_csv_rejects_bad_columns(tmp_path, grid):
     path.write_text("x,u,extra\n0,1,2\n0.5,1,2\n")
     with pytest.raises(ValueError, match="two columns"):
         kernel_from_csv(path, grid)
+
+
+def test_only_the_closure_modules_build_the_series_multiplier():
+    """The series multiplier is built in kernels.py and madelung.py alone."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qfluid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("kernels.py", "madelung.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name == "_series_multiplier":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -8,7 +8,7 @@ import pytest
 
 from qfluid import madelung, presets
 from qfluid.grid import Field, Grid
-from qfluid.kernels import MomentTable
+from qfluid.kernels import MomentTable, make_kernel, moments
 from qfluid.madelung import (DiagnosticRecord, SolverAbort, SolverConfig,
                              State, TermFlags, Trajectory, action,
                              diagnostics, quantum_potential, rhs, run,
@@ -49,6 +49,9 @@ def test_term_flags_validation():
     short = MomentTable(a2=0.01, c=(1.0, 1.0))
     with pytest.raises(ValueError, match="c_4"):
         TermFlags(quantum=True, quantum_order=2, moments=short)
+    with pytest.raises(ValueError, match="c_2 must be 1"):
+        TermFlags(quantum=True, quantum_order=2,
+                  moments=MomentTable(a2=0.01, c=(1.0, 2.0, 3.0)))
     # fine once the table reaches c_4
     TermFlags(quantum=True, quantum_order=2,
               moments=MomentTable(a2=0.01, c=(1.0, 1.0, 3.0)))
@@ -238,7 +241,7 @@ quantum_order = 2
 kind = cosine
 amplitude = 0.1
 [kernel]
-family = difference_of_gaussians
+family = gaussian
 width = 0.03
 [solver]
 dt = 1e-5
@@ -247,6 +250,7 @@ t_end = 1e-3
 
 
 def _series():
+    # a gaussian's moments are all positive, so its series is well-posed
     return parse_scenario(SERIES)
 
 
@@ -312,6 +316,50 @@ def test_rk4_step_costs_at_most_nine_transforms(make, monkeypatch):
         assert run(*args).status == "ok"
         calls.append(counter.calls)
     assert calls[1] - calls[0] <= 9 * 10
+
+
+def test_series_first_term_is_bohm():
+    state, cfg, flags, p, vext = _setup(presets.trap(), 1, 1)
+    cut = dataclasses.replace(flags, quantum_order=2,
+                              moments=MomentTable(a2=0.01, c=(1.0, 1.0, 0.0)))
+    for got, want in zip(rhs(state, cut, p, vext), rhs(state, flags, p, vext)):
+        scale = max(np.abs(want.values).max(), 1.0)
+        assert np.abs(got.values - want.values).max() <= 1e-12 * scale
+
+
+def test_series_energy_is_conserved():
+    # the remainder's rho (R lam) term belongs to the energy: without it
+    # this run drifts by 3.9e-5
+    state, cfg, flags, p, vext = _setup(_series(), 2000, 2000)
+    traj = run(state, cfg, flags, p, vext)
+    assert traj.status == "ok"
+    first, last = traj.records[0].energy, traj.records[-1].energy
+    assert abs(last - first) < 1e-9 * abs(first)
+
+
+def test_ill_posed_series_is_refused():
+    # the difference of gaussians has c_4 = -10.5: M < 0 above a^2 k^2 = 1.14
+    state, cfg, flags, p, vext = _setup(_series(), 1, 1)
+    dog = moments(make_kernel("difference_of_gaussians", state.grid,
+                              width=0.03), max_n=2)
+    with pytest.raises(madelung.IllPosedSeries, match="ill-posed"):
+        run(state, cfg, dataclasses.replace(flags, moments=dog), p, vext)
+
+
+def test_step_reuses_its_operator(monkeypatch):
+    built = []
+    init = madelung.Tendency.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(madelung.Tendency, "__init__", counted)
+    state, cfg, flags, p, vext = _setup(presets.trap(), 1, 1)
+    one = step(state, cfg, flags, p, vext)
+    two = step(state, cfg, flags, p, vext)
+    assert len(built) == 1
+    assert np.array_equal(one.lam.values, two.lam.values)
 
 
 def test_rhs_takes_four_transforms(monkeypatch):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from qfluid.grid import Field, Grid
-from qfluid.kernels import MomentTable
 from qfluid.params import ExternalPotential, PhysParams
 from qfluid.potentials import (bohm_identity_residual, bohm_potential,
                                bohm_potential_log, enthalpy,
-                               euler_lagrange_oracle, higher_order_uq,
-                               internal_energy, log_density, pressure)
+                               euler_lagrange_oracle, internal_energy,
+                               log_density, pressure)
 
 
 @pytest.fixture
@@ -156,38 +155,6 @@ def test_bohm_rejects_unknown_form(grid):
     rho, _, _ = cos_density(grid)
     with pytest.raises(ValueError, match="form"):
         bohm_potential(rho, PhysParams(), "weak_form")
-
-
-def test_series_first_term_reproduces_closed_form(grid):
-    # n = 1 of the gradient series is exactly the closed-form potential
-    # when the signed a^2 values agree
-    rho, _, _ = cos_density(grid, amp=0.1)
-    a2 = 0.045
-    table = MomentTable(a2=+1.0, c=(1.0, 1.0, -10.5))  # sign carrier
-    p = PhysParams(hbar=1.0, m=0.5, kT=2.0, a2_mode="explicit", a2_explicit=a2)
-    series = higher_order_uq(rho, table, a=np.sqrt(a2), n_terms=1, p=p).values
-    closed = bohm_potential(rho, p, "gradient_form").values
-    assert np.abs(series - closed).max() < 1e-11 * np.abs(closed).max()
-
-
-def test_series_sign_flips_with_kernel_moment(grid):
-    rho, _, _ = cos_density(grid, amp=0.1)
-    p = PhysParams(hbar=1.0, m=1.0, kT=1.0)
-    pos = MomentTable(a2=+1.0, c=(1.0, 1.0))
-    neg = MomentTable(a2=-1.0, c=(1.0, 1.0))
-    up = higher_order_uq(rho, pos, a=0.2, n_terms=1, p=p).values
-    dn = higher_order_uq(rho, neg, a=0.2, n_terms=1, p=p).values
-    assert np.abs(up + dn).max() < 1e-13 * np.abs(up).max()
-
-
-def test_series_validation(grid):
-    rho, _, _ = cos_density(grid)
-    t = MomentTable(a2=1.0, c=(1.0, 1.0))
-    p = PhysParams()
-    with pytest.raises(ValueError, match="n_terms"):
-        higher_order_uq(rho, t, a=0.1, n_terms=0, p=p)
-    with pytest.raises(ValueError, match="c_4"):
-        higher_order_uq(rho, t, a=0.1, n_terms=2, p=p)
 
 
 def test_variational_derivative_matches_closed_form():

@@ -156,13 +156,13 @@ def test_quantum_order_two_needs_kernel():
             + "\n[terms]\nquantum = true\nquantum_order = 2\n")
     with pytest.raises(ScenarioError, match=r"needs a \[kernel\] section"):
         parse_scenario(text)
-    with_kernel = text + "\n[kernel]\nfamily = difference_of_gaussians\nwidth = 0.05\n"
+    # a gaussian (c_4 = +3) keeps the series well-posed on this grid
+    with_kernel = text + "\n[kernel]\nfamily = gaussian\nwidth = 0.05\n"
     scn = parse_scenario(with_kernel)
     flags = build_flags(scn, build_grid(scn))
     assert flags.quantum_order == 2
     assert flags.moments is not None
-    # n=32 quadrature of the outer gaussian is only good to ~1e-5
-    assert flags.moments.a2 == pytest.approx(2 * 0.05**2, rel=1e-4)
+    assert flags.moments.a2 == pytest.approx(-0.05**2, rel=1e-4)
 
 
 def test_kernel_section_validation():
@@ -515,7 +515,7 @@ def test_diverging_equilibrium_refinement_fails_cleanly():
     # the series closure of a narrow kernel is too stiff for the trap well
     text = (serialize(presets.trap()).replace("quantum_order = 1",
                                               "quantum_order = 2")
-            + "\n[kernel]\nfamily = difference_of_gaussians\nwidth = 0.01\n")
+            + "\n[kernel]\nfamily = gaussian\nwidth = 0.01\n")
     with pytest.raises(ScenarioError, match="did not converge"):
         parse_scenario(text)
 
