@@ -14,8 +14,8 @@ import os
 import numpy as np
 
 from .grid import Grid
-from .madelung import (TermFlags, Trajectory, quantum_potential,
-                       stability_bound, velocity, whole_steps)
+from .madelung import (CHUNK, TermFlags, Trajectory, _fields,
+                       stability_bound, whole_steps)
 from .params import ExternalPotential, PhysParams
 from .scenario import Scenario
 from .schrodinger import CompareResult
@@ -30,13 +30,24 @@ __all__ = [
 ]
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Header plus one ``%.17g`` row per sample, formatted in one pass."""
+def _csv_format(columns, n_rows: int) -> str:
+    """The rows of a CSV as one format: a column given as an array is
+    written into it once, here; a None column leaves a ``%.17g`` slot in
+    every row for :func:`_write_csv` to fill."""
+    cells = [("%.17g",) * n_rows if c is None
+             else ["%.17g" % v for v in c.tolist()] for c in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _write_csv(path, header: str, columns, fmt: str | None = None) -> None:
+    """Header plus one ``%.17g`` row per sample, formatted in one pass.
+    ``fmt`` is a :func:`_csv_format` whose slots ``columns`` fill."""
     rows = np.column_stack(columns)
-    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    if fmt is None:
+        fmt = _csv_format([None] * rows.shape[1], len(rows))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        f.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+        f.write(fmt % tuple(rows.ravel().tolist()))
 
 
 def manifest_dict(scn: Scenario, grid: Grid, p: PhysParams, flags: TermFlags,
@@ -53,7 +64,7 @@ def manifest_dict(scn: Scenario, grid: Grid, p: PhysParams, flags: TermFlags,
     except ValueError:
         derived["hbar_eff"] = None
     if flags.quantum:
-        derived["stability_dt_bound"] = stability_bound(grid, p)
+        derived["stability_dt_bound"] = stability_bound(grid, p, flags)
     if flags.moments is not None:
         derived["kernel_a2"] = flags.moments.a2
         derived["kernel_moments"] = list(flags.moments.c)
@@ -76,18 +87,25 @@ def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
     os.makedirs(snap_dir, exist_ok=True)
 
     varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
-    for idx, s in enumerate(traj.snapshots):
-        phi = s.phi.values
-        rho = np.exp(s.lam.values)
-        v = velocity(s).values
-        uq = quantum_potential(s, flags, p).values
-        base = os.path.join(snap_dir, f"{idx:04d}")
-        _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e",
-                   (grid.x, rho, phi, v, uq, varr))
-        if scn.output.plot:
-            line_plot(base + ".svg", grid.x,
-                      [("rho", rho), ("v", v)],
-                      title=f"{scn.name}  t = {s.t:.6g}", xlabel="x")
+    # x and V_e, and U_Q = 0 with quantum off, are formatted once per run
+    fmt = _csv_format((grid.x, None, None, None,
+                       None if flags.quantum else np.zeros(grid.n), varr),
+                      grid.n)
+    snaps = traj.snapshots
+    for j0 in range(0, len(snaps), CHUNK):
+        part = snaps[j0:j0 + CHUNK]
+        lam = np.array([s.lam.values for s in part])
+        phi = np.array([s.phi.values for s in part])
+        v, uq = _fields(grid, lam, phi, flags, p)
+        rho = np.exp(lam)
+        for j, s in enumerate(part):
+            base = os.path.join(snap_dir, f"{j0 + j:04d}")
+            cols = (rho[j], phi[j], v[j]) + ((uq[j],) if flags.quantum else ())
+            _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e", cols, fmt)
+            if scn.output.plot:
+                line_plot(base + ".svg", grid.x,
+                          [("rho", rho[j]), ("v", v[j])],
+                          title=f"{scn.name}  t = {s.t:.6g}", xlabel="x")
 
     recs = traj.records
     _write_csv(

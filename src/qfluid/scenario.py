@@ -536,7 +536,8 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
             f"gaussian boost {ic.boost:g} times the box length "
             f"{grid.length:g} must be finite", _line(raw, "initial", "boost"))
     try:
-        state = build_initial_state(scn, grid, params, vext, base_dir)
+        state = build_initial_state(scn, grid, params, vext, base_dir,
+                                    flags=flags)
         oracle = build_oracle_config(scn)
     except (ValueError, OSError) as e:
         raise ScenarioError(str(e)) from None
@@ -653,8 +654,11 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
 
 def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
                         vext: ExternalPotential,
-                        base_dir: str | None = None) -> State:
-    """Construct the t = 0 state and enforce the initial density floor."""
+                        base_dir: str | None = None, *,
+                        flags: TermFlags | None = None) -> State:
+    """Construct the t = 0 state and enforce the initial density floor.
+    A quantum equilibrium refines against ``flags``, built here if not
+    given."""
     ic = scn.initial
     x = grid.x
     length = grid.length
@@ -699,7 +703,8 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
         w = np.exp(-(params.m / params.kT) * (v - v.min()))
         rho = ic.mean_density * w / w.mean()
         if scn.terms.quantum and scn.terms.thermo:
-            flags = build_flags(scn, grid, base_dir)
+            if flags is None:
+                flags = build_flags(scn, grid, base_dir)
             lam = _refine_equilibrium(np.log(rho), grid, flags, params, v,
                                       ic.mean_density, scn.solver.dealias)
             rho = np.exp(lam)

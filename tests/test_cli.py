@@ -10,7 +10,8 @@ import pytest
 from qfluid import presets, scenario, serialize
 from qfluid.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_VACUUM,
                         cmd_compare, cmd_run, cmd_scan, cmd_verify, main)
-from qfluid.output import _write_csv
+from qfluid.madelung import quantum_potential, run, velocity
+from qfluid.output import _write_csv, write_run
 
 QUICK_RUN = """\
 [scenario]
@@ -235,6 +236,50 @@ def test_run_refuses_an_ill_posed_series(tmp_path, capsys):
     assert f"line {line + 1}: the gradient series cut after c_4 is ill-posed" \
         in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# the same series with a gaussian kernel (c_4 = +3) is well-posed, but its
+# top mode bounds the step at 2.73e-4, below Bohm's 1.22e-3
+STIFF_SERIES = ILL_POSED.replace("difference_of_gaussians", "gaussian")
+
+
+def test_run_holds_a_series_to_its_step_bound(tmp_path, capsys):
+    text = STIFF_SERIES.replace("dt = 1e-4\nt_end = 2e-3",
+                                "dt = 3e-4\nt_end = 3e-3")
+    path = scenario_file(tmp_path, text)
+    assert main(["run", path, "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    line = text.splitlines().index("dt = 3e-4")
+    assert (f"line {line + 1}: dt=0.0003 violates the series stability bound"
+            in capsys.readouterr().err)
+    ok = scenario_file(tmp_path, STIFF_SERIES.replace(
+        "dt = 1e-4\nt_end = 2e-3", "dt = 2.5e-4\nt_end = 2.5e-3"), "ok.ini")
+    assert main(["run", ok, "-o", str(tmp_path / "ok")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert manifest["derived"]["stability_dt_bound"] == pytest.approx(
+        2.73e-4, rel=1e-3)
+
+
+@pytest.mark.parametrize("make", [presets.traveling, presets.trap])
+def test_snapshot_csvs_equal_a_per_snapshot_reference(make, tmp_path):
+    # 70 snapshots: one full stack of 64 and a partial one
+    setup = scenario.build(make())
+    scn, flags, p, vext = setup.scn, setup.flags, setup.params, setup.vext
+    cfg = dataclasses.replace(scn.solver, t_end=69 * scn.solver.dt,
+                              snapshot_stride=1)
+    traj = run(setup.state, cfg, flags, p, vext)
+    assert len(traj.snapshots) == 70
+    out = tmp_path / "out"
+    write_run(out, scn, scn.grid, p, flags, vext, traj, 0.0)
+    grid = scn.grid
+    varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
+    ref = tmp_path / "ref.csv"
+    for idx, s in enumerate(traj.snapshots):
+        _write_csv(ref, "x,rho,phi,v,U_Q,V_e",
+                   (grid.x, np.exp(s.lam.values), s.phi.values,
+                    velocity(s).values, quantum_potential(s, flags, p).values,
+                    varr))
+        got = (out / "snapshots" / f"{idx:04d}.csv").read_bytes()
+        assert got == ref.read_bytes(), idx
 
 
 # ------------------------------------------------------------------- verify

@@ -462,3 +462,89 @@ def test_action_equals_pressure_integral_at_equilibrium(grid):
     got = action(traj, TermFlags(thermo=True), p, ZERO)
     want = (p.kT / p.m) * grid.length * 0.1
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# ------------------------------------------------------- stacked passes
+
+def _as_row(rec):
+    return np.array(dataclasses.astuple(rec))
+
+
+@pytest.mark.parametrize("make", [presets.traveling, presets.trap, _series])
+def test_stacked_records_equal_per_state_diagnostics(make):
+    # 70 stored states: one full stack of CHUNK and a partial one
+    state, cfg, flags, p, vext = _setup(make(), 69, 1)
+    traj = run(state, cfg, flags, p, vext)
+    assert traj.status == "ok"
+    assert len(traj.records) == len(traj.snapshots) == 70 > madelung.CHUNK
+    for s, rec in zip(traj.snapshots, traj.records):
+        assert np.array_equal(_as_row(rec),
+                              _as_row(diagnostics(s, flags, p, vext)),
+                              equal_nan=True)
+
+
+def _action_per_snapshot(traj, flags, p, vext):
+    """The action as a loop over snapshots, one transform pair each."""
+    snaps = traj.snapshots
+    grid, m = snaps[0].grid, len(snaps)
+    dt = snaps[1].t - snaps[0].t
+    varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
+    phis = np.stack([s.phi.values for s in snaps])
+    dphi_dt = np.empty_like(phis)
+    dphi_dt[1:-1] = (phis[2:] - phis[:-2]) / (2.0 * dt)
+    dphi_dt[0] = (-3.0 * phis[0] + 4.0 * phis[1] - phis[2]) / (2.0 * dt)
+    dphi_dt[-1] = (3.0 * phis[-1] - 4.0 * phis[-2] + phis[-3]) / (2.0 * dt)
+    total = 0.0
+    for j, s in enumerate(snaps):
+        lam_hat, phi_hat = grid.rfft(np.stack((s.lam.values, s.phi.values)))
+        rows = grid.irfft(np.array(
+            madelung._energy_rows(grid, lam_hat, phi_hat, flags, p)))
+        dens, rho, _ = madelung._energy_density(s.lam.values, rows, flags,
+                                                p, varr)
+        lag = rho * dphi_dt[j] - dens
+        w = 0.5 if j in (0, m - 1) else 1.0
+        total += w * float(np.sum(lag) * grid.dx)
+    return total * dt
+
+
+@pytest.mark.parametrize("make", [presets.traveling, presets.trap, _series])
+def test_chunked_action_equals_per_snapshot_sum(make):
+    state, cfg, flags, p, vext = _setup(make(), 150, 1)
+    traj = run(state, cfg, flags, p, vext)
+    assert traj.status == "ok" and len(traj.snapshots) > 2 * madelung.CHUNK
+    assert action(traj, flags, p, vext) == \
+        _action_per_snapshot(traj, flags, p, vext)
+
+
+def test_run_aborting_mid_stack_keeps_a_record_per_snapshot(grid):
+    # the draining node of test_vacuum_mid_run_returns_partial_trajectory,
+    # stored at every step
+    p = PhysParams()
+    w = 2.0 * np.pi / grid.length
+    lam = -24.0 * 0.5 * (1.0 + np.cos(w * grid.x))
+    s = make_state(grid, lam, 0.2 * np.cos(w * grid.x))
+    flags = TermFlags(thermo=False)
+    traj = run(s, SolverConfig(dt=2e-4, t_end=2.0), flags, p, ZERO)
+    assert traj.status == "vacuum"
+    assert len(traj.snapshots) > madelung.CHUNK
+    assert len(traj.snapshots) % madelung.CHUNK != 0
+    assert len(traj.records) == len(traj.snapshots)
+    for snap, rec in zip(traj.snapshots, traj.records):
+        assert rec == diagnostics(snap, flags, p, ZERO)
+
+
+def test_series_step_bound():
+    # n = 64, hbar 0.1, gaussian width 0.03, order 2: the top mode turns at
+    # k sqrt(theta + qc k^2 / 2 + 2 R), far above Bohm's 0.5 dx^2 m / hbar
+    state, cfg, flags, p, vext = _setup(_series(), 10, 10)
+    bohm = stability_bound(state.grid, p)
+    series = stability_bound(state.grid, p, flags)
+    assert series == pytest.approx(2.73e-4, rel=1e-3)
+    assert series < bohm
+    cut = dataclasses.replace(flags, quantum_order=1, moments=None)
+    assert stability_bound(state.grid, p, cut) == bohm
+    with pytest.raises(ValueError, match="series stability bound"):
+        run(state, dataclasses.replace(cfg, dt=3e-4, t_end=3e-3), flags, p,
+            vext)
+    ok = dataclasses.replace(cfg, dt=2.5e-4, t_end=2.5e-3)
+    assert run(state, ok, flags, p, vext).status == "ok"

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfluid import presets
+from qfluid import presets, scenario
 from qfluid.madelung import rhs
 from qfluid.scenario import (ScenarioError, build_external, build_flags,
                              build_grid, build_initial_state,
                              build_oracle_config, build_params,
-                             build_solver_config, parse_scenario, serialize)
+                             build_solver_config, load, parse_scenario,
+                             serialize)
 
 MINIMAL = """\
 [grid]
@@ -156,8 +157,10 @@ def test_quantum_order_two_needs_kernel():
             + "\n[terms]\nquantum = true\nquantum_order = 2\n")
     with pytest.raises(ScenarioError, match=r"needs a \[kernel\] section"):
         parse_scenario(text)
-    # a gaussian (c_4 = +3) keeps the series well-posed on this grid
-    with_kernel = text + "\n[kernel]\nfamily = gaussian\nwidth = 0.05\n"
+    # a gaussian (c_4 = +3) keeps the series well-posed on this grid; its
+    # step bound is 5.5e-4, below the default dt
+    with_kernel = (text + "\n[kernel]\nfamily = gaussian\nwidth = 0.05\n"
+                   + "\n[solver]\ndt = 5e-4\n")
     scn = parse_scenario(with_kernel)
     flags = build_flags(scn, build_grid(scn))
     assert flags.quantum_order == 2
@@ -550,3 +553,16 @@ def test_only_scenario_runs_the_builders():
                 if name in builders:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_loading_a_quantum_equilibrium_builds_its_flags_once(monkeypatch):
+    """The refinement of trap's equilibrium reads the flags build made."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_flags(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "build_flags", counted)
+    load(serialize(presets.trap()))
+    assert len(calls) == 1

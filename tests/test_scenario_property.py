@@ -5,10 +5,10 @@ field; floats take arbitrary bit patterns, so the ``%.17g`` round trip is
 exercised, within ranges that keep the scenario valid. Validation builds
 the scenario and checks that its solver section can run, so ``t_end`` is
 a whole number of steps and, with the quantum term on, ``dt`` sits within
-the stability bound of a real ``hbar_eff``; a series closure draws a
-kernel that keeps it well-posed. An equilibrium initial state
-keeps the quantum term off, so no example pays for the equilibrium
-refinement.
+the stability bound of a real ``hbar_eff`` (and of the series, if any); a
+series closure draws a kernel that keeps it well-posed. An equilibrium
+initial state keeps the quantum term off, so no example pays for the
+equilibrium refinement.
 """
 
 import dataclasses
@@ -27,7 +27,8 @@ from qfluid.scenario import (  # noqa: E402
     ExternalZero, InitialCosine, InitialEquilibrium, InitialGaussian,
     InitialSpec, InitialTabulated, KernelDelta, KernelDifferenceOfGaussians,
     KernelGaussian, KernelSpec, KernelTabulated, OracleSpec, OutputSpec,
-    PhysSpec, Scenario, TermSpec, build_params, parse_scenario, serialize)
+    PhysSpec, Scenario, TermSpec, build_flags, build_params, parse_scenario,
+    serialize)
 
 
 def floats(lo=None, hi=None, **kw):
@@ -111,10 +112,12 @@ def scenarios(draw):
         # moments need a kernel, and the delta has none beyond c_0; a
         # non-negative kernel's c_2n are all positive, so its series is
         # well-posed, where the difference of gaussians' c_4 = -10.5 makes
-        # order 2 ill-posed once a^2 k^2 > 1.14
+        # order 2 ill-posed once a^2 k^2 > 1.14. The series' step bound
+        # needs its moments, so its kernel is built below: no table file
         kernels = st.one_of([SPECS[cls] for cls in kinds(KernelSpec)
                              if cls not in (KernelDelta,
-                                            KernelDifferenceOfGaussians)])
+                                            KernelDifferenceOfGaussians,
+                                            KernelTabulated)])
     physics = draw(SPECS[PhysSpec])
     if physics.a2_mode == "de_broglie":
         physics = dataclasses.replace(physics, a2=None)
@@ -128,7 +131,9 @@ def scenarios(draw):
         oracle=draw(SPECS[OracleSpec]), output=draw(SPECS[OutputSpec]))
     dt = scn.solver.dt
     if terms.quantum:
-        bound = stability_bound(scn.grid, build_params(scn))
+        flags = (build_flags(scn, scn.grid) if terms.quantum_order >= 2
+                 else None)
+        bound = stability_bound(scn.grid, build_params(scn), flags)
         dt = draw(floats(0.0, bound, exclude_min=True))
     solver = dataclasses.replace(scn.solver, dt=dt,
                                  t_end=draw(st.integers(0, 1000)) * dt)
