@@ -20,7 +20,7 @@ operator layer, so an RK4 step, which reads the state back once, takes
 nine. :func:`rhs`, :func:`quantum_potential` and a :func:`diagnostics`
 record read the same operator in four transforms each.
 
-The operator also takes a stack of states. :func:`run` builds the records
+Its ``stacked`` form takes a stack of states. :func:`run` builds the records
 of its stored states once per ``CHUNK`` of them (and once more for the
 rest, at the end or on abort), in the same four transforms per stack, so
 the per-call cost is paid once per stack: at n = 256 a stored state's
@@ -38,9 +38,10 @@ stiffer bound (:func:`stability_bound`).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -203,9 +204,8 @@ class Tendency:
     through rho: lam goes back as a third row, and ``R rho`` costs two
     transforms more.
 
-    ``hat`` is one state's ``(2, nh)`` or a ``(2, m, nh)`` stack of m
-    states; a stack reads the ``(2, nh)`` tables as ``(2, 1, nh)`` views,
-    so a single state pays no broadcasting.
+    ``hat`` is one state's ``(2, nh)``; :attr:`stacked` takes a
+    ``(2, m, nh)`` stack of m states.
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
@@ -228,11 +228,17 @@ class Tendency:
         self.force[0] = grid.n * thermal
         if flags.external and vext is not None:
             self.force += grid.rfft(vext.field(grid).values)
-        self._stacked = (self.masks[:, None], self.linear[:, None])
+
+    @cached_property
+    def stacked(self) -> Tendency:
+        """This tendency for a ``(2, m, nh)`` stack of m states: the same
+        operator with its ``(2, nh)`` tables read as ``(2, 1, nh)`` views,
+        so the one-state call of the RK4 step takes no branch for stacks."""
+        op = copy.copy(self)
+        op.masks, op.linear = self.masks[:, None], self.linear[:, None]
+        return op
 
     def __call__(self, hat: np.ndarray) -> np.ndarray:
-        masks, linear = ((self.masks, self.linear) if hat.ndim == 2
-                         else self._stacked)
         grads = self.grad * hat
         real = self.grid.irfft(grads if self.remainder is None
                                else np.concatenate((grads, hat[:1])))
@@ -245,7 +251,7 @@ class Tendency:
             rho = np.exp(real[2])
             rows.append(self.grid.apply(self.remainder, rho) / rho)
         prods = self.grid.rfft(np.array(rows))
-        out = masks * prods[:2] + linear * hat[::-1]
+        out = self.masks * prods[:2] + self.linear * hat[::-1]
         out[1] += self.force
         if self.remainder is not None:
             out[1] += prods[2]
@@ -269,11 +275,12 @@ def _reader(grid: Grid, flags: TermFlags, p: PhysParams, dealias: bool,
 
 
 def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams):
-    """Spectrum of U_Q: the Bernoulli tendency of the state at rest with
-    only the quantum term on and dealiasing off."""
+    """Spectra of U_Q for an ``(m, nh)`` stack ``lam_hat``: the Bernoulli
+    tendency of each state at rest with only the quantum term on and
+    dealiasing off."""
     rest = np.stack((lam_hat, np.zeros_like(lam_hat)))
     only = replace(flags, thermo=False, external=False)
-    return _reader(grid, only, p, False)(rest)[1]
+    return _reader(grid, only, p, False).stacked(rest)[1]
 
 
 def velocity(s: State) -> Field:
@@ -289,17 +296,17 @@ def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
     grid = s.grid
     if not flags.quantum:
         return Field.constant(grid, 0.0)
-    uq = grid.irfft(_uq_hat(grid, grid.rfft(s.lam.values), flags, p))
-    return Field(grid, uq, _fresh=True)
+    _, uq = _fields(grid, s.lam.values[None], s.phi.values[None], flags, p)
+    return Field(grid, uq[0], _fresh=True)
 
 
 def _fields(grid: Grid, lam, phi, flags: TermFlags, p: PhysParams):
-    """``(v, U_Q)`` of the ``(m, n)`` stacks ``lam`` and ``phi``, as
-    :func:`velocity` and :func:`quantum_potential` give them state by
-    state, from one forward and one inverse transform; U_Q is None with
-    the quantum term off."""
+    """``(v, U_Q)`` of the ``(m, n)`` stacks ``lam`` and ``phi`` from one
+    forward and one inverse transform; U_Q is None with the quantum term
+    off. :func:`quantum_potential` is the one-state case, and v is
+    :func:`velocity`'s ``-grad phi`` state by state."""
     if not flags.quantum:
-        return -grid.irfft(grid.half_ik * grid.rfft(phi)), None
+        return -grid.apply(grid.half_ik, phi), None
     hat = grid.rfft(np.stack((lam, phi)))
     v, uq = grid.irfft(np.stack((grid.half_ik * hat[1],
                                  _uq_hat(grid, hat[0], flags, p))))
@@ -346,22 +353,47 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
                  Field(grid, phi, _fresh=True))
 
 
-def stability_bound(grid: Grid, p: PhysParams,
-                    flags: TermFlags | None = None) -> float:
-    """Largest admissible quantum time step, ``0.5 dx^2 m / hbar_eff``.
+class IllPosedSeries(ValueError):
+    """The series multiplier ``M(k)`` is negative on a mode of the grid:
+    about a uniform state ``d phi^/dt = 2 (kT/m) M lam^``, so that mode
+    grows at a rate rising with k (Rosenau, Phys. Rev. A 40:7193, 1989)."""
 
-    With a series closure (``flags.series``) it is no more than RK4's reach
-    on the imaginary axis over the fastest linear mode, ``2 sqrt(2) /
-    max_k omega_k``: about a uniform state each mode of the half spectrum
-    turns at ``omega_k = k sqrt(theta + qc k^2 / 2 + 2 R)``, where the
-    remainder R acts once in the linear table and once through rho.
+
+def _step_bounds(grid: Grid, p: PhysParams,
+                 flags: TermFlags) -> dict[str, float]:
+    """The quantum time step's bounds by name.
+
+    Every quantum run keeps ``0.5 dx^2 m / hbar_eff`` (ValueError if no
+    real ``hbar_eff`` exists). A series closure must be well-posed on every
+    mode, else IllPosedSeries: the table and the rho row act unmasked. It
+    then adds RK4's reach on the imaginary axis over its fastest linear
+    mode, ``2 sqrt(2) / max_k omega_k``: about a uniform state each mode of
+    the half spectrum turns at ``omega_k = k sqrt(theta + qc k^2 / 2 +
+    2 R)``, where the remainder R acts once in the linear table and once
+    through rho.
     """
-    bound = 0.5 * grid.dx**2 * p.m / p.hbar_eff
-    if flags is not None and flags.series:
+    bounds = {"quantum stability bound 0.5 dx^2 m / hbar_eff":
+              0.5 * grid.dx**2 * p.m / p.hbar_eff}
+    if flags.series:
+        mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
+                                  flags.quantum_order)
+        j = int(np.argmin(mult))
+        if mult[j] < 0:
+            raise IllPosedSeries(
+                f"the gradient series cut after c_{2 * flags.quantum_order} is"
+                f" ill-posed: its multiplier falls to {mult[j]:.4g} at a^2 k^2"
+                f" = {p.a2 * grid.half_k2[j]:.4g}, where a mode grows unbounded")
         op = _reader(grid, flags, p, True)
         omega2 = grid.half_k2 * (op.linear[1] + op.remainder)
-        bound = min(bound, 2.0 * math.sqrt(2.0 / float(omega2.max())))
-    return bound
+        bounds["series stability bound 2 sqrt(2) / max_k omega_k"] = (
+            2.0 * math.sqrt(2.0 / float(omega2.max())))
+    return bounds
+
+
+def stability_bound(grid: Grid, p: PhysParams, flags: TermFlags) -> float:
+    """Largest admissible quantum time step: the least of the bounds
+    :func:`_step_bounds` names."""
+    return min(_step_bounds(grid, p, flags).values())
 
 
 def whole_steps(t_end: float, dt: float) -> int:
@@ -373,37 +405,16 @@ def whole_steps(t_end: float, dt: float) -> int:
     return round(ratio)
 
 
-class IllPosedSeries(ValueError):
-    """The series multiplier ``M(k)`` is negative on a mode of the grid:
-    about a uniform state ``d phi^/dt = 2 (kT/m) M lam^``, so that mode
-    grows at a rate rising with k (Rosenau, Phys. Rev. A 40:7193, 1989)."""
-
-
 def solver_steps(cfg: SolverConfig, grid: Grid, flags: TermFlags,
                  p: PhysParams) -> int:
     """Steps a run of ``cfg`` takes; ValueError if ``t_end`` is not whole
-    steps or, with the quantum term on, ``dt`` breaks the stability bound
-    (or no real ``hbar_eff`` exists), IllPosedSeries if a series closure
-    is ill-posed on any mode (the table and the rho row act unmasked), and
-    ValueError if a well-posed series breaks its own, stiffer bound."""
-    bound = stability_bound(grid, p) if flags.quantum else math.inf
-    if cfg.dt > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt={cfg.dt:g} violates the quantum stability bound "
-                         f"0.5 dx^2 m / hbar_eff = {bound:g}")
-    if flags.series:
-        mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
-                                  flags.quantum_order)
-        j = int(np.argmin(mult))
-        if mult[j] < 0:
-            raise IllPosedSeries(
-                f"the gradient series cut after c_{2 * flags.quantum_order} is"
-                f" ill-posed: its multiplier falls to {mult[j]:.4g} at a^2 k^2"
-                f" = {p.a2 * grid.half_k2[j]:.4g}, where a mode grows unbounded")
-        bound = stability_bound(grid, p, flags)
+    steps or, with the quantum term on, ``dt`` breaks the binding one of
+    the :func:`_step_bounds`, which raise for a run that has none."""
+    if flags.quantum:
+        name, bound = min(_step_bounds(grid, p, flags).items(),
+                          key=lambda item: item[1])
         if cfg.dt > bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt={cfg.dt:g} violates the series stability bound"
-                f" 2 sqrt(2) / max_k omega_k = {bound:g}")
+            raise ValueError(f"dt={cfg.dt:g} violates the {name} = {bound:g}")
     return whole_steps(cfg.t_end, cfg.dt)
 
 
@@ -516,7 +527,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     hat = grid.rfft(real)
     rows = _energy_rows(grid, hat[0], hat[1], flags, p)
     rows.append(_uq_hat(grid, hat[0], flags, p) if flags.quantum
-                else _reader(grid, flags, p, True)(hat)[1])
+                else _reader(grid, flags, p, True).stacked(hat)[1])
     back = grid.irfft(np.array(rows))
     dens, rho, v = _energy_density(lam, back, flags, p, varr)
     dx = grid.dx

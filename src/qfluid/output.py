@@ -44,7 +44,7 @@ def _write_csv(path, header: str, columns, fmt: str | None = None) -> None:
     ``fmt`` is a :func:`_csv_format` whose slots ``columns`` fill."""
     rows = np.column_stack(columns)
     if fmt is None:
-        fmt = _csv_format([None] * rows.shape[1], len(rows))
+        fmt = (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         f.write(fmt % tuple(rows.ravel().tolist()))

@@ -164,7 +164,7 @@ def test_run_rejects_non_divisible_t_end(grid):
 
 def test_run_enforces_quantum_stability_bound(grid):
     p = PhysParams(hbar=1.0, m=1.0, kT=1.0)
-    bound = stability_bound(grid, p)
+    bound = stability_bound(grid, p, TermFlags(quantum=True))
     assert bound == pytest.approx(0.5 * grid.dx**2)
     s = make_state(grid, np.zeros(grid.n), np.zeros(grid.n))
     cfg = SolverConfig(dt=2.0 * bound, t_end=20.0 * bound)
@@ -537,12 +537,12 @@ def test_series_step_bound():
     # n = 64, hbar 0.1, gaussian width 0.03, order 2: the top mode turns at
     # k sqrt(theta + qc k^2 / 2 + 2 R), far above Bohm's 0.5 dx^2 m / hbar
     state, cfg, flags, p, vext = _setup(_series(), 10, 10)
-    bohm = stability_bound(state.grid, p)
+    cut = dataclasses.replace(flags, quantum_order=1, moments=None)
+    bohm = stability_bound(state.grid, p, cut)
+    assert bohm == 0.5 * state.grid.dx**2 * p.m / p.hbar_eff
     series = stability_bound(state.grid, p, flags)
     assert series == pytest.approx(2.73e-4, rel=1e-3)
     assert series < bohm
-    cut = dataclasses.replace(flags, quantum_order=1, moments=None)
-    assert stability_bound(state.grid, p, cut) == bohm
     with pytest.raises(ValueError, match="series stability bound"):
         run(state, dataclasses.replace(cfg, dt=3e-4, t_end=3e-3), flags, p,
             vext)

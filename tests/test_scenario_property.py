@@ -100,7 +100,8 @@ def one_kind_of(union):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, tables: str):
+    """A valid scenario whose tabulated kinds read from ``tables``."""
     initial = draw(one_kind_of(InitialSpec))
     external = draw(one_kind_of(ExternalSpec))
     terms = dataclasses.replace(draw(SPECS[TermSpec]),
@@ -112,12 +113,10 @@ def scenarios(draw):
         # moments need a kernel, and the delta has none beyond c_0; a
         # non-negative kernel's c_2n are all positive, so its series is
         # well-posed, where the difference of gaussians' c_4 = -10.5 makes
-        # order 2 ill-posed once a^2 k^2 > 1.14. The series' step bound
-        # needs its moments, so its kernel is built below: no table file
+        # order 2 ill-posed once a^2 k^2 > 1.14
         kernels = st.one_of([SPECS[cls] for cls in kinds(KernelSpec)
                              if cls not in (KernelDelta,
-                                            KernelDifferenceOfGaussians,
-                                            KernelTabulated)])
+                                            KernelDifferenceOfGaussians)])
     physics = draw(SPECS[PhysSpec])
     if physics.a2_mode == "de_broglie":
         physics = dataclasses.replace(physics, a2=None)
@@ -131,9 +130,9 @@ def scenarios(draw):
         oracle=draw(SPECS[OracleSpec]), output=draw(SPECS[OutputSpec]))
     dt = scn.solver.dt
     if terms.quantum:
-        flags = (build_flags(scn, scn.grid) if terms.quantum_order >= 2
-                 else None)
-        bound = stability_bound(scn.grid, build_params(scn), flags)
+        # a series' step bound needs its kernel's moments
+        bound = stability_bound(scn.grid, build_params(scn),
+                                build_flags(scn, scn.grid, tables))
         dt = draw(floats(0.0, bound, exclude_min=True))
     solver = dataclasses.replace(scn.solver, dt=dt,
                                  t_end=draw(st.integers(0, 1000)) * dt)
@@ -165,6 +164,7 @@ def test_strategies_cover_every_key_of_every_kind():
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(scn=scenarios())
-def test_parse_inverts_serialize(tables, scn):
+@given(data=st.data())
+def test_parse_inverts_serialize(tables, data):
+    scn = data.draw(scenarios(tables))
     assert parse_scenario(serialize(scn), tables) == scn

@@ -71,7 +71,7 @@ def test_short_runs_conserve_mass(data, n, thermo, quantum, external, hbar,
     p = PhysParams(hbar=hbar, m=1.0, kT=kT)
     flags = TermFlags(thermo=thermo, quantum=quantum, external=external)
     vext = ExternalPotential.cosine(v0) if external else ExternalPotential.zero()
-    dt = frac * stability_bound(grid, p)
+    dt = frac * stability_bound(grid, p, TermFlags(quantum=True))
     s = State(0.0, Field(grid, lam), Field(grid, phi))
     traj = run(s, SolverConfig(dt=dt, t_end=20 * dt, snapshot_stride=20),
                flags, p, vext)
