@@ -9,8 +9,12 @@ periodic trapezoid rule, which on a uniform periodic grid is sum times dx.
 the half-spectrum operators of the real FFT (``i k`` with the Nyquist mode
 zeroed, ``k^2`` and the 2/3 mask) and applies a multiplier as
 ``irfft(mult * rfft(values))``, on single fields or stacked rows. Its
-arrays are built once per ``(n, length)`` and shared by equal grids. Only
-the wave oracle, whose field is complex, runs its own transforms.
+arrays are built once per ``(n, length)`` and shared by equal grids. It
+also runs the complex transforms of the wave oracle, so every transform
+in the package goes through it. The transforms call numpy's pocketfft
+ufuncs directly, with the factors ``np.fft`` passes for the default norm
+(1 forward, ``1/n`` inverse): the same bits without the Python wrapper,
+which at n = 128 costs more than the transform.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 __all__ = [
     "Grid",
@@ -30,6 +35,10 @@ __all__ = [
     "integrate",
     "dealias",
 ]
+
+
+# the transform runs along the last axis of the input and of the output
+_LAST_AXIS = [(-1,), (), (-1,)]
 
 
 @lru_cache(maxsize=64)
@@ -109,11 +118,23 @@ class Grid:
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Half spectrum of real samples along the last axis."""
-        return np.fft.rfft(values, axis=-1)
+        out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
+        return _pocketfft.rfft_n_even(values, 1, axes=_LAST_AXIS, out=out)
 
     def irfft(self, spectrum: np.ndarray) -> np.ndarray:
         """Real samples of a half spectrum along the last axis."""
-        return np.fft.irfft(spectrum, n=self.n, axis=-1)
+        out = np.empty(spectrum.shape[:-1] + (self.n,))
+        return _pocketfft.irfft(spectrum, 1 / self.n, axes=_LAST_AXIS, out=out)
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        """Full spectrum of complex samples along the last axis."""
+        out = np.empty(values.shape, dtype=complex)
+        return _pocketfft.fft(values, 1, axes=_LAST_AXIS, out=out)
+
+    def ifft(self, spectrum: np.ndarray) -> np.ndarray:
+        """Complex samples of a full spectrum along the last axis."""
+        out = np.empty(spectrum.shape, dtype=complex)
+        return _pocketfft.ifft(spectrum, 1 / self.n, axes=_LAST_AXIS, out=out)
 
     def apply(self, mult, values: np.ndarray) -> np.ndarray:
         """``irfft(mult * rfft(values))``; ``values`` may stack rows."""

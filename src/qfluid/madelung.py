@@ -16,9 +16,10 @@ hand side are dealiased with the 2/3 rule (default on).
 Between RK4 stages and steps the state is the stacked half spectrum
 ``(lam^, phi^)`` of the real FFT. A :class:`Tendency`, built once per run,
 gives both tendencies from it in two batched transforms through the grid's
-operator layer, so an RK4 step, which reads the state back once, takes
-nine. :func:`rhs`, :func:`quantum_potential` and a :func:`diagnostics`
-record read the same operator in four transforms each.
+operator layer. The first stage's inverse carries the state rows too, so
+an RK4 step reads its state back at no extra transform and takes eight.
+:func:`rhs`, :func:`quantum_potential` and a :func:`diagnostics` record
+read the same operator in four transforms each.
 
 Its ``stacked`` form takes a stack of states. :func:`run` builds the records
 of its stored states once per ``CHUNK`` of them (and once more for the
@@ -181,6 +182,10 @@ class SolverAbort(RuntimeError):
         self.t = t
 
 
+# log of the largest float: the density exp(lam) overflows above it
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 # ---------------------------------------------------------------------------
 # right-hand side on the half spectrum
 
@@ -205,7 +210,10 @@ class Tendency:
     transforms more.
 
     ``hat`` is one state's ``(2, nh)``; :attr:`stacked` takes a
-    ``(2, m, nh)`` stack of m states.
+    ``(2, m, nh)`` stack of m states. A call is :meth:`back`, the inverse,
+    then :meth:`rates`, the products and the forward. :meth:`rk4` takes
+    its first stage's inverse from the caller, which may ask it for the
+    state rows as well.
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
@@ -239,31 +247,51 @@ class Tendency:
         return op
 
     def __call__(self, hat: np.ndarray) -> np.ndarray:
+        return self.rates(hat, self.back(hat))
+
+    def back(self, hat: np.ndarray, state: bool = False) -> np.ndarray:
+        """One inverse transform of the masked gradients of ``hat``, then
+        the state rows: both with ``state``, else lam for the remainder."""
         grads = self.grad * hat
-        real = self.grid.irfft(grads if self.remainder is None
-                               else np.concatenate((grads, hat[:1])))
+        if state:
+            return self.grid.irfft(np.concatenate((grads, hat)))
+        if self.remainder is None:
+            return self.grid.irfft(grads)
+        return self.grid.irfft(np.concatenate((grads, hat[:1])))
+
+    def rates(self, hat: np.ndarray, real: np.ndarray) -> np.ndarray:
+        """The tendency of ``hat`` from its :meth:`back` rows ``real``."""
         dlam, dphi = real[0], real[1]
-        bern = dphi * dphi
+        prods = np.empty((2 if self.remainder is None else 3,) + dlam.shape)
+        np.multiply(dlam, dphi, out=prods[0])
+        bern = np.multiply(dphi, dphi, out=prods[1])
         if self.bohm:
             bern -= self.bohm * dlam * dlam
-        rows = [dlam * dphi, bern]
         if self.remainder is not None:
             rho = np.exp(real[2])
-            rows.append(self.grid.apply(self.remainder, rho) / rho)
-        prods = self.grid.rfft(np.array(rows))
+            np.divide(self.grid.apply(self.remainder, rho), rho, out=prods[2])
+        prods = self.grid.rfft(prods)
         out = self.masks * prods[:2] + self.linear * hat[::-1]
         out[1] += self.force
         if self.remainder is not None:
             out[1] += prods[2]
         return out
 
-    def rk4(self, hat: np.ndarray, dt: float) -> np.ndarray:
-        """One classical RK4 step of the stacked half spectrum."""
-        k1 = self(hat)
+    def rk4(self, hat: np.ndarray, dt: float, real: np.ndarray) -> np.ndarray:
+        """One classical RK4 step of the stacked half spectrum; ``real`` is
+        its :meth:`back` rows, which k1 reads. The stages combine in place,
+        in the order of ``hat + dt/6 (k1 + 2 (k2 + k3) + k4)``."""
+        k1 = self.rates(hat, real)
         k2 = self(hat + 0.5 * dt * k1)
         k3 = self(hat + 0.5 * dt * k2)
         k4 = self(hat + dt * k3)
-        return hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        k2 += k3
+        k2 *= 2.0
+        k1 += k2
+        k1 += k4
+        k1 *= dt / 6.0
+        k1 += hat
+        return k1
 
 
 @lru_cache(maxsize=16)
@@ -324,11 +352,23 @@ def rhs(s: State, flags: TermFlags, p: PhysParams, vext: ExternalPotential,
     return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
-def _check_state(lam, phi, grid, floor, t):
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(phi))):
+def _check_state(rows, grid, floor, t):
+    """Abort on the stacked real state ``(lam, phi)``: blowup if it is not
+    finite or its density would overflow, vacuum below the floor."""
+    if not np.isfinite(rows).all():
         raise SolverAbort("blowup", f"state stopped being finite at t={t:.6g}", t)
+    lam = rows[0]
+    # below this neither a node's density nor the sum of n of them overflows
+    if lam.max() > _LOG_MAX - math.log(2 * grid.n):
+        j = int(np.argmax(lam))
+        raise SolverAbort(
+            "blowup",
+            f"density overflows at t={t:.6g}: lam={lam[j]:.6g} at node {j}"
+            f" (x={grid.x[j]:.6g})",
+            t,
+        )
     rho = np.exp(lam)
-    mean = float(rho.mean())
+    mean = float(rho.sum() / grid.n)  # the bits of rho.mean()
     mn = float(rho.min())
     if mn <= floor * mean:
         j = int(np.argmin(rho))
@@ -346,9 +386,10 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     grid = s.grid
     hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
     op = _reader(grid, flags, p, cfg.dealias, vext)
-    lam, phi = grid.irfft(op.rk4(hat, cfg.dt))
+    real = grid.irfft(op.rk4(hat, cfg.dt, op.back(hat)))
     t_new = s.t + cfg.dt
-    _check_state(lam, phi, grid, cfg.density_floor, t_new)
+    _check_state(real, grid, cfg.density_floor, t_new)
+    lam, phi = real
     return State(t_new, Field(grid, lam, _fresh=True),
                  Field(grid, phi, _fresh=True))
 
@@ -432,10 +473,12 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     lam = initial.lam.values
     phi = initial.phi.values
     t0 = initial.t
-    _check_state(lam, phi, grid, cfg.density_floor, t0)
-    # the state lives on the half spectrum; one inverse per step reads it
-    hat = grid.rfft(np.array((lam, phi)))
+    rows = np.array((lam, phi))
+    _check_state(rows, grid, cfg.density_floor, t0)
+    # the state lives on the half spectrum; k1's inverse reads it back
+    hat = grid.rfft(rows)
     op = Tendency(grid, flags, p, cfg.dealias, vext)
+    real = op.back(hat)
 
     traj = Trajectory(snapshots=[], records=[])
 
@@ -453,12 +496,12 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     store(t0, lam, phi)
     try:
         for i in range(1, n_steps + 1):
-            hat = op.rk4(hat, cfg.dt)
-            lam, phi = grid.irfft(hat)
+            hat = op.rk4(hat, cfg.dt, real)
+            real = op.back(hat, state=True)
             t = t0 + i * cfg.dt
-            _check_state(lam, phi, grid, cfg.density_floor, t)
+            _check_state(real[-2:], grid, cfg.density_floor, t)
             if i % cfg.snapshot_stride == 0 or i == n_steps:
-                store(t, lam, phi)
+                store(t, real[-2], real[-1])
     except SolverAbort as abort:
         traj.status = abort.kind
         traj.message = str(abort)

@@ -165,7 +165,7 @@ def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
     _check_rotation(v, cfg, p)
     rot = np.exp(first * v)
     for i in range(1, n_steps + 1):
-        psi = np.fft.ifft(kin * np.fft.fft(psi * rot))
+        psi = grid.ifft(kin * grid.fft(psi * rot))
         snap = i % cfg.snapshot_stride == 0 or i == n_steps
         if cfg.strang or i < n_steps:
             v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)

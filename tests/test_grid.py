@@ -90,17 +90,18 @@ def test_apply_on_stacked_rows_matches_row_by_row():
             assert np.array_equal(stacked[j], g.apply(mult, rows[j]))
 
 
-def test_only_grid_and_oracle_call_numpy_fft():
-    """Real-field transforms go through Grid; the wave oracle keeps its own
-    complex FFT as an independent referee."""
+def test_only_grid_calls_numpy_fft():
+    """Every transform goes through Grid, the wave oracle's complex ones
+    too."""
     src = Path(__file__).resolve().parents[1] / "src" / "qfluid"
     offenders = []
     for path in sorted(src.glob("*.py")):
-        if path.name in ("grid.py", "schrodinger.py"):
+        if path.name == "grid.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr == "fft":
-                hit = True
+                # np.fft, not Grid.fft
+                hit = getattr(node.value, "id", None) in ("np", "numpy")
             elif isinstance(node, ast.ImportFrom):
                 hit = (node.module or "").startswith("numpy.fft") or any(
                     a.name == "fft" for a in node.names)
@@ -111,6 +112,25 @@ def test_only_grid_and_oracle_call_numpy_fft():
             if hit:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("n", [8, 128, 256, 8192])
+def test_transforms_equal_numpy_fft_bit_for_bit(n):
+    # Grid calls numpy's pocketfft ufuncs directly; a numpy release that
+    # changes them fails here instead of shifting results
+    g = Grid(n=n, length=1.0)
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (2, n), (3, n), (2, 64, n)):
+        real = rng.normal(size=shape)
+        half = g.rfft(real)
+        assert np.array_equal(half, np.fft.rfft(real))
+        half = half + 1j * rng.normal(size=half.shape)
+        assert np.array_equal(g.irfft(half), np.fft.irfft(half, n))
+    real = rng.normal(size=(3, n))[::-1]  # a strided view
+    assert np.array_equal(g.rfft(real), np.fft.rfft(real))
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert np.array_equal(g.fft(psi), np.fft.fft(psi))
+    assert np.array_equal(g.ifft(psi), np.fft.ifft(psi))
 
 
 def test_derivative_rejects_order_zero():

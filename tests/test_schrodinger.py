@@ -182,6 +182,20 @@ def test_strang_run_takes_one_potential_per_step(monkeypatch):
     assert len(calls) <= 24 + len(traj.snapshots)
 
 
+def test_strang_step_takes_two_transforms(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(grid, values, fn=getattr(Grid, name)):
+            calls.append(1)
+            return fn(grid, values)
+        monkeypatch.setattr(Grid, name, counted)
+    for n_steps in (10, 20):
+        w, cfg, p, vext = _oracle_setup(presets.trap, True, n_steps, n_steps)
+        calls.clear()
+        run_oracle(w, cfg, p, vext)
+        assert len(calls) == 2 * n_steps
+
+
 # ------------------------------------------------------------------ compare
 
 def test_compare_of_identical_trajectories_is_zero(grid, p):
