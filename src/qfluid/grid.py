@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -165,10 +164,6 @@ class Field:
         arr.flags.writeable = False
         self.grid = grid
         self.values = arr
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "Field":
-        return cls(grid, np.asarray(fn(grid.x), dtype=float))
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Field":

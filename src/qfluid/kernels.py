@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, convolve, integrate
-from .params import PhysParams
+from .params import PhysParams, _csv_columns
 
 __all__ = [
     "Kernel",
@@ -165,10 +165,8 @@ def make_kernel(family: str, grid: Grid, *, width: float | None = None,
 
 def kernel_from_csv(path, grid: Grid) -> Kernel:
     """Load a two-column CSV ``(x, u)`` and resample it onto the grid."""
-    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("kernel CSV must have exactly two columns (x, u)")
-    return make_kernel("tabulated", grid, table=(data[:, 0], data[:, 1]))
+    return make_kernel("tabulated", grid,
+                       table=_csv_columns(path, "kernel", "u"))
 
 
 def moments(kernel: Kernel, max_n: int = 2) -> MomentTable:

@@ -201,13 +201,19 @@ class Tendency:
                     + (theta + qc k^2 / 2 + R) lam^ + F[(R rho) / rho]
                     + n theta delta_k0 + V^
 
-    ``theta = kT/m`` enters with thermo on, and ``V^`` with external on
-    and ``vext`` given. With quantum on the closure is
-    ``theta [M lam + (M rho) / rho]``, ``M = sum_{n=1}^{N} (a^2 k^2)^n
+    :attr:`theta` is ``kT/m`` with thermo on, else 0, and ``V^`` enters
+    with external on and ``vext`` given. With quantum on the closure is
+    ``(kT/m) [M lam + (M rho) / rho]``, ``M = sum_{n=1}^{N} (a^2 k^2)^n
     c_{2n} / (2n)!``. Its n = 1 term is Bohm's, the ``qc`` terms above;
-    only the ``remainder`` ``R = theta sum_{n=2}^{N}`` (order >= 2) goes
+    only the ``remainder`` ``R = (kT/m) sum_{n=2}^{N}`` (order >= 2) goes
     through rho: lam goes back as a third row, and ``R rho`` costs two
     transforms more.
+
+    About a uniform state the rho route is ``R lam^`` too, so each mode
+    turns at ``omega_k^2 = k^2 L(k)``. The linear :attr:`rate` is
+    ``L = theta + qc k^2 / 2 + 2 R``, ``(kT/m)(1 + 2 M)`` with thermo on
+    and ``2 (kT/m) M`` off; the series guard, RK4's reach and the
+    equilibrium refinement read it.
 
     ``hat`` is one state's ``(2, nh)``; :attr:`stacked` takes a
     ``(2, m, nh)`` stack of m states. A call is :meth:`back`, the inverse,
@@ -219,21 +225,23 @@ class Tendency:
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
                  dealias: bool, vext: ExternalPotential | None = None):
         mask = grid.half_mask if dealias else np.ones(grid.half_k2.shape)
-        thermal = p.kT / p.m if flags.thermo else 0.0
+        self.theta = p.kT / p.m if flags.thermo else 0.0
         self.grid = grid
         self.grad = grid.half_ik * mask
         # the Bernoulli product row carries twice its value; the 1/2 is here
         self.masks = np.stack((mask, 0.5 * mask))
         self.bohm = 0.5 * p.quantum_coefficient if flags.quantum else 0.0
-        lin = thermal + self.bohm * grid.half_k2
+        lin = self.theta + self.bohm * grid.half_k2
         self.remainder = None
+        self.rate = lin
         if flags.series:
             self.remainder = (p.kT / p.m) * _series_multiplier(
                 grid, p.a2, flags.moments.c, 2, flags.quantum_order)
             lin = lin + self.remainder
+            self.rate = lin + self.remainder  # in the table and through rho
         self.linear = np.stack((-grid.half_k2, lin))
         self.force = np.zeros(mask.shape, dtype=complex)
-        self.force[0] = grid.n * thermal
+        self.force[0] = grid.n * self.theta
         if flags.external and vext is not None:
             self.force += grid.rfft(vext.field(grid).values)
 
@@ -395,8 +403,8 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
 
 
 class IllPosedSeries(ValueError):
-    """The series multiplier ``M(k)`` is negative on a mode of the grid:
-    about a uniform state ``d phi^/dt = 2 (kT/m) M lam^``, so that mode
+    """The closure's linear rate ``L(k)`` is negative on a mode of the grid:
+    about a uniform state ``d^2 lam^/dt^2 = -k^2 L lam^``, so that mode
     grows at a rate rising with k (Rosenau, Phys. Rev. A 40:7193, 1989)."""
 
 
@@ -405,29 +413,24 @@ def _step_bounds(grid: Grid, p: PhysParams,
     """The quantum time step's bounds by name.
 
     Every quantum run keeps ``0.5 dx^2 m / hbar_eff`` (ValueError if no
-    real ``hbar_eff`` exists). A series closure must be well-posed on every
-    mode, else IllPosedSeries: the table and the rho row act unmasked. It
-    then adds RK4's reach on the imaginary axis over its fastest linear
-    mode, ``2 sqrt(2) / max_k omega_k``: about a uniform state each mode of
-    the half spectrum turns at ``omega_k = k sqrt(theta + qc k^2 / 2 +
-    2 R)``, where the remainder R acts once in the linear table and once
-    through rho.
+    real ``hbar_eff`` exists). A series closure must have ``L(k) >= 0`` on
+    every mode of the half spectrum, else IllPosedSeries: the table and the
+    rho row act unmasked. It then adds RK4's reach on the imaginary axis
+    over its fastest linear mode, ``2 sqrt(2) / max_k omega_k`` with
+    ``omega_k^2 = k^2 L(k)``; both read the operator's :attr:`Tendency.rate`.
     """
     bounds = {"quantum stability bound 0.5 dx^2 m / hbar_eff":
               0.5 * grid.dx**2 * p.m / p.hbar_eff}
     if flags.series:
-        mult = _series_multiplier(grid, p.a2, flags.moments.c, 1,
-                                  flags.quantum_order)
-        j = int(np.argmin(mult))
-        if mult[j] < 0:
+        rate = _reader(grid, flags, p, True).rate
+        j = int(np.argmin(rate))
+        if rate[j] < 0:
             raise IllPosedSeries(
                 f"the gradient series cut after c_{2 * flags.quantum_order} is"
-                f" ill-posed: its multiplier falls to {mult[j]:.4g} at a^2 k^2"
+                f" ill-posed: its linear rate falls to {rate[j]:.4g} at a^2 k^2"
                 f" = {p.a2 * grid.half_k2[j]:.4g}, where a mode grows unbounded")
-        op = _reader(grid, flags, p, True)
-        omega2 = grid.half_k2 * (op.linear[1] + op.remainder)
         bounds["series stability bound 2 sqrt(2) / max_k omega_k"] = (
-            2.0 * math.sqrt(2.0 / float(omega2.max())))
+            2.0 * math.sqrt(2.0 / float((grid.half_k2 * rate).max())))
     return bounds
 
 

@@ -99,6 +99,15 @@ class PhysParams:
         return 2.0 * self.m * math.sqrt(val)
 
 
+def _csv_columns(path, what: str, name: str):
+    """The columns ``(x, name)`` of a two-column CSV under one header line;
+    ValueError unless it has exactly two."""
+    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=1, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"{what} CSV must have exactly two columns (x, {name})")
+    return data[:, 0], data[:, 1]
+
+
 _EXTERNAL_KINDS = ("zero", "harmonic", "cosine", "tabulated")
 
 
@@ -171,10 +180,7 @@ class ExternalPotential:
 
     @classmethod
     def from_csv(cls, path) -> "ExternalPotential":
-        data = np.loadtxt(path, delimiter=",", comments="#", skiprows=1, ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError("potential CSV must have exactly two columns (x, V)")
-        return cls.tabulated(data[:, 0], data[:, 1])
+        return cls.tabulated(*_csv_columns(path, "potential", "V"))
 
     def field(self, grid: Grid) -> Field:
         """Sample the potential on the grid."""

@@ -65,7 +65,7 @@ from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
 from .madelung import (IllPosedSeries, SolverConfig, State, TermFlags,
                        _reader, solver_steps)
-from .params import ExternalPotential, PhysParams
+from .params import ExternalPotential, PhysParams, _csv_columns
 from .schrodinger import OracleConfig
 
 __all__ = [
@@ -618,28 +618,27 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
     """Sharpen the Boltzmann ansatz into a discrete quantum fixed point.
 
     Solves kT/m (lam + 1) + U_Q[lam] + V = const by damped iteration: the
-    thermal restoring term plus the leading -qc/2 lam'' piece of U_Q are
-    inverted spectrally each sweep, which keeps high wavenumbers
-    contractive, and the remaining nonlinearity is lagged. U_Q is read off
-    the solver's own cached tendency (at rest, only the quantum term on),
-    so the converged profile is a fixed point of the equations as stepped,
-    dealiasing included. The constant is fixed by normalizing mean rho each
-    sweep. A sweep whose update is not finite ends the iteration as diverged.
+    thermal restoring term plus U_Q's linear part ``L(k) lam^`` (Bohm's
+    and twice the series remainder, the operator's ``rate``) are inverted
+    spectrally each sweep, which keeps high wavenumbers contractive, and
+    the remaining nonlinearity is lagged. U_Q is read off the solver's own
+    cached tendency (at rest, only the quantum term on), so the converged
+    profile is a fixed point of the equations as stepped, dealiasing
+    included. The constant is fixed by normalizing mean rho each sweep. A
+    sweep whose update is not finite ends the iteration as diverged.
     """
-    theta = params.kT / params.m
-    half_qc_k2 = 0.5 * params.quantum_coefficient * grid.half_k2
-    denom = theta + half_qc_k2
-    log_norm = np.log(mean_density)
     only = dataclasses.replace(flags, thermo=False, external=False)
     uq = _reader(grid, only, params, dealias)
+    denom = params.kT / params.m + uq.rate
+    log_norm = np.log(mean_density)
     rest = np.zeros((2, grid.half_k2.size), dtype=complex)
     v_hat = grid.rfft(varr)
     for _ in range(400):
         rest[0] = grid.rfft(lam)
-        # the lagged rest of U_Q is uq + (qc/2) lam''
+        # the lagged rest of U_Q is uq - L lam
         src_hat = -v_hat - uq(rest)[1]
         with np.errstate(all="ignore"):
-            new = grid.irfft((src_hat + half_qc_k2 * rest[0]) / denom)
+            new = grid.irfft((src_hat + uq.rate * rest[0]) / denom)
             new = new - np.log(np.exp(new).mean()) + log_norm
             delta = float(np.max(np.abs(new - lam)))
         if not np.isfinite(delta):
@@ -719,12 +718,9 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
                     -0.5 * ((x - center - j * length) / ic.width) ** 2)
             rho = rho * np.exp(ic.amplitude * bump)
     else:
-        data = np.loadtxt(_resolve(ic.file, base_dir), delimiter=",",
-                          comments="#", skiprows=1, ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError(
-                "density CSV must have exactly two columns (x, rho)")
-        rho = np.interp(x, data[:, 0], data[:, 1], period=length)
+        xs, rhos = _csv_columns(_resolve(ic.file, base_dir), "density",
+                                "rho")
+        rho = np.interp(x, xs, rhos, period=length)
 
     if rho.min() <= 0:
         raise ValueError("initial density must be positive everywhere")

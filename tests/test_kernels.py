@@ -214,16 +214,24 @@ def test_kernel_from_csv_rejects_bad_columns(tmp_path, grid):
 
 
 def test_only_the_closure_modules_build_the_series_multiplier():
-    """The series multiplier is built in kernels.py and madelung.py alone."""
+    """The series multiplier is built in kernels.py and madelung.py alone,
+    and once in madelung.py, whose operator holds the closure's linear
+    rate; scenario.py rebuilds no part of that rate from the parameters."""
     src = Path(__file__).resolve().parents[1] / "src" / "qfluid"
     offenders = []
+    in_madelung = []
     for path in sorted(src.glob("*.py")):
-        if path.name in ("kernels.py", "madelung.py"):
+        if path.name == "kernels.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "attr", getattr(func, "id", None))
                 if name == "_series_multiplier":
-                    offenders.append(f"{path.name}:{node.lineno}")
+                    (in_madelung if path.name == "madelung.py"
+                     else offenders).append(f"{path.name}:{node.lineno}")
+            if (path.name == "scenario.py" and isinstance(node, ast.Attribute)
+                    and node.attr == "quantum_coefficient"):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+    assert len(in_madelung) == 1

@@ -370,12 +370,48 @@ def test_series_energy_is_conserved():
 
 
 def test_ill_posed_series_is_refused():
-    # the difference of gaussians has c_4 = -10.5: M < 0 above a^2 k^2 = 1.14
+    # the difference of gaussians has c_4 = -10.5: with thermo on L < 0
+    # above a^2 k^2 = 1.78, and this grid reaches 101
     state, cfg, flags, p, vext = _setup(_series(), 1, 1)
     dog = moments(make_kernel("difference_of_gaussians", state.grid,
                               width=0.03), max_n=2)
     with pytest.raises(madelung.IllPosedSeries, match="ill-posed"):
         run(state, cfg, dataclasses.replace(flags, moments=dog), p, vext)
+
+
+def _dog_series(a2k2_max, thermo):
+    # order 2 on the difference of gaussians (c_4 = -10.5) at n = 64, with
+    # hbar set so that the top mode reaches a^2 k^2 = a2k2_max
+    grid = Grid(n=64, length=1.0)
+    dog = moments(make_kernel("difference_of_gaussians", grid, width=0.03),
+                  max_n=2)
+    p = PhysParams(hbar=math.sqrt(4.0 * a2k2_max / grid.half_k2.max()))
+    flags = TermFlags(thermo=thermo, quantum=True, quantum_order=2,
+                      moments=dog)
+    return grid, p, flags
+
+
+def test_series_guard_is_the_exact_rule():
+    # M(1.5) = -0.23 < 0, but with thermo on L = (kT/m)(1 + 2M) = 0.53
+    grid, p, flags = _dog_series(1.5, thermo=True)
+    bound = stability_bound(grid, p, flags)
+    steps = round(0.5 / (0.45 * bound))
+    state = make_state(grid, np.log(1.0 + 0.1 * np.cos(2 * np.pi * grid.x)),
+                       np.zeros(grid.n))
+    final = []
+    for m in (1, 2):
+        cfg = SolverConfig(dt=0.5 / (m * steps), t_end=0.5,
+                           snapshot_stride=m * steps)
+        traj = run(state, cfg, flags, p, ZERO)
+        assert traj.status == "ok"
+        first, last = traj.records[0].energy, traj.records[-1].energy
+        assert abs(last - first) < 1e-8 * abs(first)
+        final.append(traj.snapshots[-1].lam.values)
+    assert np.abs(final[0] - final[1]).max() < 1e-7
+    # L = 2 (kT/m) M with thermo off, and 1 + 2M < 0 above 1.78
+    for a2k2, thermo in ((1.5, False), (1.85, True)):
+        with pytest.raises(madelung.IllPosedSeries, match="is ill-posed"):
+            stability_bound(*_dog_series(a2k2, thermo))
 
 
 def test_step_reuses_its_operator(monkeypatch):

@@ -113,7 +113,7 @@ def scenarios(draw, tables: str):
         # moments need a kernel, and the delta has none beyond c_0; a
         # non-negative kernel's c_2n are all positive, so its series is
         # well-posed, where the difference of gaussians' c_4 = -10.5 makes
-        # order 2 ill-posed once a^2 k^2 > 1.14
+        # order 2 ill-posed once a^2 k^2 > 1.14 (1.78 with thermo on)
         kernels = st.one_of([SPECS[cls] for cls in kinds(KernelSpec)
                              if cls not in (KernelDelta,
                                             KernelDifferenceOfGaussians)])
