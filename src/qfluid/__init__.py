@@ -33,9 +33,9 @@ from .scenario import (ScenarioError, PhysSpec, TermSpec, InitialSpec,
                        InitialTabulated, ExternalSpec, ExternalZero,
                        ExternalHarmonic, ExternalCosine, ExternalTabulated,
                        KernelSpec, KernelGaussian, KernelDifferenceOfGaussians,
-                       KernelDelta, KernelTabulated, OracleSpec, OutputSpec,
-                       Scenario, Setup, parse_scenario, load, build,
-                       serialize, build_grid, build_params, build_flags,
+                       KernelDelta, KernelTabulated, OracleSpec, Scenario,
+                       Setup, parse_scenario, load, build, serialize,
+                       build_grid, build_params, build_flags,
                        build_kernel, build_external, build_initial_state,
                        build_solver_config, build_oracle_config)
 from . import presets
@@ -71,8 +71,8 @@ __all__ = [
     "InitialCosine", "InitialEquilibrium", "InitialTabulated", "ExternalSpec",
     "ExternalZero", "ExternalHarmonic", "ExternalCosine", "ExternalTabulated",
     "KernelSpec", "KernelGaussian", "KernelDifferenceOfGaussians",
-    "KernelDelta", "KernelTabulated", "OracleSpec", "OutputSpec",
-    "Scenario", "Setup", "parse_scenario", "load", "build", "serialize",
+    "KernelDelta", "KernelTabulated", "OracleSpec", "Scenario", "Setup",
+    "parse_scenario", "load", "build", "serialize",
     "build_grid", "build_params", "build_flags", "build_kernel",
     "build_external", "build_initial_state", "build_solver_config",
     "build_oracle_config", "presets",

@@ -8,7 +8,6 @@ Aborted runs still write their partial outputs plus error.json.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -18,8 +17,8 @@ import numpy as np
 from .grid import Grid
 from .kernels import truncation_sweep
 from .madelung import run
-from .output import write_compare, write_error, write_run
-from .scenario import OutputSpec, Scenario, Setup, load
+from .output import _write_csv, write_compare, write_error, write_run
+from .scenario import Scenario, Setup, load
 from .schrodinger import compare, run_oracle, to_wavefunction
 from .svgplot import line_plot
 from .verify import SUITE_NAMES, format_line, run_suite
@@ -57,15 +56,12 @@ def cmd_run(scenario_path: str, out_dir: str | None = None,
     except (OSError, ValueError) as e:
         return _fail(str(e))
     scn = setup.scn
-    if plot and not scn.output.plot:
-        scn = dataclasses.replace(scn, output=OutputSpec(plot=True))
-
     out = out_dir or _default_out(scn, "run")
     t0 = time.perf_counter()
     traj = run(setup.state, scn.solver, setup.flags, setup.params, setup.vext)
     wall = time.perf_counter() - t0
     write_run(out, scn, scn.grid, setup.params, setup.flags, setup.vext, traj,
-              wall)
+              wall, plot=plot)
     n_snap = len(traj.snapshots)
     print(f"{scn.name}: {traj.status}, {n_snap} snapshots, "
           f"{wall:.2f} s -> {out}")
@@ -150,11 +146,7 @@ def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians"
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "scan.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(header + "\n")
-            for frac, errs in zip(fracs, sweep):
-                f.write("%.17g" % frac
-                        + "".join(",%.17g" % e for e in errs) + "\n")
+        _write_csv(path, header, (fracs, *zip(*sweep)))
         if len(fracs) >= 2:
             series = [(f"n<={o}", np.log10(col))
                       for o, col in zip(order_list, cols)]

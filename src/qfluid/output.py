@@ -80,8 +80,9 @@ def manifest_dict(scn: Scenario, grid: Grid, p: PhysParams, flags: TermFlags,
 
 def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
               flags: TermFlags, vext: ExternalPotential, traj: Trajectory,
-              wall_time: float) -> None:
-    """Write snapshots/, diagnostics.csv, manifest.json (and plots)."""
+              wall_time: float, plot: bool = False) -> None:
+    """Write snapshots/, diagnostics.csv, manifest.json and, with
+    ``plot``, one SVG per snapshot."""
     os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -102,7 +103,7 @@ def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
             base = os.path.join(snap_dir, f"{j0 + j:04d}")
             cols = (rho[j], phi[j], v[j]) + ((uq[j],) if flags.quantum else ())
             _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e", cols, fmt)
-            if scn.output.plot:
+            if plot:
                 line_plot(base + ".svg", grid.x,
                           [("rho", rho[j]), ("v", v[j])],
                           title=f"{scn.name}  t = {s.t:.6g}", xlabel="x")

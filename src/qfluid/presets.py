@@ -55,7 +55,7 @@ from .grid import Grid
 from .madelung import SolverConfig
 from .scenario import (ExternalCosine, ExternalHarmonic, ExternalZero,
                        InitialCosine, InitialEquilibrium, InitialGaussian,
-                       OracleSpec, OutputSpec, PhysSpec, Scenario, TermSpec)
+                       OracleSpec, PhysSpec, Scenario, TermSpec)
 
 __all__ = ["equilibrium", "traveling", "traveling_action", "trap", "free",
            "suite"]
@@ -65,17 +65,14 @@ def equilibrium() -> Scenario:
     return Scenario(
         name="equilibrium",
         grid=Grid(n=128, length=1.0),
-        physics=PhysSpec(hbar=1.0, mass=1.0, kT=1.0, a2_mode="de_broglie",
-                         a2=None, c=1.0),
-        terms=TermSpec(thermo=True, quantum=False, external=True,
-                       quantum_order=1),
+        physics=PhysSpec(hbar=1.0, mass=1.0, kT=1.0, a2=None, c=1.0),
+        terms=TermSpec(thermo=True, quantum=False, quantum_order=1),
         initial=InitialEquilibrium(mean_density=1.0, amplitude=0.0,
                                    width=None, center=None),
         external=ExternalCosine(v0=0.3),
         kernel=None,
         solver=SolverConfig(dt=2e-3, t_end=10.0, snapshot_stride=250),
         oracle=OracleSpec(),
-        output=OutputSpec(),
     )
 
 
@@ -84,14 +81,13 @@ def traveling() -> Scenario:
         name="traveling",
         grid=Grid(n=256, length=1.0),
         physics=PhysSpec(),
-        terms=TermSpec(thermo=True, quantum=False, external=False),
+        terms=TermSpec(thermo=True, quantum=False),
         initial=InitialCosine(base=1.0, amplitude=0.05, mode=1, phase=0.0,
                               phi_amplitude=0.0, phi_mode=1, phi_phase=0.0),
         external=ExternalZero(),
         kernel=None,
         solver=SolverConfig(dt=5e-4, t_end=1.0, snapshot_stride=20),
         oracle=OracleSpec(),
-        output=OutputSpec(),
     )
 
 
@@ -107,7 +103,6 @@ def traveling_action() -> Scenario:
         kernel=None,
         solver=SolverConfig(dt=1e-3, t_end=0.4, snapshot_stride=1),
         oracle=OracleSpec(),
-        output=OutputSpec(),
     )
 
 
@@ -120,18 +115,15 @@ def trap() -> Scenario:
     return Scenario(
         name="trap",
         grid=Grid(n=256, length=1.0),
-        physics=PhysSpec(hbar=hbar, mass=1.0, kT=kT, a2_mode="de_broglie",
-                         a2=None, c=1.0),
-        terms=TermSpec(thermo=True, quantum=True, external=True,
-                       quantum_order=1),
+        physics=PhysSpec(hbar=hbar, mass=1.0, kT=kT, a2=None, c=1.0),
+        terms=TermSpec(thermo=True, quantum=True, quantum_order=1),
         initial=InitialEquilibrium(mean_density=1.0, amplitude=0.05,
                                    width=sigma, center=0.5),
         external=ExternalHarmonic(omega=omega),
         kernel=None,
         solver=SolverConfig(dt=5e-5, t_end=0.25, snapshot_stride=1250),
         oracle=OracleSpec(dt=2.5e-5, t_end=0.25, snapshot_stride=2500,
-                          nonlinearity=True, strang=True),
-        output=OutputSpec(),
+                          strang=True),
     )
 
 
@@ -139,18 +131,15 @@ def free() -> Scenario:
     return Scenario(
         name="free",
         grid=Grid(n=256, length=1.0),
-        physics=PhysSpec(hbar=0.12, mass=1.0, kT=1.0, a2_mode="de_broglie",
-                         a2=None, c=1.0),
-        terms=TermSpec(thermo=False, quantum=True, external=False,
-                       quantum_order=1),
+        physics=PhysSpec(hbar=0.12, mass=1.0, kT=1.0, a2=None, c=1.0),
+        terms=TermSpec(thermo=False, quantum=True, quantum_order=1),
         initial=InitialGaussian(center=0.5, width=0.13, amplitude=1.0,
                                 boost=0.0, pedestal=0.0),
         external=ExternalZero(),
         kernel=None,
         solver=SolverConfig(dt=6e-5, t_end=0.492, snapshot_stride=2050),
         oracle=OracleSpec(dt=None, t_end=None, snapshot_stride=None,
-                          nonlinearity=False, strang=True),
-        output=OutputSpec(),
+                          strang=True),
     )
 
 

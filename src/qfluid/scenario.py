@@ -13,13 +13,11 @@ A scenario is a sectioned text file::
     hbar = 0.15
     mass = 1.0
     kT = 0.5
-    a2_mode = de_broglie
     c = 1.0
 
     [terms]
     thermo = true
     quantum = true
-    external = true
     quantum_order = 1
 
     [initial]
@@ -30,7 +28,12 @@ A scenario is a sectioned text file::
 Full-line comments start with ``#`` or ``;``. Unknown sections or keys are
 hard errors with line numbers: a physics typo must not silently run a
 different scenario. Every key irrelevant to the chosen kind is likewise
-rejected. Validation is :func:`build`, the one function that turns a
+rejected, and so is a ``[kernel]`` that no term reads. A choice that
+another input already decides has no key: the external term is on when
+``[external]`` names a potential, the kernel length is explicit when
+``a2`` is given (else the thermal de Broglie one), the oracle's log
+nonlinearity follows the thermo term, and plots are ``qfluid run
+--plot``. Validation is :func:`build`, the one function that turns a
 Scenario into a :class:`Setup` (parameters, flags, external potential,
 initial state, oracle config) and checks the solver's step count, bound
 and series well-posedness; ``parse_scenario`` runs it, so a Scenario in
@@ -40,11 +43,10 @@ A section's keys, types, defaults and order are the fields of its
 dataclass, one per kind where the section has a ``kind`` (the kernel: a
 ``family``). Defaults, applied when a key or section is absent:
 
-    name unnamed | physics: hbar 1, mass 1, kT 1, a2_mode de_broglie, c 1
-    terms: thermo on, quantum off, external off, quantum_order 1
-    external kind zero | solver: dt 1e-3, t_end 1.0, snapshot_stride 1,
-    dealias true, density_floor 1e-12 | oracle: follows solver, with the
-    log nonlinearity, Strang splitting | output: plot false
+    name unnamed | physics: hbar 1, mass 1, kT 1, no a2, c 1
+    terms: thermo on, quantum off, quantum_order 1 | external kind zero
+    solver: dt 1e-3, t_end 1.0, snapshot_stride 1, dealias true,
+    density_floor 1e-12 | oracle: timing follows solver, Strang splitting
 
 ``serialize`` writes every resolved key back out explicitly, and
 ``parse_scenario(serialize(s))`` reproduces ``s`` exactly.
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -81,7 +84,6 @@ __all__ = [
     "KernelGaussian", "KernelDifferenceOfGaussians", "KernelDelta",
     "KernelTabulated",
     "OracleSpec",
-    "OutputSpec",
     "Scenario",
     "Setup",
     "parse_scenario",
@@ -116,7 +118,6 @@ class PhysSpec:
     hbar: float = 1.0
     mass: float = 1.0
     kT: float = 1.0
-    a2_mode: Literal["de_broglie", "explicit"] = "de_broglie"
     a2: float | None = None
     c: float = 1.0
 
@@ -125,7 +126,6 @@ class PhysSpec:
 class TermSpec:
     thermo: bool = True
     quantum: bool = False
-    external: bool = False
     quantum_order: int = 1
 
 
@@ -254,16 +254,14 @@ KernelSpec = (KernelGaussian | KernelDifferenceOfGaussians | KernelDelta
 
 @dataclass(frozen=True)
 class OracleSpec:
+    """The wave referee's timing (the solver's where unset) and splitting.
+    Its log nonlinearity is the thermal enthalpy, so it follows
+    ``[terms] thermo``."""
+
     dt: float | None = None
     t_end: float | None = None
     snapshot_stride: int | None = None
-    nonlinearity: bool = True
     strang: bool = True
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    plot: bool = False
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,6 @@ class Scenario:
     kernel: KernelSpec | None
     solver: SolverConfig
     oracle: OracleSpec
-    output: OutputSpec
 
 
 @dataclass(frozen=True)
@@ -396,7 +393,6 @@ _SCHEMA = {
     "kernel": _tagged("family", _REQUIRED, KernelSpec),
     "solver": (None, None, None, {None: SolverConfig}),
     "oracle": (None, None, None, {None: OracleSpec}),
-    "output": (None, None, None, {None: OutputSpec}),
 }
 _KEYS = {cls: _keys(cls)
          for *_, by_tag in _SCHEMA.values() for cls in by_tag.values()}
@@ -427,10 +423,16 @@ def _parse_section(name: str, entries: dict):
     try:
         return cls(**kwargs)
     except ValueError as e:  # Grid and SolverConfig check their values
-        line = None
-        if cls is Grid:
-            line = entries["length" if "length" in str(e) else "n"][1]
-        raise ScenarioError(str(e), line) from None
+        raise ScenarioError(str(e), _key_line(entries, str(e))) from None
+
+
+def _key_line(entries: dict, message: str) -> int | None:
+    """The line of the first word of ``message`` that is a key stated in
+    the section ``entries``: a value error names its own key first."""
+    for word in re.findall(r"\w+", message):
+        if word in entries:
+            return entries[word][1]
+    return None
 
 
 @dataclass(frozen=True)
@@ -464,11 +466,6 @@ def load(text: str, base_dir: str | None = None) -> Setup:
     parts = {name: None if name == "kernel" and name not in raw
              else _parse_section(name, raw.get(name, {})) for name in _SCHEMA}
 
-    phys = parts["physics"]
-    if phys.a2_mode == "de_broglie" and phys.a2 is not None:
-        raise ScenarioError(
-            "key 'a2' only applies to a2_mode = explicit",
-            _line(raw, "physics", "a2"))
     kspec = parts["kernel"]
     if isinstance(kspec, KernelGaussian) and kspec.width is None:
         raise ScenarioError(f"kernel family {kspec.family!r} needs a width")
@@ -496,20 +493,16 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
     try:
         params = build_params(scn)
     except ValueError as e:
-        raise ScenarioError(str(e), _line(raw, "physics", "a2_mode")
-                            or _line(raw, "physics", "kT")) from None
+        raise ScenarioError(
+            str(e), _key_line(raw.get("physics", {}), str(e))) from None
 
-    terms_line = (_line(raw, "terms", "quantum_order")
-                  or _line(raw, "terms", "quantum"))
+    if scn.kernel is not None and not (scn.terms.quantum
+                                       and scn.terms.quantum_order >= 2):
+        raise ScenarioError(
+            f"[kernel] family {scn.kernel.family!r} is not read: its moments "
+            "serve the quantum term at quantum_order >= 2 only",
+            _line(raw, "kernel", "family"))
     external_line = _line(raw, "external", "kind")
-    if scn.terms.external and scn.external.kind == "zero":
-        raise ScenarioError(
-            "terms enable the external potential but [external] kind is zero",
-            terms_line)
-    if not scn.terms.external and scn.external.kind != "zero":
-        raise ScenarioError(
-            f"[external] defines a {scn.external.kind} potential but the "
-            "external term is off", external_line)
     try:
         vext = build_external(scn, base_dir)
         vext.field(grid)
@@ -519,7 +512,8 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
     try:
         flags = build_flags(scn, grid, base_dir)
     except (ValueError, OSError) as e:
-        raise ScenarioError(str(e), terms_line) from None
+        raise ScenarioError(str(e), _line(raw, "terms", "quantum_order")
+                            or _line(raw, "terms", "quantum")) from None
 
     try:
         solver_steps(scn.solver, grid, flags, params)
@@ -556,7 +550,8 @@ def build_grid(scn: Scenario) -> Grid:
 
 def build_params(scn: Scenario) -> PhysParams:
     p = scn.physics
-    return PhysParams(hbar=p.hbar, m=p.mass, kT=p.kT, a2_mode=p.a2_mode,
+    return PhysParams(hbar=p.hbar, m=p.mass, kT=p.kT,
+                      a2_mode="de_broglie" if p.a2 is None else "explicit",
                       a2_explicit=p.a2, c=p.c)
 
 
@@ -592,7 +587,8 @@ def build_flags(scn: Scenario, grid: Grid,
                 f"quantum_order = {t.quantum_order} needs a [kernel] section "
                 "to supply moment coefficients")
         table = moments(kernel, max_n=t.quantum_order)
-    return TermFlags(thermo=t.thermo, quantum=t.quantum, external=t.external,
+    return TermFlags(thermo=t.thermo, quantum=t.quantum,
+                     external=scn.external.kind != "zero",
                      quantum_order=t.quantum_order, moments=table)
 
 
@@ -607,7 +603,7 @@ def build_oracle_config(scn: Scenario) -> OracleConfig:
         t_end=o.t_end if o.t_end is not None else s.t_end,
         snapshot_stride=(o.snapshot_stride if o.snapshot_stride is not None
                          else s.snapshot_stride),
-        nonlinearity=o.nonlinearity,
+        nonlinearity=scn.terms.thermo,
         strang=o.strang,
     )
 
@@ -651,6 +647,16 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
         f"stiff for this potential (last update {delta:.3g})")
 
 
+def _periodized_gaussian(grid: Grid, center: float,
+                         width: float) -> np.ndarray:
+    """A unit-peak gaussian summed with its six nearest periodic images."""
+    out = np.zeros(grid.n)
+    for j in range(-3, 4):
+        out += np.exp(-0.5 * ((grid.x - center - j * grid.length) / width)
+                      ** 2)
+    return out
+
+
 def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
                         vext: ExternalPotential,
                         base_dir: str | None = None, *,
@@ -669,9 +675,7 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
             raise ValueError(
                 f"gaussian amplitude must be > 0, got {ic.amplitude}")
         center = ic.center if ic.center is not None else 0.5 * length
-        rho = np.zeros(grid.n)
-        for j in range(-3, 4):
-            rho += np.exp(-0.5 * ((x - center - j * length) / ic.width) ** 2)
+        rho = _periodized_gaussian(grid, center, ic.width)
         rho *= ic.amplitude
         if ic.pedestal > 0:
             if ic.pedestal_kind == "thermal" and params.kT > 0:
@@ -712,11 +716,8 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
                 raise ValueError(
                     "equilibrium bump needs width > 0 when amplitude is set")
             center = ic.center if ic.center is not None else 0.5 * length
-            bump = np.zeros(grid.n)
-            for j in range(-3, 4):
-                bump += np.exp(
-                    -0.5 * ((x - center - j * length) / ic.width) ** 2)
-            rho = rho * np.exp(ic.amplitude * bump)
+            rho = rho * np.exp(
+                ic.amplitude * _periodized_gaussian(grid, center, ic.width))
     else:
         xs, rhos = _csv_columns(_resolve(ic.file, base_dir), "density",
                                 "rho")

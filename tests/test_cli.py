@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qfluid import presets, scenario, serialize
+from qfluid import Grid, presets, scenario, serialize
 from qfluid.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_VACUUM,
                         cmd_compare, cmd_run, cmd_scan, cmd_verify, main)
+from qfluid.kernels import truncation_sweep
 from qfluid.madelung import quantum_potential, run, velocity
 from qfluid.output import _write_csv, write_run
 
@@ -23,7 +24,6 @@ length = 1.0
 
 [terms]
 thermo = false
-external = true
 
 [initial]
 kind = cosine
@@ -66,9 +66,6 @@ width = 0.13
 dt = 2e-4
 t_end = 0.02
 snapshot_stride = 25
-
-[oracle]
-nonlinearity = false
 """
 
 
@@ -103,7 +100,7 @@ def test_run_writes_contracted_outputs(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"]["grid"]["n"] == 64
     assert manifest["scenario"]["solver"]["density_floor"] == 1e-12
-    assert manifest["scenario"]["physics"]["a2_mode"] == "de_broglie"
+    assert manifest["scenario"]["physics"]["a2"] is None
     assert manifest["scenario"]["initial"] == {
         "kind": "cosine", "base": 1.0, "amplitude": 0.0, "mode": 1,
         "phase": 0.0, "phi_amplitude": 0.0, "phi_mode": 1, "phi_phase": 0.0}
@@ -113,6 +110,20 @@ def test_run_writes_contracted_outputs(tmp_path, capsys):
     assert "version" in manifest
     assert manifest["wall_time_seconds"] > 0
     assert not (out / "error.json").exists()
+
+
+def test_run_plot_adds_one_svg_per_snapshot(tmp_path):
+    path = scenario_file(tmp_path, QUICK_RUN)
+    plain, plotted = tmp_path / "plain", tmp_path / "plotted"
+    assert main(["run", path, "-o", str(plain)]) == EXIT_OK
+    assert main(["run", path, "-o", str(plotted), "--plot"]) == EXIT_OK
+    assert not list((plain / "snapshots").glob("*.svg"))
+    csvs = sorted(p.name for p in (plotted / "snapshots").glob("*.csv"))
+    svgs = sorted(p.name for p in (plotted / "snapshots").glob("*.svg"))
+    assert len(csvs) == 6
+    assert svgs == [name.replace(".csv", ".svg") for name in csvs]
+    for rel in [f"snapshots/{name}" for name in csvs] + ["diagnostics.csv"]:
+        assert (plotted / rel).read_bytes() == (plain / rel).read_bytes()
 
 
 def test_run_is_bit_identical_between_invocations(tmp_path):
@@ -198,7 +209,13 @@ def test_run_bad_inputs_exit_usage(tmp_path, capsys):
                             QUICK_RUN.replace("t_end = 0.05", "t_end = 0.0501"),
                             "partial.ini")
     assert cmd_run(partial, str(tmp_path / "o4")) == EXIT_USAGE
-    assert "line 20: t_end=0.0501 is not an integer number of steps" \
+    assert "line 19: t_end=0.0501 is not an integer number of steps" \
+        in capsys.readouterr().err
+    # the kernel's moments serve a series closure only
+    unread = scenario_file(
+        tmp_path, QUICK_RUN + "\n[kernel]\nfamily = delta\n", "unread.ini")
+    assert cmd_run(unread, str(tmp_path / "o5")) == EXIT_USAGE
+    assert "line 24: [kernel] family 'delta' is not read" \
         in capsys.readouterr().err
 
 
@@ -311,14 +328,12 @@ def test_compare_writes_report(tmp_path, capsys):
 
 
 def test_compare_rejects_misaligned_oracle(tmp_path, capsys):
-    skew_end = COMPARE.replace("nonlinearity = false",
-                               "nonlinearity = false\nt_end = 0.04")
+    skew_end = COMPARE + "\n[oracle]\nt_end = 0.04\n"
     path = scenario_file(tmp_path, skew_end, "skew1.ini")
     assert cmd_compare(path, str(tmp_path / "c1")) == EXIT_USAGE
     assert "t_end differs" in capsys.readouterr().err
 
-    skew_dt = COMPARE.replace("nonlinearity = false",
-                              "nonlinearity = false\ndt = 1e-4")
+    skew_dt = COMPARE + "\n[oracle]\ndt = 1e-4\n"
     path = scenario_file(tmp_path, skew_dt, "skew2.ini")
     assert cmd_compare(path, str(tmp_path / "c2")) == EXIT_USAGE
     assert "snapshot_stride" in capsys.readouterr().err
@@ -342,9 +357,12 @@ def test_scan_writes_table_and_files(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "a_over_L" in text
     assert "fitted exponent" in text
-    lines = (out / "scan.csv").read_text().splitlines()
-    assert lines[0] == "a_over_L,err_n1,err_n2"
-    assert len(lines) == 3
+    sweep = truncation_sweep(Grid(n=64, length=1.0), [0.02, 0.04], [1, 2],
+                             "gaussian")
+    want = "a_over_L,err_n1,err_n2\n" + "".join(
+        "%.17g" % frac + "".join(",%.17g" % e for e in errs) + "\n"
+        for frac, errs in zip([0.02, 0.04], sweep))
+    assert (out / "scan.csv").read_bytes() == want.encode("utf-8")
     assert (out / "scan.svg").exists()
 
 

@@ -42,13 +42,13 @@ def test_minimal_scenario_defaults():
     scn = parse_scenario(MINIMAL)
     assert scn.name == "unnamed"
     assert scn.physics.hbar == 1.0 and scn.physics.kT == 1.0
-    assert scn.physics.a2_mode == "de_broglie"
+    assert scn.physics.a2 is None
+    assert build_params(scn).a2_mode == "de_broglie"
     assert scn.terms.thermo and not scn.terms.quantum
     assert scn.external.kind == "zero"
     assert scn.kernel is None
     assert scn.solver.dt == 1e-3 and scn.solver.t_end == 1.0
     assert scn.solver.dealias is True
-    assert scn.output.plot is False
     oc = build_oracle_config(scn)
     assert oc.dt == scn.solver.dt
     assert oc.t_end == scn.solver.t_end
@@ -135,20 +135,70 @@ def test_de_broglie_needs_positive_temperature():
 
 
 def test_explicit_a2_key_rules():
-    text = MINIMAL + "\n[physics]\na2 = 0.01\n"
-    with pytest.raises(ScenarioError, match="a2_mode = explicit"):
+    """Giving a2 makes the kernel length explicit; without it, thermal."""
+    setup = load(MINIMAL + "\n[physics]\na2 = 0.01\n")
+    assert setup.scn.physics.a2 == 0.01
+    assert setup.params.a2_mode == "explicit" and setup.params.a2 == 0.01
+    assert load(MINIMAL).params.a2_mode == "de_broglie"
+
+
+def test_the_external_term_follows_the_external_kind():
+    assert not load(MINIMAL).flags.external
+    setup = load(MINIMAL + "\n[external]\nkind = cosine\nv0 = 0.5\n")
+    assert setup.flags.external
+
+
+def test_the_oracle_nonlinearity_follows_thermo():
+    assert load(MINIMAL).oracle.nonlinearity
+    off = load(MINIMAL + "\n[terms]\nthermo = false\n")
+    assert not off.oracle.nonlinearity
+
+
+# keys another input decides, and the [output] section, are unknown now
+@pytest.mark.parametrize("section,culprit", [
+    ("[terms]\nexternal = true", "external = true"),
+    ("[physics]\na2_mode = explicit", "a2_mode = explicit"),
+    ("[oracle]\nnonlinearity = false", "nonlinearity = false"),
+    ("[output]\nplot = true", "[output]"),
+], ids=["external", "a2_mode", "nonlinearity", "output"])
+def test_removed_keys_fail_at_their_line(section, culprit):
+    text = MINIMAL + f"\n{section}\n"
+    with pytest.raises(ScenarioError, match="unknown") as info:
         parse_scenario(text)
-    ok = MINIMAL + "\n[physics]\na2_mode = explicit\na2 = 0.01\n"
-    assert parse_scenario(ok).physics.a2 == 0.01
+    assert info.value.line == text.splitlines().index(culprit) + 1
 
 
-def test_terms_external_cross_checks():
-    on_without_potential = MINIMAL + "\n[terms]\nexternal = true\n"
-    with pytest.raises(ScenarioError, match="kind is zero"):
-        parse_scenario(on_without_potential)
-    potential_without_term = MINIMAL + "\n[external]\nkind = cosine\nv0 = 0.5\n"
-    with pytest.raises(ScenarioError, match="external term is off"):
-        parse_scenario(potential_without_term)
+# one case per checked key: the error names the line of its own key, in
+# a section that states every key
+VALID = {
+    "grid": {"n": "32", "length": "1.0"},
+    "physics": {"hbar": "1", "mass": "1", "kT": "1", "c": "1"},
+    "solver": {"dt": "1e-3", "t_end": "1.0", "snapshot_stride": "1",
+               "density_floor": "1e-12"},
+}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "n", "9"),
+    ("grid", "length", "-1.0"),
+    ("physics", "hbar", "-1"),
+    ("physics", "mass", "0"),
+    ("physics", "kT", "0"),
+    ("physics", "c", "-1"),
+    ("solver", "dt", "-1"),
+    ("solver", "t_end", "-1"),
+    ("solver", "snapshot_stride", "0"),
+    ("solver", "density_floor", "2"),
+])
+def test_value_errors_name_their_own_line(section, key, value):
+    keys = dict(VALID[section], **{key: value})
+    text = "[initial]\nkind = cosine\n\n"
+    if section != "grid":
+        text += "[grid]\nn = 32\nlength = 1.0\n\n"
+    text += f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    with pytest.raises(ScenarioError, match=key) as info:
+        parse_scenario(text)
+    assert info.value.line == text.splitlines().index(f"{key} = {value}") + 1
 
 
 def test_quantum_order_two_needs_kernel():
@@ -175,6 +225,18 @@ def test_kernel_section_validation():
     text = MINIMAL + "\n[kernel]\nfamily = tabulated\n"
     with pytest.raises(ScenarioError, match="needs a file"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("terms", [
+    "",
+    "\n[terms]\nquantum = false\nquantum_order = 2\n",
+    "\n[physics]\nhbar = 0.2\n\n[terms]\nquantum = true\n",
+], ids=["defaults", "quantum-off", "bohm"])
+def test_a_kernel_no_term_reads_is_refused(terms):
+    text = MINIMAL + terms + "\n[kernel]\nfamily = gaussian\nwidth = 0.05\n"
+    with pytest.raises(ScenarioError, match="is not read") as info:
+        parse_scenario(text)
+    assert info.value.line == text.splitlines().index("family = gaussian") + 1
 
 
 # ------------------------------------------------------------ initial state
@@ -281,9 +343,6 @@ length = 1.0
 [physics]
 kT = 2.0
 
-[terms]
-external = true
-
 [initial]
 kind = gaussian
 width = 0.1
@@ -316,9 +375,6 @@ length = 1.0
 [physics]
 kT = 0.8
 
-[terms]
-external = true
-
 [initial]
 kind = equilibrium
 mean_density = 2.0
@@ -348,7 +404,6 @@ kT = 20.0
 
 [terms]
 quantum = true
-external = true
 
 [initial]
 kind = equilibrium
@@ -458,13 +513,11 @@ length = 2.0
 hbar = 0.3
 mass = 1.5
 kT = 0.7
-a2_mode = explicit
 a2 = 0.01
 
 [terms]
 thermo = true
 quantum = true
-external = false
 quantum_order = 2
 
 [kernel]
@@ -482,7 +535,6 @@ snapshot_stride = 10
 
 [oracle]
 dt = 5e-5
-nonlinearity = false
 """
     scn = parse_scenario(text, base_dir=str(tmp_path))
     again = parse_scenario(serialize(scn), base_dir=str(tmp_path))
@@ -490,7 +542,7 @@ nonlinearity = false
     oc = build_oracle_config(scn)
     assert oc.dt == 5e-5
     assert oc.t_end == 0.01  # inherited from the solver
-    assert oc.nonlinearity is False
+    assert oc.nonlinearity is True  # follows thermo
 
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -535,7 +587,6 @@ hbar = 0.1
 [terms]
 thermo = true
 quantum = true
-external = true
 quantum_order = 2
 
 [initial]
@@ -628,3 +679,11 @@ def test_loading_a_quantum_equilibrium_builds_its_flags_once(monkeypatch):
     monkeypatch.setattr(scenario, "build_flags", counted)
     load(serialize(presets.trap()))
     assert len(calls) == 1
+
+
+def test_readme_scenario_example_loads():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    setup = load(example)
+    assert setup.scn.name == "trap" and setup.flags.external

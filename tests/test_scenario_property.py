@@ -5,10 +5,10 @@ field; floats take arbitrary bit patterns, so the ``%.17g`` round trip is
 exercised, within ranges that keep the scenario valid. Validation builds
 the scenario and checks that its solver section can run, so ``t_end`` is
 a whole number of steps and, with the quantum term on, ``dt`` sits within
-the stability bound of a real ``hbar_eff`` (and of the series, if any); a
-series closure draws a kernel that keeps it well-posed. An equilibrium
-initial state keeps the quantum term off, so no example pays for the
-equilibrium refinement.
+the stability bound of a real ``hbar_eff`` (and of the series, if any).
+Only a series closure draws a kernel, one that keeps it well-posed. An
+equilibrium initial state keeps the quantum term off, so no example pays
+for the equilibrium refinement.
 """
 
 import dataclasses
@@ -26,9 +26,8 @@ from qfluid.scenario import (  # noqa: E402
     ExternalCosine, ExternalHarmonic, ExternalSpec, ExternalTabulated,
     ExternalZero, InitialCosine, InitialEquilibrium, InitialGaussian,
     InitialSpec, InitialTabulated, KernelDelta, KernelDifferenceOfGaussians,
-    KernelGaussian, KernelSpec, KernelTabulated, OracleSpec, OutputSpec,
-    PhysSpec, Scenario, TermSpec, build_flags, build_params, parse_scenario,
-    serialize)
+    KernelGaussian, KernelSpec, KernelTabulated, OracleSpec, PhysSpec,
+    Scenario, TermSpec, build_flags, build_params, parse_scenario, serialize)
 
 
 def floats(lo=None, hi=None, **kw):
@@ -48,11 +47,9 @@ NON_NEGATIVE = floats(0.0)
 LENGTH = floats(0.9, 1.1)
 FIELDS = {
     PhysSpec: dict(hbar=floats(0.01, 1.0), mass=floats(0.5, 2.0),
-                   kT=floats(1.0, 10.0),
-                   a2_mode=st.sampled_from(["de_broglie", "explicit"]),
-                   a2=ANY, c=POSITIVE),
+                   kT=floats(1.0, 10.0), a2=st.none() | ANY, c=POSITIVE),
     TermSpec: dict(thermo=st.booleans(), quantum=st.booleans(),
-                   external=st.booleans(), quantum_order=st.integers(1, 3)),
+                   quantum_order=st.integers(1, 3)),
     InitialGaussian: dict(center=st.none() | floats(0.40, 0.50),
                           width=floats(0.088, 0.099),
                           amplitude=floats(0.1, 10.0),
@@ -84,8 +81,7 @@ FIELDS = {
                                             exclude_max=True)),
     OracleSpec: dict(dt=st.none() | POSITIVE, t_end=st.none() | NON_NEGATIVE,
                      snapshot_stride=st.none() | st.integers(min_value=1),
-                     nonlinearity=st.booleans(), strang=st.booleans()),
-    OutputSpec: dict(plot=st.booleans()),
+                     strang=st.booleans()),
 }
 SPECS = {cls: st.builds(cls, **kw) for cls, kw in FIELDS.items()}
 NAME = st.from_regex(r"[\w.-]([\w. -]*[\w.-])?", fullmatch=True)
@@ -103,31 +99,28 @@ def one_kind_of(union):
 def scenarios(draw, tables: str):
     """A valid scenario whose tabulated kinds read from ``tables``."""
     initial = draw(one_kind_of(InitialSpec))
-    external = draw(one_kind_of(ExternalSpec))
-    terms = dataclasses.replace(draw(SPECS[TermSpec]),
-                                external=external.kind != "zero")
+    terms = draw(SPECS[TermSpec])
     if initial.kind == "equilibrium":
         terms = dataclasses.replace(terms, quantum=False)
-    kernels = st.none() | one_kind_of(KernelSpec)
+    kernel = None
     if terms.quantum and terms.quantum_order >= 2:
         # moments need a kernel, and the delta has none beyond c_0; a
         # non-negative kernel's c_2n are all positive, so its series is
         # well-posed, where the difference of gaussians' c_4 = -10.5 makes
         # order 2 ill-posed once a^2 k^2 > 1.14 (1.78 with thermo on)
-        kernels = st.one_of([SPECS[cls] for cls in kinds(KernelSpec)
-                             if cls not in (KernelDelta,
-                                            KernelDifferenceOfGaussians)])
+        kernel = draw(st.one_of([SPECS[cls] for cls in kinds(KernelSpec)
+                                 if cls not in (KernelDelta,
+                                                KernelDifferenceOfGaussians)]))
     physics = draw(SPECS[PhysSpec])
-    if physics.a2_mode == "de_broglie":
-        physics = dataclasses.replace(physics, a2=None)
-    elif terms.quantum:  # a real hbar_eff needs a2 > 0
+    if physics.a2 is not None and terms.quantum:
+        # a real hbar_eff needs a2 > 0
         physics = dataclasses.replace(physics, a2=draw(floats(1e-6, 1.0)))
     scn = Scenario(
         name=draw(NAME), grid=Grid(n=2 * draw(st.integers(8, 16)),
                                    length=draw(LENGTH)),
-        physics=physics, terms=terms, initial=initial, external=external,
-        kernel=draw(kernels), solver=draw(SPECS[SolverConfig]),
-        oracle=draw(SPECS[OracleSpec]), output=draw(SPECS[OutputSpec]))
+        physics=physics, terms=terms, initial=initial,
+        external=draw(one_kind_of(ExternalSpec)), kernel=kernel,
+        solver=draw(SPECS[SolverConfig]), oracle=draw(SPECS[OracleSpec]))
     dt = scn.solver.dt
     if terms.quantum:
         # a series' step bound needs its kernel's moments
