@@ -14,7 +14,8 @@ also runs the complex transforms of the wave oracle, so every transform
 in the package goes through it. The transforms call numpy's pocketfft
 ufuncs directly, with the factors ``np.fft`` passes for the default norm
 (1 forward, ``1/n`` inverse): the same bits without the Python wrapper,
-which at n = 128 costs more than the transform.
+which at n = 128 costs more than the transform. Each takes an optional
+``out``, so a stepping loop can transform into arrays it owns.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ __all__ = [
 ]
 
 
-# the transform runs along the last axis of the input and of the output
-_LAST_AXIS = [(-1,), (), (-1,)]
+# the forward factor as a ready 0-d array: a Python number is converted on
+# every call. The transforms run along the last axes, the ufuncs' default
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
 
 
 @lru_cache(maxsize=64)
@@ -60,6 +63,7 @@ def _shared_tables(n: int, length: float) -> dict[str, np.ndarray]:
         "half_ik": ik,
         "half_k2": half_k**2,
         "half_mask": mask[: n // 2 + 1],
+        "inv_n": np.array(1 / n),
     }
     for arr in tables.values():
         arr.flags.writeable = False
@@ -115,25 +119,34 @@ class Grid:
     half_k2 = _shared("half_k2", "``k^2`` on the real-FFT modes.")
     half_mask = _shared("half_mask", "The 2/3 mask on the real-FFT modes.")
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
+    def rfft(self, values: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of real samples along the last axis."""
-        out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
-        return _pocketfft.rfft_n_even(values, 1, axes=_LAST_AXIS, out=out)
+        if out is None:
+            out = np.empty(values.shape[:-1] + (self.n // 2 + 1,),
+                           dtype=complex)
+        return _pocketfft.rfft_n_even(values, _ONE, out=out)
 
-    def irfft(self, spectrum: np.ndarray) -> np.ndarray:
+    def irfft(self, spectrum: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
         """Real samples of a half spectrum along the last axis."""
-        out = np.empty(spectrum.shape[:-1] + (self.n,))
-        return _pocketfft.irfft(spectrum, 1 / self.n, axes=_LAST_AXIS, out=out)
+        if out is None:
+            out = np.empty(spectrum.shape[:-1] + (self.n,))
+        return _pocketfft.irfft(spectrum, self._tables["inv_n"], out=out)
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
+    def fft(self, values: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
         """Full spectrum of complex samples along the last axis."""
-        out = np.empty(values.shape, dtype=complex)
-        return _pocketfft.fft(values, 1, axes=_LAST_AXIS, out=out)
+        if out is None:
+            out = np.empty(values.shape, dtype=complex)
+        return _pocketfft.fft(values, _ONE, out=out)
 
-    def ifft(self, spectrum: np.ndarray) -> np.ndarray:
+    def ifft(self, spectrum: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Complex samples of a full spectrum along the last axis."""
-        out = np.empty(spectrum.shape, dtype=complex)
-        return _pocketfft.ifft(spectrum, 1 / self.n, axes=_LAST_AXIS, out=out)
+        if out is None:
+            out = np.empty(spectrum.shape, dtype=complex)
+        return _pocketfft.ifft(spectrum, self._tables["inv_n"], out=out)
 
     def apply(self, mult, values: np.ndarray) -> np.ndarray:
         """``irfft(mult * rfft(values))``; ``values`` may stack rows."""

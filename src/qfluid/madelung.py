@@ -18,6 +18,11 @@ Between RK4 stages and steps the state is the stacked half spectrum
 gives both tendencies from it in two batched transforms through the grid's
 operator layer. The first stage's inverse carries the state rows too, so
 an RK4 step reads its state back at no extra transform and takes eight.
+A run's steps write into work arrays the run owns (a ``_Work`` set, built
+once per run and once per :func:`step`), with the operations and
+operand order of the fresh-array expressions they replace: numpy's complex
+multiply fuses with FMA and is not bitwise commutative, so ``grad * x``,
+``masks * S`` and ``linear * x`` keep their order and the bits stay.
 :func:`rhs`, :func:`quantum_potential` and a :func:`diagnostics` record
 read the same operator in four transforms each.
 
@@ -216,10 +221,11 @@ class Tendency:
     equilibrium refinement read it.
 
     ``hat`` is one state's ``(2, nh)``; :attr:`stacked` takes a
-    ``(2, m, nh)`` stack of m states. A call is :meth:`back`, the inverse,
-    then :meth:`rates`, the products and the forward. :meth:`rk4` takes
-    its first stage's inverse from the caller, which may ask it for the
-    state rows as well.
+    ``(2, m, nh)`` stack of m states. A call is :meth:`back`, the inverse
+    of a spectrum that holds the state and room for its gradients, then
+    :meth:`rates`, the products and the forward. :meth:`rk4` steps in the
+    arrays of a ``_Work`` set and takes its first stage's inverse from
+    the caller, which may ask it for the state rows as well.
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
@@ -227,9 +233,11 @@ class Tendency:
         mask = grid.half_mask if dealias else np.ones(grid.half_k2.shape)
         self.theta = p.kT / p.m if flags.thermo else 0.0
         self.grid = grid
-        self.grad = grid.half_ik * mask
+        # the tables hold one row per state row and are complex, as the
+        # spectra they scale: a product neither broadcasts nor casts
+        self.grad = np.stack((grid.half_ik * mask,) * 2)
         # the Bernoulli product row carries twice its value; the 1/2 is here
-        self.masks = np.stack((mask, 0.5 * mask))
+        self.masks = np.stack((mask, 0.5 * mask), dtype=complex)
         self.bohm = 0.5 * p.quantum_coefficient if flags.quantum else 0.0
         lin = self.theta + self.bohm * grid.half_k2
         self.remainder = None
@@ -239,11 +247,13 @@ class Tendency:
                 grid, p.a2, flags.moments.c, 2, flags.quantum_order)
             lin = lin + self.remainder
             self.rate = lin + self.remainder  # in the table and through rho
-        self.linear = np.stack((-grid.half_k2, lin))
+        self.linear = np.stack((-grid.half_k2, lin), dtype=complex)
         self.force = np.zeros(mask.shape, dtype=complex)
         self.force[0] = grid.n * self.theta
         if flags.external and vext is not None:
             self.force += grid.rfft(vext.field(grid).values)
+        # the rows a stage's inverse reads and its products fill
+        self.rows = 2 if self.remainder is None else 3
 
     @cached_property
     def stacked(self) -> Tendency:
@@ -251,55 +261,99 @@ class Tendency:
         operator with its ``(2, nh)`` tables read as ``(2, 1, nh)`` views,
         so the one-state call of the RK4 step takes no branch for stacks."""
         op = copy.copy(self)
-        op.masks, op.linear = self.masks[:, None], self.linear[:, None]
+        op.grad, op.masks, op.linear = (self.grad[:, None], self.masks[:, None],
+                                        self.linear[:, None])
         return op
 
     def __call__(self, hat: np.ndarray) -> np.ndarray:
-        return self.rates(hat, self.back(hat))
+        spec = np.empty((4,) + hat.shape[1:], dtype=complex)
+        spec[2:] = hat
+        return self.rates(hat, self.back(spec))
 
-    def back(self, hat: np.ndarray, state: bool = False) -> np.ndarray:
-        """One inverse transform of the masked gradients of ``hat``, then
-        the state rows: both with ``state``, else lam for the remainder."""
-        grads = self.grad * hat
-        if state:
-            return self.grid.irfft(np.concatenate((grads, hat)))
-        if self.remainder is None:
-            return self.grid.irfft(grads)
-        return self.grid.irfft(np.concatenate((grads, hat[:1])))
+    def back(self, spec: np.ndarray, state: bool = False,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """One inverse transform of ``spec``, a ``(4, ...)`` spectrum with
+        a state in rows 2:4. The state's masked gradients go to rows 0:2;
+        the inverse reads them, then the state rows with ``state``, else
+        lam for the remainder, into ``out`` if given."""
+        np.multiply(self.grad, spec[2:], out=spec[:2])
+        rows = spec if state else spec[:self.rows]
+        return self.grid.irfft(
+            rows, out=None if out is None else out[:len(rows)])
 
-    def rates(self, hat: np.ndarray, real: np.ndarray) -> np.ndarray:
-        """The tendency of ``hat`` from its :meth:`back` rows ``real``."""
+    def rates(self, hat: np.ndarray, real: np.ndarray,
+              out: np.ndarray | None = None,
+              work: _Work | None = None) -> np.ndarray:
+        """The tendency of ``hat`` from its :meth:`back` rows ``real``,
+        into ``out`` if given, with the products in ``work``'s arrays if
+        given."""
         dlam, dphi = real[0], real[1]
-        prods = np.empty((2 if self.remainder is None else 3,) + dlam.shape)
+        if work is None:
+            prods, spectra = np.empty((self.rows,) + dlam.shape), None
+            row = np.empty(dlam.shape)
+        else:
+            prods, spectra, row = work.prods, work.spectra, work.row
         np.multiply(dlam, dphi, out=prods[0])
         bern = np.multiply(dphi, dphi, out=prods[1])
         if self.bohm:
-            bern -= self.bohm * dlam * dlam
+            np.multiply(self.bohm, dlam, out=row)
+            bern -= np.multiply(row, dlam, out=row)
         if self.remainder is not None:
-            rho = np.exp(real[2])
-            np.divide(self.grid.apply(self.remainder, rho), rho, out=prods[2])
-        prods = self.grid.rfft(prods)
-        out = self.masks * prods[:2] + self.linear * hat[::-1]
+            rho = np.exp(real[2], out=row)
+            r_hat = self.grid.rfft(
+                rho, out=None if spectra is None else spectra[2])
+            np.multiply(self.remainder, r_hat, out=r_hat)
+            np.divide(self.grid.irfft(r_hat, out=prods[2]), rho, out=prods[2])
+        spectra = self.grid.rfft(prods, out=spectra)
+        out = np.multiply(self.masks, spectra[:2], out=out)
+        out += np.multiply(self.linear, hat[::-1], out=spectra[:2])
         out[1] += self.force
         if self.remainder is not None:
-            out[1] += prods[2]
+            out[1] += spectra[2]
         return out
 
-    def rk4(self, hat: np.ndarray, dt: float, real: np.ndarray) -> np.ndarray:
-        """One classical RK4 step of the stacked half spectrum; ``real`` is
-        its :meth:`back` rows, which k1 reads. The stages combine in place,
-        in the order of ``hat + dt/6 (k1 + 2 (k2 + k3) + k4)``."""
-        k1 = self.rates(hat, real)
-        k2 = self(hat + 0.5 * dt * k1)
-        k3 = self(hat + 0.5 * dt * k2)
-        k4 = self(hat + dt * k3)
+    def rk4(self, hat: np.ndarray, dt: float, real: np.ndarray,
+            work: _Work) -> np.ndarray:
+        """One classical RK4 step of the stacked half spectrum ``hat``,
+        written over it; ``real`` is its :meth:`back` rows, which k1 reads.
+        The stages and their inputs go to ``work``'s arrays and combine in
+        place, in the order of ``hat + dt/6 (k1 + 2 (k2 + k3) + k4)``."""
+        k1, k2, k3, k4 = work.k
+        spec, x = work.spec, work.spec[2:]
+        self.rates(hat, real, k1, work)
+        for k, c, kn in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
+            np.add(hat, np.multiply(c, k, out=x), out=x)
+            self.rates(x, self.back(spec, out=work.real), kn, work)
         k2 += k3
         k2 *= 2.0
         k1 += k2
         k1 += k4
         k1 *= dt / 6.0
-        k1 += hat
-        return k1
+        return np.add(k1, hat, out=hat)
+
+
+class _Work:
+    """The arrays a run's RK4 steps write into, for one :class:`Tendency`.
+
+    ``state`` (the run's) and ``spec`` (a stage input's) are ``(4, nh)``
+    spectra laid out for :meth:`Tendency.back`: the state in rows 2:4,
+    its masked gradients in rows 0:2, so one inverse reads both with no
+    copy. ``real`` takes that inverse, ``k`` the four stages, ``prods`` and
+    ``spectra`` the product rows and their spectra, and ``row`` Bohm's
+    term and rho. They belong to the run, not to the cached operators.
+    """
+
+    __slots__ = ("state", "spec", "real", "k", "prods", "spectra", "row")
+
+    def __init__(self, op: Tendency):
+        n, nh = op.grid.n, op.grid.half_k2.size
+        self.state = np.empty((4, nh), dtype=complex)
+        self.spec = np.empty((4, nh), dtype=complex)
+        self.real = np.empty((4, n))
+        self.k = np.empty((4, 2, nh), dtype=complex)
+        self.prods = np.empty((op.rows, n))
+        self.spectra = np.empty((op.rows, nh), dtype=complex)
+        self.row = np.empty(n)
 
 
 @lru_cache(maxsize=16)
@@ -360,9 +414,10 @@ def rhs(s: State, flags: TermFlags, p: PhysParams, vext: ExternalPotential,
     return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
-def _check_state(rows, grid, floor, t):
+def _check_state(rows, grid, floor, t, row=None):
     """Abort on the stacked real state ``(lam, phi)``: blowup if it is not
-    finite or its density would overflow, vacuum below the floor."""
+    finite or its density would overflow, vacuum below the floor. The
+    density goes to ``row`` if given."""
     if not np.isfinite(rows).all():
         raise SolverAbort("blowup", f"state stopped being finite at t={t:.6g}", t)
     lam = rows[0]
@@ -375,7 +430,7 @@ def _check_state(rows, grid, floor, t):
             f" (x={grid.x[j]:.6g})",
             t,
         )
-    rho = np.exp(lam)
+    rho = np.exp(lam, out=row)
     mean = float(rho.sum() / grid.n)  # the bits of rho.mean()
     mn = float(rho.min())
     if mn <= floor * mean:
@@ -392,11 +447,13 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
          vext: ExternalPotential) -> State:
     """One RK4 step. Raises :class:`SolverAbort` on vacuum or blowup."""
     grid = s.grid
-    hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
     op = _reader(grid, flags, p, cfg.dealias, vext)
-    real = grid.irfft(op.rk4(hat, cfg.dt, op.back(hat)))
+    work = _Work(op)
+    spec = work.state
+    hat = grid.rfft(np.array((s.lam.values, s.phi.values)), out=spec[2:])
+    real = grid.irfft(op.rk4(hat, cfg.dt, op.back(spec, out=work.real), work))
     t_new = s.t + cfg.dt
-    _check_state(real, grid, cfg.density_floor, t_new)
+    _check_state(real, grid, cfg.density_floor, t_new, work.row)
     lam, phi = real
     return State(t_new, Field(grid, lam, _fresh=True),
                  Field(grid, phi, _fresh=True))
@@ -478,10 +535,13 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     t0 = initial.t
     rows = np.array((lam, phi))
     _check_state(rows, grid, cfg.density_floor, t0)
-    # the state lives on the half spectrum; k1's inverse reads it back
-    hat = grid.rfft(rows)
+    # the state lives on the half spectrum, in the work arrays the run
+    # owns; k1's inverse reads it back
     op = Tendency(grid, flags, p, cfg.dealias, vext)
-    real = op.back(hat)
+    work = _Work(op)
+    spec = work.state
+    hat = grid.rfft(rows, out=spec[2:])
+    real = op.back(spec, out=work.real)
 
     traj = Trajectory(snapshots=[], records=[])
 
@@ -499,12 +559,12 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     store(t0, lam, phi)
     try:
         for i in range(1, n_steps + 1):
-            hat = op.rk4(hat, cfg.dt, real)
-            real = op.back(hat, state=True)
+            op.rk4(hat, cfg.dt, real, work)
+            real = op.back(spec, state=True, out=work.real)
             t = t0 + i * cfg.dt
-            _check_state(real[-2:], grid, cfg.density_floor, t)
+            _check_state(real[2:], grid, cfg.density_floor, t, work.row)
             if i % cfg.snapshot_stride == 0 or i == n_steps:
-                store(t, real[-2], real[-1])
+                store(t, real[2], real[3])
     except SolverAbort as abort:
         traj.status = abort.kind
         traj.message = str(abort)

@@ -476,6 +476,16 @@ def load(text: str, base_dir: str | None = None) -> Setup:
     return _build(scn, base_dir, raw)
 
 
+def _kernel_line(entries: dict, message: str) -> int | None:
+    """The line of the ``[kernel]`` key a kernel build error names: by its
+    name, else by its value (a missing file names its path), else the
+    family's."""
+    line = _key_line(entries, message)
+    if line is None and "file" in entries and entries["file"][0] in message:
+        line = entries["file"][1]
+    return line or entries.get("family", (None, None))[1]
+
+
 def _line(raw: dict, section: str, key: str) -> int | None:
     return raw.get(section, {}).get(key, (None, None))[1]
 
@@ -512,8 +522,11 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
     try:
         flags = build_flags(scn, grid, base_dir)
     except (ValueError, OSError) as e:
-        raise ScenarioError(str(e), _line(raw, "terms", "quantum_order")
-                            or _line(raw, "terms", "quantum")) from None
+        line = (_line(raw, "terms", "quantum_order")
+                or _line(raw, "terms", "quantum"))
+        if scn.kernel is not None:  # else the [kernel] section is missing
+            line = _kernel_line(raw.get("kernel", {}), str(e)) or line
+        raise ScenarioError(str(e), line) from None
 
     try:
         solver_steps(scn.solver, grid, flags, params)

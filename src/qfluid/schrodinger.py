@@ -18,7 +18,10 @@ The closing half rotation of one step and the opening half of the next
 see the same ``|psi|^2``, so between snapshots they merge into one full
 rotation: one potential and one phase factor per step, with half rotations
 only at the start and at each snapshot. :func:`oracle_step` is this loop
-run for one step.
+run for one step. The loop writes into work arrays it owns, in the
+operand order of the fresh-array expressions it replaces (``psi * rot``,
+``kin * spectrum``): numpy's complex multiply fuses with FMA and is not
+bitwise commutative, so the order keeps the bits.
 """
 
 from __future__ import annotations
@@ -127,13 +130,16 @@ def _principal(angle: float) -> float:
     return float(np.angle(np.exp(1j * angle)))
 
 
-def _potential(psi_abs2, varr, p: PhysParams, nonlinearity: bool):
-    v = 0.0
-    if varr is not None:
-        v = v + p.m * varr
-    if nonlinearity:
-        v = v + p.kT * (np.log(np.maximum(psi_abs2, 1e-300)) + 1.0)
-    return v
+def _potential(psi, base, p: PhysParams, nonlinearity: bool, out):
+    """``m V_e + kT (ln |psi|^2 + 1)`` over the terms on, into ``out``;
+    ``base`` is ``0.0 + m V_e``, or 0.0 without V_e."""
+    if not nonlinearity:
+        return base
+    np.square(np.abs(psi, out=out), out=out)
+    np.log(np.maximum(out, 1e-300, out=out), out=out)
+    out += 1.0
+    np.multiply(p.kT, out, out=out)
+    return np.add(base, out, out=out)
 
 
 def oracle_step(w: WaveState, cfg: OracleConfig, p: PhysParams,
@@ -143,12 +149,14 @@ def oracle_step(w: WaveState, cfg: OracleConfig, p: PhysParams,
     return WaveState(w.t + cfg.dt, ComplexField(w.grid, psi, _fresh=True))
 
 
-def _check_rotation(v, cfg, p):
-    rot = cfg.dt * float(np.abs(v).max()) / p.hbar_eff
-    if rot >= 0.5:
+def _check_rotation(v, v_max: float, cfg: OracleConfig, p: PhysParams):
+    """ValueError if the potential ``v`` reaches ``v_max``, where a step
+    turns the phase by half a radian."""
+    peak = float(np.abs(v).max())
+    if peak >= v_max:
         raise ValueError(
-            f"potential phase rotation {rot:.3g} rad per step exceeds 0.5; "
-            "reduce dt"
+            f"potential phase rotation {cfg.dt * peak / p.hbar_eff:.3g} rad"
+            " per step exceeds 0.5; reduce dt"
         )
 
 
@@ -156,25 +164,36 @@ def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
              vext: ExternalPotential, record) -> np.ndarray:
     """Take ``n_steps`` splitting steps from ``psi`` and return the last
     state, calling ``record(i, psi)`` after every stride-th step and the
-    last. Between snapshots Strang's adjacent half rotations merge."""
-    varr = vext.field(grid).values if vext.kind != "zero" else None
+    last. Between snapshots Strang's adjacent half rotations merge.
+
+    The steps write into work arrays this call owns; a recorded state is a
+    fresh array, which ``record`` keeps.
+    """
+    base = 0.0
+    if vext.kind != "zero":
+        base = base + p.m * vext.field(grid).values
     kin = np.exp(-0.5j * p.hbar_eff * grid.k**2 * cfg.dt / p.m)
     full = -1j * cfg.dt / p.hbar_eff
     first = 0.5 * full if cfg.strang else full
-    v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
-    _check_rotation(v, cfg, p)
-    rot = np.exp(first * v)
+    v_max = 0.5 * p.hbar_eff / cfg.dt
+    row = np.empty(grid.n)
+    rot = np.empty(grid.n, dtype=complex)
+    wave = np.empty(grid.n, dtype=complex)
+    spec = np.empty(grid.n, dtype=complex)
+    v = _potential(psi, base, p, cfg.nonlinearity, row)
+    _check_rotation(v, v_max, cfg, p)
+    np.exp(np.multiply(first, v, out=rot), out=rot)
     for i in range(1, n_steps + 1):
-        psi = grid.ifft(kin * grid.fft(psi * rot))
+        grid.fft(np.multiply(psi, rot, out=wave), out=spec)
+        psi = grid.ifft(np.multiply(kin, spec, out=spec), out=wave)
         snap = i % cfg.snapshot_stride == 0 or i == n_steps
         if cfg.strang or i < n_steps:
-            v = _potential(np.abs(psi) ** 2, varr, p, cfg.nonlinearity)
+            v = _potential(psi, base, p, cfg.nonlinearity, row)
             if i < n_steps:
-                _check_rotation(v, cfg, p)
-            rot = np.exp((first if snap else full) * v)
+                _check_rotation(v, v_max, cfg, p)
+            np.exp(np.multiply(first if snap else full, v, out=rot), out=rot)
         if snap:
-            if cfg.strang:
-                psi = psi * rot
+            psi = psi * rot if cfg.strang else psi.copy()
             record(i, psi)
     return psi
 

@@ -305,20 +305,50 @@ def test_run_matches_rk4_over_public_rhs(make):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("make", [presets.trap, _series])
+def _fresh_tendency(op, hat):
+    """The operator's tendency as fresh-array expressions, in the operand
+    order it keeps: numpy's complex multiply is not bitwise commutative."""
+    grads = op.grad * hat
+    real = op.grid.irfft(grads if op.remainder is None
+                         else np.concatenate((grads, hat[:1])))
+    dlam, dphi = real[0], real[1]
+    prods = [dlam * dphi, dphi * dphi]
+    if op.bohm:
+        prods[1] = prods[1] - op.bohm * dlam * dlam
+    if op.remainder is not None:
+        rho = np.exp(real[2])
+        prods.append(op.grid.apply(op.remainder, rho) / rho)
+    spectra = op.grid.rfft(np.array(prods))
+    out = op.masks * spectra[:2] + op.linear * hat[::-1]
+    out[1] += op.force
+    if op.remainder is not None:
+        out[1] += spectra[2]
+    return out
+
+
+@pytest.mark.parametrize("make", [presets.traveling, presets.equilibrium,
+                                  presets.trap, _series])
 def test_rk4_combines_its_stages_in_the_textbook_order(make):
-    # in place, but the bits of hat + dt/6 (k1 + 2 (k2 + k3) + k4); k1
-    # read from an inverse that also carries the state rows
+    # traveling has no force row, equilibrium a cosine force, trap Bohm and
+    # a harmonic force. Three steps through one work set, each the bits of
+    # hat + dt/6 (k1 + 2 (k2 + k3) + k4) on fresh arrays; k1 read from an
+    # inverse that also carries the state rows, as in run
     state, cfg, flags, p, vext = _setup(make(), 1, 1)
     grid, dt = state.grid, cfg.dt
     op = madelung.Tendency(grid, flags, p, cfg.dealias, vext)
-    hat = grid.rfft(np.array((state.lam.values, state.phi.values)))
-    k1 = op(hat)
-    k2 = op(hat + 0.5 * dt * k1)
-    k3 = op(hat + 0.5 * dt * k2)
-    k4 = op(hat + dt * k3)
-    want = hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    assert np.array_equal(op.rk4(hat, dt, op.back(hat, state=True)), want)
+    work = madelung._Work(op)
+    hat = grid.rfft(np.array((state.lam.values, state.phi.values)),
+                    out=work.state[2:])
+    want = hat.copy()
+    for _ in range(3):
+        k1 = _fresh_tendency(op, want)
+        k2 = _fresh_tendency(op, want + 0.5 * dt * k1)
+        k3 = _fresh_tendency(op, want + 0.5 * dt * k2)
+        k4 = _fresh_tendency(op, want + dt * k3)
+        want = want + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        real = op.back(work.state, state=True, out=work.real)
+        assert op.rk4(hat, dt, real, work) is hat
+        assert np.array_equal(hat, want)
 
 
 class _FFTCount:

@@ -205,8 +205,10 @@ def test_quantum_order_two_needs_kernel():
     text = (MINIMAL
             + "\n[physics]\nhbar = 0.2\n"
             + "\n[terms]\nquantum = true\nquantum_order = 2\n")
-    with pytest.raises(ScenarioError, match=r"needs a \[kernel\] section"):
+    with pytest.raises(ScenarioError,
+                       match=r"needs a \[kernel\] section") as info:
         parse_scenario(text)
+    assert info.value.line == text.splitlines().index("quantum_order = 2") + 1
     # a gaussian (c_4 = +3) keeps the series well-posed on this grid; its
     # step bound is 5.5e-4, below the default dt
     with_kernel = (text + "\n[kernel]\nfamily = gaussian\nwidth = 0.05\n"
@@ -225,6 +227,21 @@ def test_kernel_section_validation():
     text = MINIMAL + "\n[kernel]\nfamily = tabulated\n"
     with pytest.raises(ScenarioError, match="needs a file"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("kernel, culprit, match", [
+    ("family = tabulated\nfile = missing.csv", "file = missing.csv",
+     "missing.csv not found"),
+    ("family = gaussian\nwidth = 0.5", "width = 0.5", "not well contained"),
+    ("family = delta", "family = delta", "second moment vanishes"),
+], ids=["file", "width", "family"])
+def test_kernel_build_errors_carry_their_kernel_line(kernel, culprit, match):
+    text = (MINIMAL + "\n[physics]\nhbar = 0.2\n"
+            + "\n[terms]\nquantum = true\nquantum_order = 2\n"
+            + "\n[kernel]\n" + kernel + "\n")
+    with pytest.raises(ScenarioError, match=match) as info:
+        parse_scenario(text)
+    assert info.value.line == text.splitlines().index(culprit) + 1
 
 
 @pytest.mark.parametrize("terms", [

@@ -168,6 +168,45 @@ def test_run_oracle_matches_a_loop_of_oracle_step(make, strang):
         assert np.abs(got.psi.values - ref.psi.values).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("strang", [True, False])
+@pytest.mark.parametrize("make", [presets.trap, presets.free])
+def test_run_oracle_matches_the_merged_loop_on_fresh_arrays(make, strang):
+    # the run's steps write into work arrays; the loop here allocates every
+    # intermediate, in the same operations and operand order
+    w, cfg, p, vext = _oracle_setup(make, strang, 24, 5)
+    grid = w.grid
+    varr = vext.field(grid).values if vext.kind != "zero" else None
+
+    def potential(psi):
+        v = 0.0
+        if varr is not None:
+            v = v + p.m * varr
+        if cfg.nonlinearity:
+            v = v + p.kT * (np.log(np.maximum(np.abs(psi) ** 2, 1e-300))
+                            + 1.0)
+        return v
+
+    kin = np.exp(-0.5j * p.hbar_eff * grid.k**2 * cfg.dt / p.m)
+    full = -1j * cfg.dt / p.hbar_eff
+    first = 0.5 * full if strang else full
+    psi = w.psi.values
+    rot = np.exp(first * potential(psi))
+    want = [psi]
+    for i in range(1, 25):
+        psi = grid.ifft(kin * grid.fft(psi * rot))
+        snap = i % 5 == 0 or i == 24
+        if strang or i < 24:
+            rot = np.exp((first if snap else full) * potential(psi))
+        if snap:
+            if strang:
+                psi = psi * rot
+            want.append(psi)
+    got = [s.psi.values for s in run_oracle(w, cfg, p, vext).snapshots]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_strang_run_takes_one_potential_per_step(monkeypatch):
     w, cfg, p, vext = _oracle_setup(presets.trap, True, 24, 5)
     calls = []
@@ -185,9 +224,9 @@ def test_strang_run_takes_one_potential_per_step(monkeypatch):
 def test_strang_step_takes_two_transforms(monkeypatch):
     calls = []
     for name in ("fft", "ifft"):
-        def counted(grid, values, fn=getattr(Grid, name)):
+        def counted(grid, values, out=None, fn=getattr(Grid, name)):
             calls.append(1)
-            return fn(grid, values)
+            return fn(grid, values, out=out)
         monkeypatch.setattr(Grid, name, counted)
     for n_steps in (10, 20):
         w, cfg, p, vext = _oracle_setup(presets.trap, True, n_steps, n_steps)
