@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 a verification criterion failed, 2 usage or
 configuration error, 3 the solver hit vacuum, 4 the solver blew up.
 Aborted runs still write their partial outputs plus error.json.
+
+``compare`` runs the wave oracle in a forked child process beside the
+fluid run (:func:`~qfluid.schrodinger.beside`), so its wall time is about
+that of the slower of the two and its CPU time is split over two
+processes. A fluid abort wins over an oracle error, and every exit path
+reaps the child, killing it first unless it has finished.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .kernels import truncation_sweep
 from .madelung import run
 from .output import _write_csv, write_compare, write_error, write_run
 from .scenario import Scenario, Setup, load
-from .schrodinger import compare, run_oracle, to_wavefunction
+from .schrodinger import beside, compare, run_oracle, to_wavefunction
 from .svgplot import line_plot
 from .verify import SUITE_NAMES, format_line, run_suite
 
@@ -100,18 +106,23 @@ def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
                      "snapshots would sit at different times")
 
     out = out_dir or _default_out(scn, "compare")
-    traj = run(setup.state, cfg, setup.flags, params, vext)
-    if traj.status != "ok":
-        os.makedirs(out, exist_ok=True)
-        write_error(out, traj)
-        print(f"{scn.name}: solver aborted: {traj.message}", file=sys.stderr)
-        return _STATUS_CODES[traj.status]
+    oracle, cancel = beside(
+        lambda: run_oracle(to_wavefunction(setup.state, params), ocfg,
+                           params, vext))
     try:
-        wtraj = run_oracle(to_wavefunction(setup.state, params), ocfg, params,
-                           vext)
-        result = compare(traj, wtraj, params)
-    except ValueError as e:
-        return _fail(str(e))
+        traj = run(setup.state, cfg, setup.flags, params, vext)
+        if traj.status != "ok":
+            os.makedirs(out, exist_ok=True)
+            write_error(out, traj)
+            print(f"{scn.name}: solver aborted: {traj.message}",
+                  file=sys.stderr)
+            return _STATUS_CODES[traj.status]
+        try:
+            result = compare(traj, oracle(), params)
+        except ValueError as e:
+            return _fail(str(e))
+    finally:
+        cancel()
     write_compare(out, result)
     print(f"{scn.name}: max_l2_density={result.max_density_error:.3e} "
           f"max_phase={result.max_phase_error:.3e} rad -> {out}")

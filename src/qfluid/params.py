@@ -101,10 +101,11 @@ class PhysParams:
 
 def _csv_columns(path, what: str, name: str):
     """The columns ``(x, name)`` of a two-column CSV under one header line;
-    ValueError unless it has exactly two."""
+    ValueError, naming the path, unless it has exactly two."""
     data = np.loadtxt(path, delimiter=",", comments="#", skiprows=1, ndmin=2)
     if data.shape[1] != 2:
-        raise ValueError(f"{what} CSV must have exactly two columns (x, {name})")
+        raise ValueError(
+            f"{what} CSV {path} must have exactly two columns (x, {name})")
     return data[:, 0], data[:, 1]
 
 

@@ -2,17 +2,23 @@
 
 import dataclasses
 import json
+import os
+import signal
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfluid import Grid, presets, scenario, serialize
+from qfluid import Grid, cli, presets, scenario, serialize
 from qfluid.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_VACUUM,
                         cmd_compare, cmd_run, cmd_scan, cmd_verify, main)
 from qfluid.kernels import truncation_sweep
 from qfluid.madelung import quantum_potential, run, velocity
-from qfluid.output import _write_csv, write_run
+from qfluid.output import _write_csv, write_compare, write_run
+from qfluid.schrodinger import compare, run_oracle, to_wavefunction
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 QUICK_RUN = """\
 [scenario]
@@ -345,6 +351,81 @@ def test_compare_propagates_solver_abort(tmp_path):
     assert cmd_compare(path, str(out)) == EXIT_VACUUM
     assert json.loads((out / "error.json").read_text())["status"] == "vacuum"
     assert not (out / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("name, t_end, stride", [("trap", 0.0125, 125),
+                                                 ("free", 0.0123, 41)])
+def test_compare_report_equals_the_two_runs_in_process(name, t_end, stride,
+                                                       tmp_path):
+    # the demo physics, cut short: the oracle runs in a forked child, and
+    # its report must keep the bits of the two runs made one after the other
+    scn = scenario.parse_scenario(
+        (DEMO_SCENARIOS / f"{name}.ini").read_text())
+    oracle = scn.oracle
+    if oracle.t_end is not None:
+        oracle = dataclasses.replace(
+            oracle, t_end=t_end,
+            snapshot_stride=round(stride * scn.solver.dt / oracle.dt))
+    short = dataclasses.replace(
+        scn, solver=dataclasses.replace(scn.solver, t_end=t_end,
+                                        snapshot_stride=stride),
+        oracle=oracle)
+    path = scenario_file(tmp_path, serialize(short))
+    assert cmd_compare(path, str(tmp_path / "forked")) == EXIT_OK
+
+    setup = scenario.load(serialize(short))
+    traj = run(setup.state, setup.scn.solver, setup.flags, setup.params,
+               setup.vext)
+    wtraj = run_oracle(to_wavefunction(setup.state, setup.params),
+                       setup.oracle, setup.params, setup.vext)
+    write_compare(tmp_path / "inline", compare(traj, wtraj, setup.params))
+    got = (tmp_path / "forked" / "compare.csv").read_bytes()
+    assert len(got.splitlines()) > 3
+    assert got == (tmp_path / "inline" / "compare.csv").read_bytes()
+
+
+def test_compare_reports_the_oracle_rotation_bound(tmp_path, capsys):
+    # the fluid run is fine; the oracle's coarser step turns the phase by
+    # 1.67 rad under the cosine hill, which the child reports
+    hill = COMPARE + ("\n[external]\nkind = cosine\nv0 = 100.0\n"
+                      "\n[oracle]\ndt = 5e-3\nsnapshot_stride = 1\n")
+    path = scenario_file(tmp_path, hill)
+    assert cmd_compare(path, str(tmp_path / "cmp")) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: potential phase rotation 1.67 rad per step exceeds 0.5;"
+        " reduce dt\n")
+    assert not (tmp_path / "cmp" / "compare.csv").exists()
+
+
+def test_compare_reaps_the_oracle_when_the_fluid_run_raises(tmp_path,
+                                                           monkeypatch):
+    # the autouse fixture fails the test if the oracle's child is left
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cmd_compare(scenario_file(tmp_path, COMPARE), str(tmp_path / "cmp"))
+
+
+def test_compare_surfaces_a_killed_oracle(tmp_path, monkeypatch):
+    def killed(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def late(signum, frame):
+        raise TimeoutError("compare still waits for its oracle")
+
+    monkeypatch.setattr(cli, "run_oracle", killed)
+    path = scenario_file(tmp_path, COMPARE)
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match="SIGKILL"):
+            cmd_compare(path, str(tmp_path / "cmp"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not (tmp_path / "cmp" / "compare.csv").exists()
 
 
 # --------------------------------------------------------------------- scan

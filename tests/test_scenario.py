@@ -234,13 +234,17 @@ def test_kernel_section_validation():
      "missing.csv not found"),
     ("family = gaussian\nwidth = 0.5", "width = 0.5", "not well contained"),
     ("family = delta", "family = delta", "second moment vanishes"),
-], ids=["file", "width", "family"])
-def test_kernel_build_errors_carry_their_kernel_line(kernel, culprit, match):
+    ("family = tabulated\nfile = kern.csv", "file = kern.csv",
+     "kern.csv must have exactly two columns"),
+], ids=["file", "width", "family", "columns"])
+def test_kernel_build_errors_carry_their_kernel_line(kernel, culprit, match,
+                                                     tmp_path):
+    (tmp_path / "kern.csv").write_text("x,u,extra\n-0.1,0,0\n0,1,0\n0.1,0,0\n")
     text = (MINIMAL + "\n[physics]\nhbar = 0.2\n"
             + "\n[terms]\nquantum = true\nquantum_order = 2\n"
             + "\n[kernel]\n" + kernel + "\n")
     with pytest.raises(ScenarioError, match=match) as info:
-        parse_scenario(text)
+        parse_scenario(text, base_dir=str(tmp_path))
     assert info.value.line == text.splitlines().index(culprit) + 1
 
 
