@@ -1,19 +1,23 @@
 """Command line entry points: run, verify, compare, scan.
 
 Exit codes: 0 success, 1 a verification criterion failed, 2 usage or
-configuration error, 3 the solver hit vacuum, 4 the solver blew up.
+configuration error (an unreadable scenario file or an unwritable output
+directory included), 3 the solver hit vacuum, 4 the solver blew up.
 Aborted runs still write their partial outputs plus error.json.
 
 ``compare`` runs the wave oracle in a forked child process beside the
 fluid run (:func:`~qfluid.schrodinger.beside`), so its wall time is about
 that of the slower of the two and its CPU time is split over two
 processes. A fluid abort wins over an oracle error, and every exit path
-reaps the child, killing it first unless it has finished.
+reaps the child, killing it first unless it has finished. ``run`` splits
+the writing of its snapshot files over two processes the same way
+(:func:`~qfluid.output.write_run`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -43,6 +47,21 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _os_errors_exit_usage(cmd):
+    """Report an OSError of ``cmd`` (an unreadable scenario file, an
+    unwritable output directory) as ``error: ...`` and exit 2. A
+    ChildProcessError, a forked child that died, still raises."""
+    @functools.wraps(cmd)
+    def checked(*args, **kwargs) -> int:
+        try:
+            return cmd(*args, **kwargs)
+        except ChildProcessError:
+            raise
+        except OSError as e:
+            return _fail(str(e))
+    return checked
+
+
 def _load(path: str) -> Setup:
     """Parse and build a scenario file; tabulated inputs resolve against
     the file's own directory."""
@@ -55,11 +74,12 @@ def _default_out(scn: Scenario, kind: str) -> str:
     return os.path.join("qfluid_runs", f"{scn.name}_{kind}")
 
 
+@_os_errors_exit_usage
 def cmd_run(scenario_path: str, out_dir: str | None = None,
             plot: bool = False) -> int:
     try:
         setup = _load(scenario_path)
-    except (OSError, ValueError) as e:
+    except ValueError as e:
         return _fail(str(e))
     scn = setup.scn
     out = out_dir or _default_out(scn, "run")
@@ -90,10 +110,11 @@ def cmd_verify(suite: str, seed: int = 0) -> int:
     return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
 
 
+@_os_errors_exit_usage
 def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
     try:
         setup = _load(scenario_path)
-    except (OSError, ValueError) as e:
+    except ValueError as e:
         return _fail(str(e))
     scn, params, vext, ocfg = setup.scn, setup.params, setup.vext, setup.oracle
     cfg = scn.solver
@@ -129,6 +150,7 @@ def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
     return EXIT_OK
 
 
+@_os_errors_exit_usage
 def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians",
              n: int = 256, widths: str = "0.02,0.04,0.08",
              orders: str = "1,2") -> int:

@@ -111,6 +111,11 @@ class Grid:
     def _tables(self) -> dict[str, np.ndarray]:
         return _shared_tables(self.n, self.length)
 
+    def __getstate__(self) -> dict:
+        """Pickle without the cached tables: the copy looks the shared
+        ones up again instead of carrying private, writable arrays."""
+        return {k: v for k, v in vars(self).items() if k != "_tables"}
+
     x = _shared("x", "Sample positions ``x_j = j dx``.")
     k = _shared("k", "Angular wavenumbers in FFT order, ``2 pi j / L``.")
     signed_x = _shared("signed_x", "Positions folded to ``[-L/2, L/2)``.")

@@ -3,6 +3,12 @@
 All numeric text uses 17 significant digits so every 64-bit value
 round-trips exactly; reruns of the same manifest must produce
 byte-identical CSVs.
+
+:func:`write_run` writes a run's snapshot files from two processes: a
+forked child (:func:`~qfluid.schrodinger.beside`) writes the later half
+of the snapshot stacks while the caller writes the earlier half and the
+run's other files. The layout and every byte stay those of one process
+writing them in order.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .madelung import (CHUNK, TermFlags, Trajectory, _fields,
                        stability_bound, whole_steps)
 from .params import ExternalPotential, PhysParams
 from .scenario import Scenario
-from .schrodinger import CompareResult
+from .schrodinger import CompareResult, beside
 from .svgplot import line_plot
 from .version import __version__
 
@@ -82,7 +88,14 @@ def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
               flags: TermFlags, vext: ExternalPotential, traj: Trajectory,
               wall_time: float, plot: bool = False) -> None:
     """Write snapshots/, diagnostics.csv, manifest.json and, with
-    ``plot``, one SVG per snapshot."""
+    ``plot``, one SVG per snapshot.
+
+    The snapshots go out in stacks of ``CHUNK``. With more than one
+    stack, a forked child (:func:`~qfluid.schrodinger.beside`) writes the
+    second half of the stacks while this process writes the first half
+    and the run's other files; an error of either is raised here, after
+    the child has been reaped.
+    """
     os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -93,43 +106,56 @@ def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
                        None if flags.quantum else np.zeros(grid.n), varr),
                       grid.n)
     snaps = traj.snapshots
-    for j0 in range(0, len(snaps), CHUNK):
-        part = snaps[j0:j0 + CHUNK]
-        lam = np.array([s.lam.values for s in part])
-        phi = np.array([s.phi.values for s in part])
-        v, uq = _fields(grid, lam, phi, flags, p)
-        rho = np.exp(lam)
-        for j, s in enumerate(part):
-            base = os.path.join(snap_dir, f"{j0 + j:04d}")
-            cols = (rho[j], phi[j], v[j]) + ((uq[j],) if flags.quantum else ())
-            _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e", cols, fmt)
-            if plot:
-                line_plot(base + ".svg", grid.x,
-                          [("rho", rho[j]), ("v", v[j])],
-                          title=f"{scn.name}  t = {s.t:.6g}", xlabel="x")
 
-    recs = traj.records
-    _write_csv(
-        os.path.join(out_dir, "diagnostics.csv"),
-        "t,mass,energy,bernoulli_residual,lagrangian_minus_pressure,min_density",
-        (
-            [r.t for r in recs],
-            [r.mass for r in recs],
-            [r.energy for r in recs],
-            [r.bernoulli_residual for r in recs],
-            [r.lagrangian_minus_pressure for r in recs],
-            [r.min_density for r in recs],
-        ),
-    )
+    def write_stacks(starts: range) -> None:
+        for j0 in starts:
+            part = snaps[j0:j0 + CHUNK]
+            lam = np.array([s.lam.values for s in part])
+            phi = np.array([s.phi.values for s in part])
+            v, uq = _fields(grid, lam, phi, flags, p)
+            rho = np.exp(lam)
+            for j, s in enumerate(part):
+                base = os.path.join(snap_dir, f"{j0 + j:04d}")
+                cols = (rho[j], phi[j], v[j]) + ((uq[j],) if flags.quantum
+                                                 else ())
+                _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e", cols, fmt)
+                if plot:
+                    line_plot(base + ".svg", grid.x,
+                              [("rho", rho[j]), ("v", v[j])],
+                              title=f"{scn.name}  t = {s.t:.6g}", xlabel="x")
 
-    manifest = manifest_dict(scn, grid, p, flags, wall_time)
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    starts = range(0, len(snaps), CHUNK)
+    half = (len(starts) + 1) // 2
+    mine, theirs = starts[:half], starts[half:]
+    child, cancel = (beside(lambda: write_stacks(theirs)) if theirs
+                     else (lambda: None, lambda: None))
+    try:
+        write_stacks(mine)
+        recs = traj.records
+        _write_csv(
+            os.path.join(out_dir, "diagnostics.csv"),
+            "t,mass,energy,bernoulli_residual,lagrangian_minus_pressure,min_density",
+            (
+                [r.t for r in recs],
+                [r.mass for r in recs],
+                [r.energy for r in recs],
+                [r.bernoulli_residual for r in recs],
+                [r.lagrangian_minus_pressure for r in recs],
+                [r.min_density for r in recs],
+            ),
+        )
 
-    if traj.status != "ok":
-        write_error(out_dir, traj)
+        manifest = manifest_dict(scn, grid, p, flags, wall_time)
+        with open(os.path.join(out_dir, "manifest.json"), "w",
+                  encoding="utf-8", newline="\n") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+
+        if traj.status != "ok":
+            write_error(out_dir, traj)
+        child()
+    finally:
+        cancel()
 
 
 def write_error(out_dir, traj: Trajectory) -> None:

@@ -24,7 +24,8 @@ operand order of the fresh-array expressions it replaces (``psi * rot``,
 bitwise commutative, so the order keeps the bits.
 
 :func:`beside` runs a call in a forked child process while the caller
-goes on; ``qfluid compare`` runs the oracle in it beside the fluid solver.
+goes on: ``qfluid compare`` runs the oracle in it beside the fluid solver,
+and ``qfluid run`` half of its snapshot files beside the other half.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """End-to-end command line behavior on small, fast scenarios."""
 
 import dataclasses
+import errno
 import json
 import os
 import signal
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfluid import Grid, cli, presets, scenario, serialize
+from qfluid import Grid, cli, output, presets, scenario, serialize
 from qfluid.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_VACUUM,
                         cmd_compare, cmd_run, cmd_scan, cmd_verify, main)
 from qfluid.kernels import truncation_sweep
@@ -282,17 +283,31 @@ def test_run_holds_a_series_to_its_step_bound(tmp_path, capsys):
         2.73e-4, rel=1e-3)
 
 
-@pytest.mark.parametrize("make", [presets.traveling, presets.trap])
-def test_snapshot_csvs_equal_a_per_snapshot_reference(make, tmp_path):
-    # 70 snapshots: one full stack of 64 and a partial one
+def stacked_run(n_snapshots, make=presets.traveling):
+    """A preset recording ``n_snapshots`` states, one per step."""
     setup = scenario.build(make())
+    scn = dataclasses.replace(setup.scn, solver=dataclasses.replace(
+        setup.scn.solver, t_end=(n_snapshots - 1) * setup.scn.solver.dt,
+        snapshot_stride=1))
+    traj = run(setup.state, scn.solver, setup.flags, setup.params, setup.vext)
+    assert len(traj.snapshots) == n_snapshots
+    return dataclasses.replace(setup, scn=scn), traj
+
+
+def write_stacked(setup, traj, out):
+    write_run(out, setup.scn, setup.scn.grid, setup.params, setup.flags,
+              setup.vext, traj, 0.0)
+
+
+@pytest.mark.parametrize("make", [presets.traveling, presets.trap])
+def test_snapshot_csvs_equal_a_per_snapshot_reference(make, tmp_path,
+                                                      monkeypatch):
+    # 70 snapshots: one full stack of 64, which this process writes, and a
+    # partial one, which a forked child writes
+    setup, traj = stacked_run(70, make)
     scn, flags, p, vext = setup.scn, setup.flags, setup.params, setup.vext
-    cfg = dataclasses.replace(scn.solver, t_end=69 * scn.solver.dt,
-                              snapshot_stride=1)
-    traj = run(setup.state, cfg, flags, p, vext)
-    assert len(traj.snapshots) == 70
     out = tmp_path / "out"
-    write_run(out, scn, scn.grid, p, flags, vext, traj, 0.0)
+    write_stacked(setup, traj, out)
     grid = scn.grid
     varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
     ref = tmp_path / "ref.csv"
@@ -303,6 +318,70 @@ def test_snapshot_csvs_equal_a_per_snapshot_reference(make, tmp_path):
                     varr))
         got = (out / "snapshots" / f"{idx:04d}.csv").read_bytes()
         assert got == ref.read_bytes(), idx
+    # where os.fork does not exist, this process writes both stacks
+    monkeypatch.delattr(os, "fork")
+    write_stacked(setup, traj, tmp_path / "inline")
+    files = sorted(f.relative_to(out) for f in out.rglob("*") if f.is_file())
+    assert len(files) == 70 + 2
+    for rel in files:
+        assert (tmp_path / "inline" / rel).read_bytes() == \
+            (out / rel).read_bytes(), rel
+
+
+def failing_snapshots(monkeypatch, indices, error):
+    """Make ``_write_csv`` raise ``error`` for the snapshots ``indices``."""
+    def write(path, *args):
+        name = os.path.basename(path)
+        if name[:4].isdigit() and int(name[:4]) in indices:
+            raise error
+        real(path, *args)
+
+    real = output._write_csv
+    monkeypatch.setattr(output, "_write_csv", write)
+
+
+def test_run_raises_what_the_writers_child_raised(tmp_path, monkeypatch,
+                                                  capsys):
+    # snapshot 64 opens the second stack, which the forked child writes
+    setup, traj = stacked_run(70)
+    full = OSError(errno.ENOSPC, "No space left on device")
+    failing_snapshots(monkeypatch, range(64, 70), full)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_stacked(setup, traj, tmp_path / "w")
+    assert (tmp_path / "w" / "manifest.json").is_file()
+    path = scenario_file(tmp_path, serialize(setup.scn))
+    assert cmd_run(path, str(tmp_path / "o")) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: [Errno 28] No space left on device\n"
+
+
+def test_run_reaps_the_writer_when_its_own_share_is_interrupted(
+        tmp_path, monkeypatch):
+    # the autouse fixture fails the test if the writer's child is left
+    setup, traj = stacked_run(70)
+    failing_snapshots(monkeypatch, range(64), KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        write_stacked(setup, traj, tmp_path / "w")
+
+
+def test_run_of_one_stack_forks_nothing(tmp_path, monkeypatch):
+    setup, traj = stacked_run(64)
+    monkeypatch.setattr(os, "fork",
+                        lambda: pytest.fail("one stack forked a child"))
+    write_stacked(setup, traj, tmp_path / "w")
+    assert len(list((tmp_path / "w" / "snapshots").glob("*.csv"))) == 64
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "scan"])
+def test_unwritable_out_exits_usage(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    scn = scenario_file(tmp_path, COMPARE)
+    argv = [command] + ([] if command == "scan" else [scn]) + ["-o", str(taken)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == "a regular file\n"
 
 
 # ------------------------------------------------------------------- verify

@@ -1,6 +1,7 @@
 """Grid construction rules, spectral derivatives, and field algebra."""
 
 import ast
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,17 @@ def test_equal_grids_share_operator_arrays():
         assert getattr(a, name) is getattr(b, name), name
         assert not getattr(a, name).flags.writeable
     assert Grid(n=16, length=1.0).k is not a.k
+
+
+def test_pickled_grid_shares_the_read_only_tables():
+    g = Grid(n=256, length=1.0)
+    bare = len(pickle.dumps(g))
+    g.x  # caches the tables on g
+    assert len(pickle.dumps(g)) == bare
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert copy.x is g.x and copy.half_ik is g.half_ik
+    assert not copy.x.flags.writeable
 
 
 def test_dealias_mask_keeps_two_thirds():
