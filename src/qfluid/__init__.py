@@ -11,8 +11,7 @@ console script exposes ``run``, ``verify``, ``compare`` and ``scan``.
 """
 
 from .version import __version__
-from .grid import (Grid, Field, ComplexField, derivative, convolve,
-                   integrate, dealias)
+from .grid import Grid, Field, derivative, convolve, integrate, dealias
 from .params import PhysParams, ExternalPotential
 from .kernels import (Kernel, MomentTable, make_kernel, kernel_from_csv,
                       moments, nonlocal_energy, series_energy)
@@ -45,8 +44,7 @@ from .verify import (CheckResult, RunCache, SUITES, SUITE_NAMES, run_suite,
 __all__ = [
     "__version__",
     # grid
-    "Grid", "Field", "ComplexField", "derivative", "convolve", "integrate",
-    "dealias",
+    "Grid", "Field", "derivative", "convolve", "integrate", "dealias",
     # physics
     "PhysParams", "ExternalPotential",
     # kernels

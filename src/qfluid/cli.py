@@ -86,8 +86,7 @@ def cmd_run(scenario_path: str, out_dir: str | None = None,
     t0 = time.perf_counter()
     traj = run(setup.state, scn.solver, setup.flags, setup.params, setup.vext)
     wall = time.perf_counter() - t0
-    write_run(out, scn, scn.grid, setup.params, setup.flags, setup.vext, traj,
-              wall, plot=plot)
+    write_run(out, setup, traj, wall, plot=plot)
     n_snap = len(traj.snapshots)
     print(f"{scn.name}: {traj.status}, {n_snap} snapshots, "
           f"{wall:.2f} s -> {out}")

@@ -29,7 +29,6 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 __all__ = [
     "Grid",
     "Field",
-    "ComplexField",
     "derivative",
     "convolve",
     "integrate",
@@ -224,30 +223,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(n={self.grid.n}, L={self.grid.length:g})"
-
-
-class ComplexField:
-    """Complex scalar field sampled on a :class:`Grid` (wavefunctions)."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values, *, _fresh: bool = False):
-        if _fresh:
-            arr = values
-        else:
-            arr = np.array(values, dtype=complex)
-            if arr.shape != (grid.n,):
-                raise ValueError(
-                    f"field shape {arr.shape} does not match grid n={grid.n}"
-                )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field samples must be finite")
-        arr.flags.writeable = False
-        self.grid = grid
-        self.values = arr
-
-    def __repr__(self):
-        return f"ComplexField(n={self.grid.n}, L={self.grid.length:g})"
 
 
 def derivative(f: Field, order: int = 1) -> Field:

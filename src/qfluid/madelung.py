@@ -6,12 +6,14 @@ State is the pair ``(lam, phi)`` with ``lam = ln rho`` and velocity
     d lam / dt = grad phi . grad lam + lap phi          (continuity)
     d phi / dt = (grad phi)^2 / 2 + H_th + U_Q + V_e    (Bernoulli)
 
-where each right-hand term is switched by :class:`TermFlags`. U_Q is the
-gradient series of the non-local log-density energy, cut after
-``c_{2 quantum_order}``; its first term is Bohm's potential. Working in
-``lam`` keeps the density positive by construction and makes the enthalpy
-``(kT/m)(lam + 1)`` linear in the state. Quadratic products in the right
-hand side are dealiased with the 2/3 rule (default on).
+where :class:`TermFlags` switches H_th and U_Q, and V_e enters exactly
+when the :class:`ExternalPotential` is not of kind ``zero``, the kind
+the wave oracle reads too. U_Q is the gradient series of the non-local
+log-density energy, cut after ``c_{2 quantum_order}``; its first term
+is Bohm's potential. Working in ``lam`` keeps the density positive by
+construction and makes the enthalpy ``(kT/m)(lam + 1)`` linear in the
+state. Quadratic products in the right hand side are dealiased with the
+2/3 rule (default on).
 
 Between RK4 stages and steps the state is the stacked half spectrum
 ``(lam^, phi^)`` of the real FFT. A :class:`Tendency`, built once per run,
@@ -100,7 +102,8 @@ class State:
 
 @dataclass(frozen=True)
 class TermFlags:
-    """Which Bernoulli terms participate in the dynamics.
+    """Which of the thermal and quantum Bernoulli terms participate in the
+    dynamics; V_e participates when the run's potential is not zero.
 
     ``quantum_order`` cuts the quantum closure's gradient series: 1 keeps
     Bohm's first term; >= 2 keeps the terms through ``c_{2 quantum_order}``
@@ -109,7 +112,6 @@ class TermFlags:
 
     thermo: bool = True
     quantum: bool = False
-    external: bool = False
     quantum_order: int = 1
     moments: MomentTable | None = None
 
@@ -207,12 +209,12 @@ class Tendency:
                     + n theta delta_k0 + V^
 
     :attr:`theta` is ``kT/m`` with thermo on, else 0, and ``V^`` enters
-    with external on and ``vext`` given. With quantum on the closure is
-    ``(kT/m) [M lam + (M rho) / rho]``, ``M = sum_{n=1}^{N} (a^2 k^2)^n
-    c_{2n} / (2n)!``. Its n = 1 term is Bohm's, the ``qc`` terms above;
-    only the ``remainder`` ``R = (kT/m) sum_{n=2}^{N}`` (order >= 2) goes
-    through rho: lam goes back as a third row, and ``R rho`` costs two
-    transforms more.
+    when ``vext`` is given and not of kind ``zero``. With quantum on the
+    closure is ``(kT/m) [M lam + (M rho) / rho]``, ``M = sum_{n=1}^{N}
+    (a^2 k^2)^n c_{2n} / (2n)!``. Its n = 1 term is Bohm's, the ``qc``
+    terms above; only the ``remainder`` ``R = (kT/m) sum_{n=2}^{N}``
+    (order >= 2) goes through rho: lam goes back as a third row, and
+    ``R rho`` costs two transforms more.
 
     About a uniform state the rho route is ``R lam^`` too, so each mode
     turns at ``omega_k^2 = k^2 L(k)``. The linear :attr:`rate` is
@@ -250,7 +252,7 @@ class Tendency:
         self.linear = np.stack((-grid.half_k2, lin), dtype=complex)
         self.force = np.zeros(mask.shape, dtype=complex)
         self.force[0] = grid.n * self.theta
-        if flags.external and vext is not None:
+        if vext is not None and vext.kind != "zero":
             self.force += grid.rfft(vext.field(grid).values)
         # the rows a stage's inverse reads and its products fill
         self.rows = 2 if self.remainder is None else 3
@@ -385,7 +387,7 @@ def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams):
     tendency of each state at rest with only the quantum term on and
     dealiasing off."""
     rest = np.stack((lam_hat, np.zeros_like(lam_hat)))
-    only = replace(flags, thermo=False, external=False)
+    only = replace(flags, thermo=False)
     return _reader(grid, only, p, False).stacked(rest)[1]
 
 
@@ -425,8 +427,9 @@ def rhs(s: State, flags: TermFlags, p: PhysParams, vext: ExternalPotential,
     grid = s.grid
     hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
     dlam, dphi = grid.irfft(_reader(grid, flags, p, dealias)(hat))
-    if flags.external:
-        dphi = dphi + vext.field(grid).values
+    varr = _samples(grid, vext)
+    if varr is not None:
+        dphi = dphi + varr
     return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
@@ -606,10 +609,11 @@ def _energy_rows(grid: Grid, lam_hat, phi_hat, flags: TermFlags,
     return rows
 
 
-def _energy_density(lam, rows, flags: TermFlags, p: PhysParams, vext):
+def _energy_density(lam, rows, flags: TermFlags, p: PhysParams, varr):
     """Pointwise energy per unit volume for the active terms, with rho and v.
 
-    ``rows`` are :func:`_energy_rows` in real space. The quantum part is
+    ``rows`` are :func:`_energy_rows` in real space, and ``varr`` the
+    samples of V_e, None for the zero potential. The quantum part is
     ``(kT/m) rho (M lam)``, whose density derivative is U_Q, with Bohm's
     term in the sign-definite form ``(kT/m) a^2 rho (grad lam)^2 / 2``.
     On shell the Lagrangian density is ``rho dphi/dt`` minus this.
@@ -619,13 +623,18 @@ def _energy_density(lam, rows, flags: TermFlags, p: PhysParams, vext):
     dens = 0.5 * rho * v * v
     if flags.thermo:
         dens = dens + rho * (p.kT / p.m) * lam
-    if flags.external:
-        dens = dens + rho * vext
+    if varr is not None:
+        dens = dens + rho * varr
     if flags.quantum:
         dens = dens + 0.25 * p.quantum_coefficient * rho * rows[1]**2
     if flags.series:
         dens = dens + rho * rows[2]
     return dens, rho, v
+
+
+def _samples(grid: Grid, vext: ExternalPotential) -> np.ndarray | None:
+    """V_e on the grid, None for the zero potential."""
+    return None if vext.kind == "zero" else vext.field(grid).values
 
 
 def diagnostics(s: State, flags: TermFlags, p: PhysParams,
@@ -647,7 +656,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     real = np.array([[s.lam.values for s in states],
                      [s.phi.values for s in states]])
     lam = real[0]
-    varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
+    varr = _samples(grid, vext)
     hat = grid.rfft(real)
     rows = _energy_rows(grid, hat[0], hat[1], flags, p)
     rows.append(_uq_hat(grid, hat[0], flags, p) if flags.quantum
@@ -663,7 +672,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     if flags.thermo:
         # U_th + p/rho telescopes to the enthalpy (kT/m)(lam + 1)
         bern = bern + (p.kT / p.m) * (lam + 1.0)
-    if flags.external:
+    if varr is not None:
         bern = bern + varr
     if flags.quantum:
         bern = bern + back[-1]
@@ -674,7 +683,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     if flags.quantum:
         lmp = [math.nan] * len(states)
     else:
-        dp = back[-1] + varr if flags.external else back[-1]
+        dp = back[-1] if varr is None else back[-1] + varr
         lag = rho * dp - dens
         pr = (p.kT / p.m) * rho
         lmp = [dev / pmax if pmax > 0 else math.nan for dev, pmax in
@@ -707,7 +716,7 @@ def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
     if np.abs(dts - dt).max() > 1e-9 * dt:
         raise ValueError("action needs uniformly spaced snapshots")
     grid = snaps[0].grid
-    varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
+    varr = _samples(grid, vext)
 
     phis = np.stack([s.phi.values for s in snaps])
     lams = np.stack([s.lam.values for s in snaps])

@@ -6,9 +6,9 @@ byte-identical CSVs.
 
 :func:`write_run` writes a run's snapshot files from two processes: a
 forked child (:func:`~qfluid.schrodinger.beside`) writes the later half
-of the snapshot stacks while the caller writes the earlier half and the
-run's other files. The layout and every byte stay those of one process
-writing them in order.
+of the snapshots while the caller writes the earlier half and the run's
+other files. The layout and every byte stay those of one process writing
+them in order.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ import os
 
 import numpy as np
 
-from .grid import Grid
-from .madelung import (CHUNK, TermFlags, Trajectory, _fields,
-                       stability_bound, whole_steps)
-from .params import ExternalPotential, PhysParams
-from .scenario import Scenario
+from .madelung import CHUNK, Trajectory, _fields, stability_bound, whole_steps
+from .scenario import Setup
 from .schrodinger import CompareResult, beside
 from .svgplot import line_plot
 from .version import __version__
@@ -56,9 +53,10 @@ def _write_csv(path, header: str, columns, fmt: str | None = None) -> None:
         f.write(fmt % tuple(rows.ravel().tolist()))
 
 
-def manifest_dict(scn: Scenario, grid: Grid, p: PhysParams, flags: TermFlags,
-                  wall_time: float | None = None) -> dict:
+def manifest_dict(setup: Setup, wall_time: float | None = None) -> dict:
     """Every resolved parameter, stated explicitly."""
+    scn, p, flags = setup.scn, setup.params, setup.flags
+    grid = scn.grid
     derived: dict[str, object] = {
         "dx": grid.dx,
         "a2": p.a2,
@@ -84,32 +82,34 @@ def manifest_dict(scn: Scenario, grid: Grid, p: PhysParams, flags: TermFlags,
     return out
 
 
-def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
-              flags: TermFlags, vext: ExternalPotential, traj: Trajectory,
-              wall_time: float, plot: bool = False) -> None:
+def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
+              plot: bool = False) -> None:
     """Write snapshots/, diagnostics.csv, manifest.json and, with
-    ``plot``, one SVG per snapshot.
+    ``plot``, one SVG per snapshot, for the run of ``setup`` that gave
+    ``traj``.
 
-    The snapshots go out in stacks of ``CHUNK``. With more than one
-    stack, a forked child (:func:`~qfluid.schrodinger.beside`) writes the
-    second half of the stacks while this process writes the first half
-    and the run's other files; an error of either is raised here, after
-    the child has been reaped.
+    With more than ``CHUNK`` snapshots, a forked child
+    (:func:`~qfluid.schrodinger.beside`) writes the snapshots from the
+    middle one on while this process writes those before it and the run's
+    other files; each side goes in stacks of ``CHUNK``. An error of either
+    is raised here, after the child has been reaped.
     """
+    scn, p, flags = setup.scn, setup.params, setup.flags
+    grid = scn.grid
     os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
 
-    varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
+    varr = setup.vext.field(grid).values
     # x and V_e, and U_Q = 0 with quantum off, are formatted once per run
     fmt = _csv_format((grid.x, None, None, None,
                        None if flags.quantum else np.zeros(grid.n), varr),
                       grid.n)
     snaps = traj.snapshots
 
-    def write_stacks(starts: range) -> None:
-        for j0 in starts:
-            part = snaps[j0:j0 + CHUNK]
+    def write_stacks(start: int, stop: int) -> None:
+        for j0 in range(start, stop, CHUNK):
+            part = snaps[j0:min(j0 + CHUNK, stop)]
             lam = np.array([s.lam.values for s in part])
             phi = np.array([s.phi.values for s in part])
             v, uq = _fields(grid, lam, phi, flags, p)
@@ -124,13 +124,12 @@ def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
                               [("rho", rho[j]), ("v", v[j])],
                               title=f"{scn.name}  t = {s.t:.6g}", xlabel="x")
 
-    starts = range(0, len(snaps), CHUNK)
-    half = (len(starts) + 1) // 2
-    mine, theirs = starts[:half], starts[half:]
-    child, cancel = (beside(lambda: write_stacks(theirs)) if theirs
-                     else (lambda: None, lambda: None))
+    count = len(snaps)
+    middle = (count + 1) // 2 if count > CHUNK else count
+    child, cancel = (beside(lambda: write_stacks(middle, count))
+                     if middle < count else (lambda: None, lambda: None))
     try:
-        write_stacks(mine)
+        write_stacks(0, middle)
         recs = traj.records
         _write_csv(
             os.path.join(out_dir, "diagnostics.csv"),
@@ -145,7 +144,7 @@ def write_run(out_dir, scn: Scenario, grid: Grid, p: PhysParams,
             ),
         )
 
-        manifest = manifest_dict(scn, grid, p, flags, wall_time)
+        manifest = manifest_dict(setup, wall_time)
         with open(os.path.join(out_dir, "manifest.json"), "w",
                   encoding="utf-8", newline="\n") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)

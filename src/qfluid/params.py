@@ -19,21 +19,18 @@ from .grid import Field, Grid
 
 __all__ = ["PhysParams", "ExternalPotential"]
 
-_A2_MODES = ("de_broglie", "explicit")
-
-
 @dataclass(frozen=True)
 class PhysParams:
     """Fluid constants and the kernel length that sets the quantum term.
 
-    ``a2_mode`` selects how the squared kernel length ``a^2`` is resolved:
+    ``a2_explicit`` states the squared kernel length ``a^2`` (a kernel's
+    second moment gives it); ``None`` means the thermal de Broglie length:
 
-    * ``"de_broglie"``: ``a^2 = hbar^2 / (4 m kT)``, the thermal de Broglie
-      choice. Requires ``kT > 0``. The quantum coefficient
-      ``2 (kT/m) a^2`` is then exactly ``hbar^2 / (2 m^2)``, independent of
-      temperature.
-    * ``"explicit"``: ``a^2 = a2_explicit`` is taken at face value; it may
-      be negative (for example a plain Gaussian kernel gives ``-s^2``), in
+    * ``a2_explicit = None``: ``a^2 = hbar^2 / (4 m kT)``. Requires
+      ``kT > 0``. The quantum coefficient ``2 (kT/m) a^2`` is then exactly
+      ``hbar^2 / (2 m^2)``, independent of temperature.
+    * ``a2_explicit`` a number: ``a^2`` is taken at face value; it may be
+      negative (for example a plain Gaussian kernel gives ``-s^2``), in
       which case no real effective Planck constant exists and quantum
       evolution is rejected.
     """
@@ -41,7 +38,6 @@ class PhysParams:
     hbar: float = 1.0
     m: float = 1.0
     kT: float = 1.0
-    a2_mode: str = "de_broglie"
     a2_explicit: float | None = None
     c: float = 1.0
 
@@ -54,20 +50,17 @@ class PhysParams:
             raise ValueError(f"kT must be >= 0, got {self.kT}")
         if not self.c > 0:
             raise ValueError(f"signal speed c must be > 0, got {self.c}")
-        if self.a2_mode not in _A2_MODES:
-            raise ValueError(f"a2_mode must be one of {_A2_MODES}, got {self.a2_mode!r}")
-        if self.a2_mode == "de_broglie" and not self.kT > 0:
+        if self.a2_explicit is None and not self.kT > 0:
             raise ValueError(
-                "de_broglie mode requires kT > 0: the thermal kernel length "
-                "a = hbar / sqrt(4 m kT) diverges at zero temperature"
+                "kT > 0 is needed for the de Broglie kernel length"
+                " a = hbar / sqrt(4 m kT), which diverges at zero"
+                " temperature; or state an explicit a2"
             )
-        if self.a2_mode == "explicit" and self.a2_explicit is None:
-            raise ValueError("explicit mode requires a2_explicit")
 
     @property
     def a2(self) -> float:
-        """Squared kernel length resolved per ``a2_mode``."""
-        if self.a2_mode == "de_broglie":
+        """Squared kernel length: ``a2_explicit``, else the de Broglie one."""
+        if self.a2_explicit is None:
             return self.hbar**2 / (4.0 * self.m * self.kT)
         return float(self.a2_explicit)
 
@@ -75,10 +68,10 @@ class PhysParams:
     def quantum_coefficient(self) -> float:
         """Coefficient of the quantum potential, ``2 (kT/m) a^2``.
 
-        Evaluated as ``hbar^2 / (2 m^2)`` in de_broglie mode so the exact
-        temperature cancellation survives floating point.
+        Evaluated as ``hbar^2 / (2 m^2)`` for the de Broglie length so the
+        exact temperature cancellation survives floating point.
         """
-        if self.a2_mode == "de_broglie":
+        if self.a2_explicit is None:
             return self.hbar**2 / (2.0 * self.m**2)
         return 2.0 * (self.kT / self.m) * float(self.a2_explicit)
 
@@ -86,14 +79,15 @@ class PhysParams:
     def hbar_eff(self) -> float:
         """Effective Planck constant of the equivalent wave equation.
 
-        ``hbar`` itself in de_broglie mode, else ``2 m sqrt((kT/m) a^2)``.
+        ``hbar`` itself for the de Broglie length, else
+        ``2 m sqrt((kT/m) a^2)``.
         """
-        if self.a2_mode == "de_broglie":
+        if self.a2_explicit is None:
             return self.hbar
         val = (self.kT / self.m) * float(self.a2_explicit)
         if not val > 0:
             raise ValueError(
-                "no real effective Planck constant: explicit mode needs"
+                "no real effective Planck constant: an explicit a2 needs"
                 f" (kT/m) * a2 > 0, got {val}"
             )
         return 2.0 * self.m * math.sqrt(val)

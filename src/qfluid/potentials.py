@@ -63,7 +63,7 @@ def pressure(rho: Field, p: PhysParams) -> Field:
 def bohm_potential(rho: Field, p: PhysParams, form: str = "gradient_form") -> Field:
     """Quantum potential in either closed form.
 
-    The coefficient is ``2 (kT/m) a^2``; in de_broglie mode it reduces to
+    The coefficient is ``2 (kT/m) a^2``; for the de Broglie length it is
     ``hbar^2 / (2 m^2)`` exactly, so the result does not depend on kT.
     The sqrt form takes ``sqrt(rho)`` from the density itself, without a
     round trip through ``ln rho``.

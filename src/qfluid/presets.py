@@ -122,8 +122,7 @@ def trap() -> Scenario:
         external=ExternalHarmonic(omega=omega),
         kernel=None,
         solver=SolverConfig(dt=5e-5, t_end=0.25, snapshot_stride=1250),
-        oracle=OracleSpec(dt=2.5e-5, t_end=0.25, snapshot_stride=2500,
-                          strang=True),
+        oracle=OracleSpec(dt=2.5e-5, t_end=0.25, snapshot_stride=2500),
     )
 
 
@@ -138,8 +137,7 @@ def free() -> Scenario:
         external=ExternalZero(),
         kernel=None,
         solver=SolverConfig(dt=6e-5, t_end=0.492, snapshot_stride=2050),
-        oracle=OracleSpec(dt=None, t_end=None, snapshot_stride=None,
-                          strang=True),
+        oracle=OracleSpec(dt=None, t_end=None, snapshot_stride=None),
     )
 
 

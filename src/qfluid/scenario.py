@@ -32,12 +32,13 @@ rejected, and so is a ``[kernel]`` that no term reads. A choice that
 another input already decides has no key: the external term is on when
 ``[external]`` names a potential, the kernel length is explicit when
 ``a2`` is given (else the thermal de Broglie one), the oracle's log
-nonlinearity follows the thermo term, and plots are ``qfluid run
---plot``. Validation is :func:`build`, the one function that turns a
-Scenario into a :class:`Setup` (parameters, flags, external potential,
-initial state, oracle config) and checks the solver's step count, bound
-and series well-posedness; ``parse_scenario`` runs it, so a Scenario in
-hand is runnable, and :func:`load` hands back the Setup it built.
+nonlinearity follows the thermo term, its splitting is always Strang's
+(``[oracle]`` sets timing only), and plots are ``qfluid run --plot``.
+Validation is :func:`build`, the one function that turns a Scenario
+into a :class:`Setup` (parameters, flags, external potential, initial
+state, oracle config) and checks the solver's step count, bound and
+series well-posedness; ``parse_scenario`` runs it, so a Scenario in hand
+is runnable, and :func:`load` hands back the Setup it built.
 
 A section's keys, types, defaults and order are the fields of its
 dataclass, one per kind where the section has a ``kind`` (the kernel: a
@@ -46,7 +47,7 @@ dataclass, one per kind where the section has a ``kind`` (the kernel: a
     name unnamed | physics: hbar 1, mass 1, kT 1, no a2, c 1
     terms: thermo on, quantum off, quantum_order 1 | external kind zero
     solver: dt 1e-3, t_end 1.0, snapshot_stride 1, dealias true,
-    density_floor 1e-12 | oracle: timing follows solver, Strang splitting
+    density_floor 1e-12 | oracle: timing follows solver
 
 ``serialize`` writes every resolved key back out explicitly, and
 ``parse_scenario(serialize(s))`` reproduces ``s`` exactly.
@@ -254,14 +255,13 @@ KernelSpec = (KernelGaussian | KernelDifferenceOfGaussians | KernelDelta
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """The wave referee's timing (the solver's where unset) and splitting.
-    Its log nonlinearity is the thermal enthalpy, so it follows
-    ``[terms] thermo``."""
+    """The wave referee's timing, the solver's where unset: its splitting
+    is always Strang's, and its log nonlinearity is the thermal enthalpy,
+    so it follows ``[terms] thermo``."""
 
     dt: float | None = None
     t_end: float | None = None
     snapshot_stride: int | None = None
-    strang: bool = True
 
 
 @dataclass(frozen=True)
@@ -545,9 +545,15 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
     try:
         state = build_initial_state(scn, grid, params, vext, base_dir,
                                     flags=flags)
-        oracle = build_oracle_config(scn)
     except (ValueError, OSError) as e:
-        raise ScenarioError(str(e)) from None
+        initial = raw.get("initial", {})
+        raise ScenarioError(str(e), _key_line(initial, str(e))
+                            or _line(raw, "initial", "kind")) from None
+    try:
+        oracle = build_oracle_config(scn)
+    except ValueError as e:
+        raise ScenarioError(
+            str(e), _key_line(raw.get("oracle", {}), str(e))) from None
     return Setup(scn, params, flags, vext, state, oracle)
 
 
@@ -563,9 +569,8 @@ def build_grid(scn: Scenario) -> Grid:
 
 def build_params(scn: Scenario) -> PhysParams:
     p = scn.physics
-    return PhysParams(hbar=p.hbar, m=p.mass, kT=p.kT,
-                      a2_mode="de_broglie" if p.a2 is None else "explicit",
-                      a2_explicit=p.a2, c=p.c)
+    return PhysParams(hbar=p.hbar, m=p.mass, kT=p.kT, a2_explicit=p.a2,
+                      c=p.c)
 
 
 def build_external(scn: Scenario, base_dir: str | None = None) -> ExternalPotential:
@@ -601,7 +606,6 @@ def build_flags(scn: Scenario, grid: Grid,
                 "to supply moment coefficients")
         table = moments(kernel, max_n=t.quantum_order)
     return TermFlags(thermo=t.thermo, quantum=t.quantum,
-                     external=scn.external.kind != "zero",
                      quantum_order=t.quantum_order, moments=table)
 
 
@@ -617,7 +621,6 @@ def build_oracle_config(scn: Scenario) -> OracleConfig:
         snapshot_stride=(o.snapshot_stride if o.snapshot_stride is not None
                          else s.snapshot_stride),
         nonlinearity=scn.terms.thermo,
-        strang=o.strang,
     )
 
 
@@ -636,7 +639,7 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
     included. The constant is fixed by normalizing mean rho each sweep. A
     sweep whose update is not finite ends the iteration as diverged.
     """
-    only = dataclasses.replace(flags, thermo=False, external=False)
+    only = dataclasses.replace(flags, thermo=False)
     uq = _reader(grid, only, params, dealias)
     denom = params.kT / params.m + uq.rate
     log_norm = np.log(mean_density)

@@ -36,7 +36,7 @@ import signal
 
 import numpy as np
 
-from .grid import ComplexField, Field, Grid
+from .grid import Field, Grid
 from .madelung import State, Trajectory, whole_steps
 from .params import ExternalPotential, PhysParams
 
@@ -57,26 +57,39 @@ __all__ = [
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveState:
-    t: float
-    psi: ComplexField
+    """A wavefunction at time ``t``: ``psi`` holds its complex samples on
+    ``grid``, as a read-only copy of the array given, which must match the
+    grid and be finite."""
 
-    @property
-    def grid(self) -> Grid:
-        return self.psi.grid
+    t: float
+    grid: Grid
+    psi: np.ndarray
+
+    def __post_init__(self) -> None:
+        psi = np.array(self.psi, dtype=complex)
+        if psi.shape != (self.grid.n,):
+            raise ValueError(f"wavefunction shape {psi.shape} does not "
+                             f"match grid n={self.grid.n}")
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("wavefunction samples must be finite")
+        psi.flags.writeable = False
+        object.__setattr__(self, "psi", psi)
 
     def density(self) -> Field:
-        return Field(self.grid, np.abs(self.psi.values) ** 2, _fresh=True)
+        return Field(self.grid, np.abs(self.psi) ** 2, _fresh=True)
 
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """The oracle's step, span and snapshot stride, and whether its log
+    nonlinearity is on. Its splitting is always Strang's."""
+
     dt: float
     t_end: float
     snapshot_stride: int = 1
     nonlinearity: bool = True
-    strang: bool = True
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
@@ -101,8 +114,7 @@ def to_wavefunction(s: State, p: PhysParams) -> WaveState:
     """Map ``(lam, phi)`` to ``psi = exp(lam/2) exp(-i m phi / hbar_eff)``."""
     amp = np.exp(0.5 * s.lam.values)
     phase = -p.m * s.phi.values / p.hbar_eff
-    psi = amp * np.exp(1j * phase)
-    return WaveState(s.t, ComplexField(s.grid, psi, _fresh=True))
+    return WaveState(s.t, s.grid, amp * np.exp(1j * phase))
 
 
 def from_wavefunction(w: WaveState, p: PhysParams) -> State:
@@ -114,7 +126,7 @@ def from_wavefunction(w: WaveState, p: PhysParams) -> State:
     (phase numerically undefined) or if the unwrapped phase winds around
     the box (no single-valued phi exists).
     """
-    psi = w.psi.values
+    psi = w.psi
     amp = np.abs(psi)
     if amp.min() <= 1e-6 * amp.max():
         raise ValueError(
@@ -153,9 +165,10 @@ def _potential(psi, base, p: PhysParams, nonlinearity: bool, out):
 
 def oracle_step(w: WaveState, cfg: OracleConfig, p: PhysParams,
                 vext: ExternalPotential) -> WaveState:
-    """One splitting step (Strang by default, Lie otherwise)."""
-    psi = _advance(w.psi.values, 1, w.grid, cfg, p, vext, lambda i, psi: None)
-    return WaveState(w.t + cfg.dt, ComplexField(w.grid, psi, _fresh=True))
+    """One Strang step: half a potential rotation, the kinetic step, half a
+    rotation with the updated density."""
+    psi = _advance(w.psi, 1, w.grid, cfg, p, vext, lambda i, psi: None)
+    return WaveState(w.t + cfg.dt, w.grid, psi)
 
 
 def _check_rotation(v, v_max: float, cfg: OracleConfig, p: PhysParams):
@@ -171,9 +184,9 @@ def _check_rotation(v, v_max: float, cfg: OracleConfig, p: PhysParams):
 
 def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
              vext: ExternalPotential, record) -> np.ndarray:
-    """Take ``n_steps`` splitting steps from ``psi`` and return the last
+    """Take ``n_steps`` Strang steps from ``psi`` and return the last
     state, calling ``record(i, psi)`` after every stride-th step and the
-    last. Between snapshots Strang's adjacent half rotations merge.
+    last. Between snapshots the adjacent half rotations merge.
 
     The steps write into work arrays this call owns; a recorded state is a
     fresh array, which ``record`` keeps.
@@ -183,7 +196,7 @@ def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
         base = base + p.m * vext.field(grid).values
     kin = np.exp(-0.5j * p.hbar_eff * grid.k**2 * cfg.dt / p.m)
     full = -1j * cfg.dt / p.hbar_eff
-    first = 0.5 * full if cfg.strang else full
+    half = 0.5 * full
     v_max = 0.5 * p.hbar_eff / cfg.dt
     row = np.empty(grid.n)
     rot = np.empty(grid.n, dtype=complex)
@@ -191,18 +204,17 @@ def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
     spec = np.empty(grid.n, dtype=complex)
     v = _potential(psi, base, p, cfg.nonlinearity, row)
     _check_rotation(v, v_max, cfg, p)
-    np.exp(np.multiply(first, v, out=rot), out=rot)
+    np.exp(np.multiply(half, v, out=rot), out=rot)
     for i in range(1, n_steps + 1):
         grid.fft(np.multiply(psi, rot, out=wave), out=spec)
         psi = grid.ifft(np.multiply(kin, spec, out=spec), out=wave)
         snap = i % cfg.snapshot_stride == 0 or i == n_steps
-        if cfg.strang or i < n_steps:
-            v = _potential(psi, base, p, cfg.nonlinearity, row)
-            if i < n_steps:
-                _check_rotation(v, v_max, cfg, p)
-            np.exp(np.multiply(first if snap else full, v, out=rot), out=rot)
+        v = _potential(psi, base, p, cfg.nonlinearity, row)
+        if i < n_steps:
+            _check_rotation(v, v_max, cfg, p)
+        np.exp(np.multiply(half if snap else full, v, out=rot), out=rot)
         if snap:
-            psi = psi * rot if cfg.strang else psi.copy()
+            psi = psi * rot
             record(i, psi)
     return psi
 
@@ -218,13 +230,12 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
     traj = WaveTrajectory(snapshots=[], norms=[])
 
     def record(i, arr):
-        traj.snapshots.append(WaveState(t0 + i * cfg.dt,
-                                        ComplexField(grid, arr, _fresh=True)))
+        traj.snapshots.append(WaveState(t0 + i * cfg.dt, grid, arr))
         traj.norms.append(float(np.sum(np.abs(arr) ** 2) * dx))
 
-    record(0, initial.psi.values.copy())
+    record(0, initial.psi)
     if n_steps:
-        _advance(initial.psi.values, n_steps, grid, cfg, p, vext, record)
+        _advance(initial.psi, n_steps, grid, cfg, p, vext, record)
     return traj
 
 
@@ -293,7 +304,7 @@ def waves_from_states(traj: Trajectory, p: PhysParams) -> WaveTrajectory:
     for s in traj.snapshots:
         w = to_wavefunction(s, p)
         out.snapshots.append(w)
-        out.norms.append(float(np.sum(np.abs(w.psi.values) ** 2) * s.grid.dx))
+        out.norms.append(float(np.sum(np.abs(w.psi) ** 2) * s.grid.dx))
     return out
 
 
@@ -332,10 +343,10 @@ def compare(hydro: Trajectory, wave: WaveTrajectory, p: PhysParams) -> CompareRe
         if s.grid != w.grid:
             raise ValueError("trajectories live on different grids")
         rho_h = np.exp(s.lam.values)
-        rho_o = np.abs(w.psi.values) ** 2
+        rho_o = np.abs(w.psi) ** 2
         dens_err[j] = np.linalg.norm(rho_h - rho_o) / np.linalg.norm(rho_o)
-        psi_h = to_wavefunction(s, p).psi.values
-        cross = w.psi.values * np.conj(psi_h)
+        psi_h = to_wavefunction(s, p).psi
+        cross = w.psi * np.conj(psi_h)
         # density-weighted circular mean and residual spread
         mean_angle = np.angle(np.sum(cross * rho_o))
         delta = np.angle(cross * np.exp(-1j * mean_angle))

@@ -129,7 +129,7 @@ def check_bohm_identity(ctx) -> CheckResult:
 
 def check_euler_lagrange(ctx) -> CheckResult:
     grid = Grid(n=64, length=1.0)
-    p = PhysParams(a2_mode="explicit", a2_explicit=0.04)
+    p = PhysParams(a2_explicit=0.04)
     x = grid.x
     rho = Field(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x)
                 + 0.15 * np.sin(4 * np.pi * x)

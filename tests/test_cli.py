@@ -295,21 +295,20 @@ def stacked_run(n_snapshots, make=presets.traveling):
 
 
 def write_stacked(setup, traj, out):
-    write_run(out, setup.scn, setup.scn.grid, setup.params, setup.flags,
-              setup.vext, traj, 0.0)
+    write_run(out, setup, traj, 0.0)
 
 
 @pytest.mark.parametrize("make", [presets.traveling, presets.trap])
 def test_snapshot_csvs_equal_a_per_snapshot_reference(make, tmp_path,
                                                       monkeypatch):
-    # 70 snapshots: one full stack of 64, which this process writes, and a
-    # partial one, which a forked child writes
+    # 70 snapshots: this process writes the first 35, a forked child the
+    # last 35
     setup, traj = stacked_run(70, make)
     scn, flags, p, vext = setup.scn, setup.flags, setup.params, setup.vext
     out = tmp_path / "out"
     write_stacked(setup, traj, out)
     grid = scn.grid
-    varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
+    varr = vext.field(grid).values
     ref = tmp_path / "ref.csv"
     for idx, s in enumerate(traj.snapshots):
         _write_csv(ref, "x,rho,phi,v,U_Q,V_e",
@@ -342,7 +341,7 @@ def failing_snapshots(monkeypatch, indices, error):
 
 def test_run_raises_what_the_writers_child_raised(tmp_path, monkeypatch,
                                                   capsys):
-    # snapshot 64 opens the second stack, which the forked child writes
+    # snapshots 35 to 69 are the forked child's share
     setup, traj = stacked_run(70)
     full = OSError(errno.ENOSPC, "No space left on device")
     failing_snapshots(monkeypatch, range(64, 70), full)

@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfluid.grid import (ComplexField, Field, Grid, convolve, dealias,
-                         derivative, integrate)
+from qfluid.grid import Field, Grid, convolve, dealias, derivative, integrate
 
 
 @pytest.mark.parametrize("n,msg", [(9, "even"), (7, "n >= 8"), (4, "n >= 8")])
@@ -211,11 +210,3 @@ def test_field_arithmetic():
     other = Field(Grid(n=32, length=1.0), np.ones(32))
     with pytest.raises(ValueError):
         a + other
-
-
-def test_complex_field_validation():
-    g = Grid(n=16, length=1.0)
-    c = ComplexField(g, np.exp(1j * g.x))
-    assert c.values.dtype == complex
-    with pytest.raises(ValueError, match="finite"):
-        ComplexField(g, np.full(16, np.nan + 0j))

@@ -99,8 +99,8 @@ def test_rhs_external_term_adds_potential(grid):
     p = PhysParams()
     pot = ExternalPotential.cosine(0.4)
     s = make_state(grid, np.zeros(grid.n), np.zeros(grid.n))
-    _, off = rhs(s, TermFlags(thermo=False, external=False), p, pot)
-    _, on = rhs(s, TermFlags(thermo=False, external=True), p, pot)
+    _, off = rhs(s, TermFlags(thermo=False), p, ExternalPotential.zero())
+    _, on = rhs(s, TermFlags(thermo=False), p, pot)
     diff = on.values - off.values
     assert np.abs(diff - pot.field(grid).values).max() < 1e-14
 
@@ -506,7 +506,7 @@ def test_classical_equilibrium_diagnostics(grid):
     shift = np.log(np.mean(np.exp(lam)))
     lam -= shift  # unit mean density
     s = make_state(grid, lam, np.zeros(grid.n))
-    flags = TermFlags(thermo=True, external=True)
+    flags = TermFlags(thermo=True)
     rec = diagnostics(s, flags, p, pot)
     assert isinstance(rec, DiagnosticRecord)
     assert rec.mass == pytest.approx(grid.length, rel=1e-13)
@@ -586,7 +586,7 @@ def _action_per_snapshot(traj, flags, p, vext):
     snaps = traj.snapshots
     grid, m = snaps[0].grid, len(snaps)
     dt = snaps[1].t - snaps[0].t
-    varr = vext.field(grid).values if flags.external else np.zeros(grid.n)
+    varr = None if vext.kind == "zero" else vext.field(grid).values
     phis = np.stack([s.phi.values for s in snaps])
     dphi_dt = np.empty_like(phis)
     dphi_dt[1:-1] = (phis[2:] - phis[:-2]) / (2.0 * dt)

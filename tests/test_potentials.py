@@ -32,12 +32,13 @@ def test_phys_params_validation():
         PhysParams(kT=-0.5)
     with pytest.raises(ValueError, match="signal speed"):
         PhysParams(c=0.0)
-    with pytest.raises(ValueError, match="a2_mode"):
-        PhysParams(a2_mode="thermal")
+
+
+def test_de_broglie_length_needs_positive_kT():
+    # no explicit a2 means a^2 = hbar^2 / (4 m kT)
     with pytest.raises(ValueError, match="kT > 0"):
-        PhysParams(kT=0.0, a2_mode="de_broglie")
-    with pytest.raises(ValueError, match="a2_explicit"):
-        PhysParams(a2_mode="explicit")
+        PhysParams(a2_explicit=None, kT=0.0)
+    assert PhysParams(a2_explicit=0.01, kT=0.0).a2 == 0.01
 
 
 def test_de_broglie_length_and_coefficient():
@@ -48,11 +49,11 @@ def test_de_broglie_length_and_coefficient():
 
 
 def test_explicit_mode_coefficient_and_hbar_eff():
-    p = PhysParams(hbar=1.0, m=2.0, kT=3.0, a2_mode="explicit", a2_explicit=0.08)
+    p = PhysParams(hbar=1.0, m=2.0, kT=3.0, a2_explicit=0.08)
     assert p.a2 == 0.08
     assert p.quantum_coefficient == pytest.approx(2.0 * 1.5 * 0.08, rel=1e-15)
     assert p.hbar_eff == pytest.approx(2.0 * 2.0 * np.sqrt(1.5 * 0.08), rel=1e-15)
-    neg = PhysParams(hbar=1.0, m=2.0, kT=3.0, a2_mode="explicit", a2_explicit=-0.08)
+    neg = PhysParams(hbar=1.0, m=2.0, kT=3.0, a2_explicit=-0.08)
     with pytest.raises(ValueError, match="effective Planck"):
         neg.hbar_eff
 
@@ -161,7 +162,7 @@ def test_variational_derivative_matches_closed_form():
     g = Grid(n=16, length=2.0)
     rho = Field(g, np.exp(0.2 * np.cos(2 * np.pi * g.x / g.length)))
     a2 = 0.04
-    p = PhysParams(hbar=1.0, m=1.0, kT=1.0, a2_mode="explicit", a2_explicit=a2)
+    p = PhysParams(hbar=1.0, m=1.0, kT=1.0, a2_explicit=a2)
     numeric = euler_lagrange_oracle(rho, np.sqrt(a2), p).values
     closed = bohm_potential(rho, p, "gradient_form").values
     assert np.abs(numeric - closed).max() < 1e-6 * np.abs(closed).max()

@@ -10,6 +10,7 @@ import pytest
 
 from qfluid import presets, scenario
 from qfluid.madelung import rhs, run
+from qfluid.params import ExternalPotential
 from qfluid.scenario import (KernelGaussian, ScenarioError, build_external,
                              build_flags, build_grid, build_initial_state,
                              build_oracle_config, build_params,
@@ -43,7 +44,7 @@ def test_minimal_scenario_defaults():
     assert scn.name == "unnamed"
     assert scn.physics.hbar == 1.0 and scn.physics.kT == 1.0
     assert scn.physics.a2 is None
-    assert build_params(scn).a2_mode == "de_broglie"
+    assert build_params(scn).a2_explicit is None
     assert scn.terms.thermo and not scn.terms.quantum
     assert scn.external.kind == "zero"
     assert scn.kernel is None
@@ -52,7 +53,7 @@ def test_minimal_scenario_defaults():
     oc = build_oracle_config(scn)
     assert oc.dt == scn.solver.dt
     assert oc.t_end == scn.solver.t_end
-    assert oc.nonlinearity and oc.strang
+    assert oc.nonlinearity
     sc = build_solver_config(scn)
     assert sc.density_floor == 1e-12
 
@@ -138,14 +139,19 @@ def test_explicit_a2_key_rules():
     """Giving a2 makes the kernel length explicit; without it, thermal."""
     setup = load(MINIMAL + "\n[physics]\na2 = 0.01\n")
     assert setup.scn.physics.a2 == 0.01
-    assert setup.params.a2_mode == "explicit" and setup.params.a2 == 0.01
-    assert load(MINIMAL).params.a2_mode == "de_broglie"
+    assert setup.params.a2_explicit == 0.01 and setup.params.a2 == 0.01
+    assert load(MINIMAL).params.a2_explicit is None
 
 
 def test_the_external_term_follows_the_external_kind():
-    assert not load(MINIMAL).flags.external
+    assert load(MINIMAL).vext.kind == "zero"
     setup = load(MINIMAL + "\n[external]\nkind = cosine\nv0 = 0.5\n")
-    assert setup.flags.external
+    assert setup.vext.kind == "cosine"
+    args = (setup.state, setup.flags, setup.params)
+    _, on = rhs(*args, setup.vext)
+    _, off = rhs(*args, ExternalPotential.zero())
+    v = setup.vext.field(setup.scn.grid).values
+    assert np.abs(on.values - off.values - v).max() < 1e-14
 
 
 def test_the_oracle_nonlinearity_follows_thermo():
@@ -160,7 +166,8 @@ def test_the_oracle_nonlinearity_follows_thermo():
     ("[physics]\na2_mode = explicit", "a2_mode = explicit"),
     ("[oracle]\nnonlinearity = false", "nonlinearity = false"),
     ("[output]\nplot = true", "[output]"),
-], ids=["external", "a2_mode", "nonlinearity", "output"])
+    ("[oracle]\nstrang = true", "strang = true"),
+], ids=["external", "a2_mode", "nonlinearity", "output", "strang"])
 def test_removed_keys_fail_at_their_line(section, culprit):
     text = MINIMAL + f"\n{section}\n"
     with pytest.raises(ScenarioError, match="unknown") as info:
@@ -175,6 +182,7 @@ VALID = {
     "physics": {"hbar": "1", "mass": "1", "kT": "1", "c": "1"},
     "solver": {"dt": "1e-3", "t_end": "1.0", "snapshot_stride": "1",
                "density_floor": "1e-12"},
+    "oracle": {"dt": "1e-3", "t_end": "1.0", "snapshot_stride": "1"},
 }
 
 
@@ -189,6 +197,9 @@ VALID = {
     ("solver", "t_end", "-1"),
     ("solver", "snapshot_stride", "0"),
     ("solver", "density_floor", "2"),
+    ("oracle", "dt", "-1"),
+    ("oracle", "t_end", "-1"),
+    ("oracle", "snapshot_stride", "0"),
 ])
 def test_value_errors_name_their_own_line(section, key, value):
     keys = dict(VALID[section], **{key: value})
@@ -317,11 +328,20 @@ pedestal = 0.001
 
 
 def test_gaussian_rejects_bad_width_and_amplitude():
-    base = "[grid]\nn = 32\nlength = 1.0\n\n[initial]\nkind = gaussian\n"
-    with pytest.raises(ScenarioError, match="width must be > 0"):
-        parse_scenario(base + "width = -0.1\n")
-    with pytest.raises(ScenarioError, match="amplitude must be > 0"):
-        parse_scenario(base + "width = 0.1\namplitude = 0.0\n")
+    # an initial-state value error names the line of its key, else the
+    # line of the kind
+    base = "[grid]\nn = 32\nlength = 1.0\n\n[initial]\nkind = "
+    cases = [
+        ("gaussian\nwidth = -0.1\n", "width must be > 0", 7),
+        ("gaussian\nwidth = 0.1\namplitude = -1\n", "amplitude must be > 0",
+         8),
+        ("cosine\namplitude = 1.5\n", "positive everywhere", 6),
+        ("equilibrium\namplitude = 0.1\n", "bump needs width", 7),
+    ]
+    for body, message, line in cases:
+        with pytest.raises(ScenarioError, match=message) as info:
+            parse_scenario(base + body)
+        assert info.value.line == line, body
 
 
 def test_gaussian_rejects_overflowing_boost_with_its_line():
@@ -707,4 +727,4 @@ def test_readme_scenario_example_loads():
     text = readme.read_text(encoding="utf-8")
     example = text.split("```ini\n", 1)[1].split("```", 1)[0]
     setup = load(example)
-    assert setup.scn.name == "trap" and setup.flags.external
+    assert setup.scn.name == "trap" and setup.vext.kind == "harmonic"

@@ -80,8 +80,7 @@ FIELDS = {
                        density_floor=floats(0.0, 1.0, exclude_min=True,
                                             exclude_max=True)),
     OracleSpec: dict(dt=st.none() | POSITIVE, t_end=st.none() | NON_NEGATIVE,
-                     snapshot_stride=st.none() | st.integers(min_value=1),
-                     strang=st.booleans()),
+                     snapshot_stride=st.none() | st.integers(min_value=1)),
 }
 SPECS = {cls: st.builds(cls, **kw) for cls, kw in FIELDS.items()}
 NAME = st.from_regex(r"[\w.-]([\w. -]*[\w.-])?", fullmatch=True)
