@@ -6,12 +6,13 @@ directory included), 3 the solver hit vacuum, 4 the solver blew up.
 Aborted runs still write their partial outputs plus error.json.
 
 ``compare`` runs the wave oracle in a forked child process beside the
-fluid run (:func:`~qfluid.schrodinger.beside`), so its wall time is about
+fluid run (:func:`~qfluid.fork.beside`), so its wall time is about
 that of the slower of the two and its CPU time is split over two
 processes. A fluid abort wins over an oracle error, and every exit path
 reaps the child, killing it first unless it has finished. ``run`` splits
 the writing of its snapshot files over two processes the same way
-(:func:`~qfluid.output.write_run`).
+(:func:`~qfluid.output.write_run`), and ``verify`` the integration of a
+suite's preset runs (:meth:`~qfluid.verify.RunCache.fill`).
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import time
 
 import numpy as np
 
+from .fork import beside
 from .grid import Grid
 from .kernels import truncation_sweep
 from .madelung import run
 from .output import _write_csv, write_compare, write_error, write_run
 from .scenario import Scenario, Setup, load
-from .schrodinger import beside, compare, run_oracle, to_wavefunction
+from .schrodinger import compare, run_oracle, to_wavefunction
 from .svgplot import line_plot
 from .verify import SUITE_NAMES, format_line, run_suite
 

@@ -188,6 +188,11 @@ class SolverAbort(RuntimeError):
         self.kind = kind
         self.t = t
 
+    def __reduce__(self):
+        # pickle rebuilds an error from its args, which hold the message
+        # alone; a forked child sends it whole
+        return type(self), (self.kind, str(self), self.t)
+
 
 # log of the largest float: the density exp(lam) overflows above it
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -382,13 +387,14 @@ def _reader(grid: Grid, flags: TermFlags, p: PhysParams, dealias: bool,
     return Tendency(grid, flags, p, dealias, vext)
 
 
-def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams):
+def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams,
+            dealias: bool):
     """Spectra of U_Q for an ``(m, nh)`` stack ``lam_hat``: the Bernoulli
-    tendency of each state at rest with only the quantum term on and
-    dealiasing off."""
+    tendency of each state at rest with only the quantum term on, its
+    products masked as ``dealias`` says."""
     rest = np.stack((lam_hat, np.zeros_like(lam_hat)))
     only = replace(flags, thermo=False)
-    return _reader(grid, only, p, False).stacked(rest)[1]
+    return _reader(grid, only, p, dealias).stacked(rest)[1]
 
 
 def velocity(s: State) -> Field:
@@ -417,7 +423,7 @@ def _fields(grid: Grid, lam, phi, flags: TermFlags, p: PhysParams):
         return -grid.apply(grid.half_ik, phi), None
     hat = grid.rfft(np.stack((lam, phi)))
     v, uq = grid.irfft(np.stack((grid.half_ik * hat[1],
-                                 _uq_hat(grid, hat[0], flags, p))))
+                                 _uq_hat(grid, hat[0], flags, p, False))))
     return -v, uq
 
 
@@ -569,7 +575,7 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     def record():
         # the stored states that have no record yet, as one stack
         traj.records += _records(traj.snapshots[len(traj.records):], flags,
-                                 p, vext)
+                                 p, vext, cfg.dealias)
 
     def store(t, larr, parr):
         traj.snapshots.append(State(t, Field(grid, larr.copy(), _fresh=True),
@@ -638,17 +644,21 @@ def _samples(grid: Grid, vext: ExternalPotential) -> np.ndarray | None:
 
 
 def diagnostics(s: State, flags: TermFlags, p: PhysParams,
-                vext: ExternalPotential) -> DiagnosticRecord:
+                vext: ExternalPotential,
+                dealias: bool = True) -> DiagnosticRecord:
     """One state's record: the one-state case of the stacked records."""
-    return _records([s], flags, p, vext)[0]
+    return _records([s], flags, p, vext, dealias)[0]
 
 
 def _records(states: list[State], flags: TermFlags, p: PhysParams,
-             vext: ExternalPotential) -> list[DiagnosticRecord]:
+             vext: ExternalPotential,
+             dealias: bool) -> list[DiagnosticRecord]:
     """One record per state, built for the whole stack at once.
 
     The energy's rows and the tendency row it needs (U_Q when quantum,
-    else the Bernoulli rate) come back in one inverse for the stack.
+    else the Bernoulli rate) come back in one inverse for the stack. That
+    row is the tendency's as a run with ``dealias`` steps it, so a fixed
+    point of the run reads a Bernoulli residual at roundoff.
     Every sum and extremum runs along a state's own row, so a record does
     not depend on the stack it was built in.
     """
@@ -659,8 +669,8 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     varr = _samples(grid, vext)
     hat = grid.rfft(real)
     rows = _energy_rows(grid, hat[0], hat[1], flags, p)
-    rows.append(_uq_hat(grid, hat[0], flags, p) if flags.quantum
-                else _reader(grid, flags, p, True).stacked(hat)[1])
+    rows.append(_uq_hat(grid, hat[0], flags, p, dealias) if flags.quantum
+                else _reader(grid, flags, p, dealias).stacked(hat)[1])
     back = grid.irfft(np.array(rows))
     dens, rho, v = _energy_density(lam, back, flags, p, varr)
     dx = grid.dx

@@ -5,7 +5,7 @@ round-trips exactly; reruns of the same manifest must produce
 byte-identical CSVs.
 
 :func:`write_run` writes a run's snapshot files from two processes: a
-forked child (:func:`~qfluid.schrodinger.beside`) writes the later half
+forked child (:func:`~qfluid.fork.beside`) writes the later half
 of the snapshots while the caller writes the earlier half and the run's
 other files. The layout and every byte stay those of one process writing
 them in order.
@@ -19,9 +19,10 @@ import os
 
 import numpy as np
 
+from .fork import beside
 from .madelung import CHUNK, Trajectory, _fields, stability_bound, whole_steps
 from .scenario import Setup
-from .schrodinger import CompareResult, beside
+from .schrodinger import CompareResult
 from .svgplot import line_plot
 from .version import __version__
 
@@ -89,7 +90,7 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
     ``traj``.
 
     With more than ``CHUNK`` snapshots, a forked child
-    (:func:`~qfluid.schrodinger.beside`) writes the snapshots from the
+    (:func:`~qfluid.fork.beside`) writes the snapshots from the
     middle one on while this process writes those before it and the run's
     other files; each side goes in stacks of ``CHUNK``. An error of either
     is raised here, after the child has been reaped.

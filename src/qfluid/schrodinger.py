@@ -22,17 +22,9 @@ run for one step. The loop writes into work arrays it owns, in the
 operand order of the fresh-array expressions it replaces (``psi * rot``,
 ``kin * spectrum``): numpy's complex multiply fuses with FMA and is not
 bitwise commutative, so the order keeps the bits.
-
-:func:`beside` runs a call in a forked child process while the caller
-goes on: ``qfluid compare`` runs the oracle in it beside the fluid solver,
-and ``qfluid run`` half of its snapshot files beside the other half.
 """
 
 from __future__ import annotations
-
-import os
-import pickle
-import signal
 
 import numpy as np
 
@@ -51,7 +43,6 @@ __all__ = [
     "waves_from_states",
     "compare",
     "CompareResult",
-    "beside",
 ]
 
 from dataclasses import dataclass
@@ -237,65 +228,6 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
     if n_steps:
         _advance(initial.psi, n_steps, grid, cfg, p, vext, record)
     return traj
-
-
-def beside(fn):
-    """Start ``fn()`` in a forked child process and return the pair
-    ``(result, cancel)``, so the caller can work while the child runs.
-
-    ``result()`` waits for the child and returns what ``fn`` returned or
-    raises what it raised (the child pickles either into a pipe);
-    ``cancel()`` kills the child with SIGKILL. Each reaps the child, and
-    ``cancel()`` after ``result()`` does nothing, so a ``finally`` can
-    always call it. A child that dies by a signal or without sending its
-    outcome raises ChildProcessError. Where ``os.fork`` does not exist,
-    ``result()`` makes the call itself.
-    """
-    if not hasattr(os, "fork"):
-        return fn, (lambda: None)
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into the caller's code
-        code = 1
-        try:
-            os.close(read)
-            try:
-                outcome = (True, fn())
-            except Exception as e:
-                outcome = (False, e)
-            with open(write, "wb") as f:
-                pickle.dump(outcome, f, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    pipe, live = open(read, "rb"), [pid]
-
-    def reap(kill: bool) -> int:
-        pipe.close()
-        if not live:
-            return 0
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-        live.clear()
-        return os.waitstatus_to_exitcode(status)
-
-    def result():
-        data = pipe.read()
-        code = reap(kill=False)
-        if code < 0:
-            raise ChildProcessError(f"child process {pid} was killed by "
-                                    f"{signal.Signals(-code).name}")
-        if code:
-            raise ChildProcessError(
-                f"child process {pid} exited with status {code}")
-        ok, value = pickle.loads(data)
-        if ok:
-            return value
-        raise value
-
-    return result, lambda: reap(kill=True)
 
 
 def waves_from_states(traj: Trajectory, p: PhysParams) -> WaveTrajectory:

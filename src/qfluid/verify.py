@@ -14,13 +14,17 @@ named suites:
     all           everything above
 
 Checks run one after another. Scenario runs are shared through a cache,
-so a suite never integrates the same preset twice. Randomized inputs draw
-from per-check seeded generators: results are reproducible for a given
---seed, whichever suite the check runs in.
+so a suite never integrates the same preset twice. Before its first
+check, a suite integrates the presets its checks read (``READS``) in two
+lanes, one in a forked child (:meth:`RunCache.fill`), so their wall time
+is about that of the heavier lane. Randomized inputs draw from per-check
+seeded generators: results are reproducible for a given --seed,
+whichever suite the check runs in and whether or not a lane forks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -31,16 +35,18 @@ import numpy as np
 
 from . import presets
 from .covariant import DensityHistory, dalembert_uq, retarded_energy
+from .fork import beside
 from .grid import Field, Grid, derivative
 from .kernels import make_kernel, nonlocal_energy, truncation_sweep
-from .madelung import SolverConfig, State, Trajectory, action, run
+from .madelung import (SolverConfig, State, Trajectory, action, run,
+                       whole_steps)
 from .params import PhysParams
 from .potentials import (bohm_identity_residual, bohm_potential,
                          euler_lagrange_oracle)
 from .scenario import Scenario, Setup, build, serialize
 from .schrodinger import compare, run_oracle, to_wavefunction
 
-__all__ = ["CheckResult", "RunCache", "SUITES", "SUITE_NAMES",
+__all__ = ["CheckResult", "RunCache", "SUITES", "SUITE_NAMES", "READS",
            "run_suite", "format_line", "direct_convolution"]
 
 
@@ -64,15 +70,62 @@ def format_line(r: CheckResult) -> str:
 
 
 class RunCache:
-    """Lazily builds and integrates presets, once per name per verify call."""
+    """Builds and integrates presets, once per name per verify call.
+
+    :meth:`get` integrates a preset it does not hold when asked for it.
+    :meth:`fill` integrates several ahead, in two lanes: a forked child
+    (:func:`~qfluid.fork.beside`) runs one while the caller runs the
+    other. A preset that fails in either lane is held as its error, which
+    :meth:`get` raises as it would have raised integrating it there.
+    """
 
     def __init__(self):
-        self._runs: dict[str, tuple[Setup, Trajectory]] = {}
+        self._runs: dict[str, tuple[Setup, Trajectory] | Exception] = {}
 
     def get(self, name: str) -> tuple[Setup, Trajectory]:
         if name not in self._runs:
             self._runs[name] = self._integrate(presets.suite()[name])
-        return self._runs[name]
+        held = self._runs[name]
+        if isinstance(held, Exception):
+            raise held
+        return held
+
+    def fill(self, names) -> None:
+        """Integrate the presets ``names`` not yet held, in two lanes.
+
+        Largest step count first, each preset goes to the lane with fewer
+        steps so far; ties keep the order of ``names``. The child takes
+        the lane holding the largest, the caller the other, then waits.
+        With one preset or none there is nothing to overlap, and nothing
+        forks. The child is reaped on every path.
+        """
+        scns = presets.suite()
+        steps = {n: whole_steps(scns[n].solver.t_end, scns[n].solver.dt)
+                 for n in names if n not in self._runs}
+        lanes, loads = ([], []), [0, 0]
+        for name in sorted(steps, key=lambda n: -steps[n]):
+            j = loads.index(min(loads))
+            lanes[j].append(name)
+            loads[j] += steps[name]
+        heavy, light = lanes
+        work = functools.partial(self._lane, heavy, scns)
+        child, cancel = beside(work) if light else (work, lambda: None)
+        try:
+            self._runs.update(self._lane(light, scns))
+            self._runs.update(child())
+        finally:
+            cancel()
+
+    def _lane(self, names, scns) -> dict:
+        """Each preset of ``names`` integrated, or the error that stopped
+        it: a failed preset fails the checks that read it, not the lane."""
+        held = {}
+        for name in names:
+            try:
+                held[name] = self._integrate(scns[name])
+            except Exception as e:
+                held[name] = e
+        return held
 
     @staticmethod
     def _integrate(scn: Scenario) -> tuple[Setup, Trajectory]:
@@ -509,13 +562,26 @@ SUITES: dict[str, tuple] = {
 
 SUITE_NAMES = tuple(SUITES)
 
+# The presets each check reads from the run cache; a check not listed
+# reads none.
+READS: dict[object, tuple[str, ...]] = {
+    check_trap_equivalence: ("trap",),
+    check_free_packet: ("free",),
+    check_conservation: tuple(presets.suite()),
+    check_equilibrium_fixed_point: ("equilibrium",),
+    check_onshell: ("equilibrium", "traveling"),
+    check_action_stationarity: ("traveling_action",),
+}
+
 
 def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
-    """Run one suite; results come back in declaration order."""
+    """Run one suite; results come back in declaration order. The presets
+    its checks read are integrated first (:meth:`RunCache.fill`)."""
     if suite not in SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     cache = RunCache()
+    cache.fill(name for fn in SUITES[suite] for name in READS.get(fn, ()))
     results = []
     for fn in SUITES[suite]:
         ctx = SimpleNamespace(

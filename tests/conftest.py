@@ -8,9 +8,9 @@ import pytest
 @pytest.fixture(autouse=True)
 def reaps_its_children():
     """Fail a test that leaves a child process unreaped, running or not:
-    ``qfluid compare`` forks the oracle, and ``qfluid run``'s writer a
-    child that writes half the snapshot files; each must wait for its
-    child on every path."""
+    ``qfluid compare`` forks the oracle, ``qfluid run``'s writer a child
+    that writes half the snapshot files, and a verify suite one lane of
+    its preset runs; each must wait for its child on every path."""
     yield
     if not hasattr(os, "WNOHANG"):
         return

@@ -568,16 +568,22 @@ def _as_row(rec):
     return np.array(dataclasses.astuple(rec))
 
 
-@pytest.mark.parametrize("make", [presets.traveling, presets.trap, _series])
-def test_stacked_records_equal_per_state_diagnostics(make):
-    # 70 stored states: one full stack of CHUNK and a partial one
+@pytest.mark.parametrize("make,dealias", [
+    pytest.param(presets.traveling, True, id="traveling"),
+    pytest.param(presets.trap, True, id="trap"),
+    pytest.param(_series, True, id="_series"),
+    pytest.param(presets.trap, False, id="trap-unmasked")])
+def test_stacked_records_equal_per_state_diagnostics(make, dealias):
+    # 70 stored states: one full stack of CHUNK and a partial one; a run's
+    # records read the tendency masked as the run steps it
     state, cfg, flags, p, vext = _setup(make(), 69, 1)
+    cfg = dataclasses.replace(cfg, dealias=dealias)
     traj = run(state, cfg, flags, p, vext)
     assert traj.status == "ok"
     assert len(traj.records) == len(traj.snapshots) == 70 > madelung.CHUNK
     for s, rec in zip(traj.snapshots, traj.records):
         assert np.array_equal(_as_row(rec),
-                              _as_row(diagnostics(s, flags, p, vext)),
+                              _as_row(diagnostics(s, flags, p, vext, dealias)),
                               equal_nan=True)
 
 

@@ -661,10 +661,10 @@ def _trap_series():
                                    snapshot_stride=200)))
 
 
-# the records read U_Q undealiased: the trap's Bernoulli residual, 4.5e-6,
-# is the 2/3 mask's (1.6e-14 with dealiasing off), so only its drift counts
+# the records read U_Q masked as the run steps it: the trap reads 1.7e-14,
+# where reading it unmasked gave the 2/3 mask's 4.5e-6
 @pytest.mark.parametrize("text,residual", [(SERIES_EQUILIBRIUM, 1e-10),
-                                           (_trap_series(), None)],
+                                           (_trap_series(), 1e-13)],
                          ids=["cosine", "trap"])
 def test_thermal_series_equilibrium_is_a_fixed_point(text, residual):
     setup = load(text)
@@ -673,8 +673,7 @@ def test_thermal_series_equilibrium_is_a_fixed_point(text, residual):
     assert traj.status == "ok" and len(traj.snapshots) == 2
     first, last = (s.density().values for s in traj.snapshots)
     assert np.abs(last - first).max() < 1e-12 * first.max()
-    if residual is not None:
-        assert max(r.bernoulli_residual for r in traj.records) < residual
+    assert max(r.bernoulli_residual for r in traj.records) < residual
 
 
 @pytest.mark.parametrize("change,match", [
