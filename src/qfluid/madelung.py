@@ -33,8 +33,12 @@ of its stored states once per ``CHUNK`` of them (and once more for the
 rest, at the end or on abort), in the same four transforms per stack, so
 the per-call cost is paid once per stack: at n = 256 a stored state's
 record costs about a quarter of an RK4 step, where a lone record costs
-about one. :func:`diagnostics` is the one-state case. :func:`action` and
-the snapshot writer's v and U_Q go by stacks too.
+about one. :func:`diagnostics` is the one-state case. The snapshot
+writer's v and U_Q go by stacks too, and so does :func:`action`, in one
+pass: a stack reads its phi with a one-row halo for ``dphi/dt``, so the
+action holds one stack's rows beyond its input, whatever the number of
+snapshots. The records, the writer and the action read their stacks of
+states through :func:`_stack`.
 
 Time stepping is classical RK4. A run terminates early, with a partial
 trajectory and an error status, if the density floor is crossed (vacuum)
@@ -410,18 +414,24 @@ def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
     grid = s.grid
     if not flags.quantum:
         return Field.constant(grid, 0.0)
-    _, uq = _fields(grid, s.lam.values[None], s.phi.values[None], flags, p)
+    _, uq = _fields(grid, _stack([s]), flags, p)
     return Field(grid, uq[0], _fresh=True)
 
 
-def _fields(grid: Grid, lam, phi, flags: TermFlags, p: PhysParams):
-    """``(v, U_Q)`` of the ``(m, n)`` stacks ``lam`` and ``phi`` from one
-    forward and one inverse transform; U_Q is None with the quantum term
-    off. :func:`quantum_potential` is the one-state case, and v is
+def _stack(states) -> np.ndarray:
+    """The ``(2, m, n)`` stack ``(lam, phi)`` of m states, in their order."""
+    return np.array([[s.lam.values for s in states],
+                     [s.phi.values for s in states]])
+
+
+def _fields(grid: Grid, real, flags: TermFlags, p: PhysParams):
+    """``(v, U_Q)`` of a :func:`_stack` ``real`` from one forward and one
+    inverse transform; U_Q is None with the quantum term off.
+    :func:`quantum_potential` is the one-state case, and v is
     :func:`velocity`'s ``-grad phi`` state by state."""
     if not flags.quantum:
-        return -grid.apply(grid.half_ik, phi), None
-    hat = grid.rfft(np.stack((lam, phi)))
+        return -grid.apply(grid.half_ik, real[1]), None
+    hat = grid.rfft(real)
     v, uq = grid.irfft(np.stack((grid.half_ik * hat[1],
                                  _uq_hat(grid, hat[0], flags, p, False))))
     return -v, uq
@@ -663,8 +673,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     not depend on the stack it was built in.
     """
     grid = states[0].grid
-    real = np.array([[s.lam.values for s in states],
-                     [s.phi.values for s in states]])
+    real = _stack(states)
     lam = real[0]
     varr = _samples(grid, vext)
     hat = grid.rfft(real)
@@ -715,36 +724,55 @@ def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
         L = rho dphi/dt - rho (grad phi)^2 / 2 - rho (U_th + V_e) + L_Q,
 
     with ``dphi/dt`` from centered differences (one-sided second order at
-    the ends). Snapshots must be uniformly spaced and at least three.
+    the ends). Snapshot times must be finite, strictly increasing and
+    uniformly spaced, and the snapshots at least three.
+
+    The snapshots go by stacks of ``CHUNK``: a stack reads its phi with a
+    one-row halo on each side for ``dphi/dt``, so beyond its input the
+    action holds one stack's rows, O((CHUNK + 2) n) whatever the number of
+    snapshots.
     """
     snaps = traj.snapshots
-    if len(snaps) < 3:
+    m = len(snaps)
+    if m < 3:
         raise ValueError("action needs at least three snapshots")
     times = traj.times
     dts = np.diff(times)
+    if not (np.isfinite(times).all() and (dts > 0).all()):
+        raise ValueError(
+            "action needs finite, strictly increasing snapshot times")
     dt = float(dts[0])
     if np.abs(dts - dt).max() > 1e-9 * dt:
         raise ValueError("action needs uniformly spaced snapshots")
+    two_dt = 2.0 * dt
     grid = snaps[0].grid
     varr = _samples(grid, vext)
-
-    phis = np.stack([s.phi.values for s in snaps])
-    lams = np.stack([s.lam.values for s in snaps])
-    m = len(snaps)
-    dphi_dt = np.empty_like(phis)
-    dphi_dt[1:-1] = (phis[2:] - phis[:-2]) / (2.0 * dt)
-    dphi_dt[0] = (-3.0 * phis[0] + 4.0 * phis[1] - phis[2]) / (2.0 * dt)
-    dphi_dt[-1] = (3.0 * phis[-1] - 4.0 * phis[-2] + phis[-3]) / (2.0 * dt)
+    # classical: phi alone is transformed, and its spectrum stands in for
+    # the unread lam^
+    first = 0 if flags.quantum else 1
 
     total = 0.0
     for j0 in range(0, m, CHUNK):
-        part = slice(j0, j0 + CHUNK)
-        # classical: one row, phi^, stands in for the unread lam^
-        hat = grid.rfft(np.stack((phis[part], lams[part])) if flags.quantum
-                        else phis[part][None])
+        j1 = min(j0 + CHUNK, m)
+        # the halo: one row each side, two on the left for a lone last
+        # row, whose one-sided difference reaches back to m - 3
+        h0, h1 = max(min(j0 - 1, m - 3), 0), min(j1 + 1, m)
+        real = _stack(snaps[h0:h1])
+        part = slice(j0 - h0, j1 - h0)  # the stack's rows in the halo
+        phis = real[1]
+        # dphi/dt over the halo as over a whole run; a halo row that is
+        # not an end of the run is left unset, and not read
+        dphi_dt = np.empty_like(phis)
+        dphi_dt[1:-1] = (phis[2:] - phis[:-2]) / two_dt
+        if h0 == 0:
+            dphi_dt[0] = (-3.0 * phis[0] + 4.0 * phis[1] - phis[2]) / two_dt
+        if h1 == m:
+            dphi_dt[-1] = (3.0 * phis[-1] - 4.0 * phis[-2] + phis[-3]) / two_dt
+
+        hat = grid.rfft(real[first:, part])
         rows = grid.irfft(np.array(
-            _energy_rows(grid, hat[-1], hat[0], flags, p)))
-        dens, rho, _ = _energy_density(lams[part], rows, flags, p, varr)
+            _energy_rows(grid, hat[0], hat[-1], flags, p)))
+        dens, rho, _ = _energy_density(real[0, part], rows, flags, p, varr)
         lag = rho * dphi_dt[part] - dens
         # the row totals are added one by one, in snapshot order
         for j, row in enumerate((np.sum(lag, axis=-1) * grid.dx).tolist(),

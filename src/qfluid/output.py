@@ -20,7 +20,8 @@ import os
 import numpy as np
 
 from .fork import beside
-from .madelung import CHUNK, Trajectory, _fields, stability_bound, whole_steps
+from .madelung import (CHUNK, Trajectory, _fields, _stack, stability_bound,
+                       whole_steps)
 from .scenario import Setup
 from .schrodinger import CompareResult
 from .svgplot import line_plot
@@ -111,10 +112,10 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
     def write_stacks(start: int, stop: int) -> None:
         for j0 in range(start, stop, CHUNK):
             part = snaps[j0:min(j0 + CHUNK, stop)]
-            lam = np.array([s.lam.values for s in part])
-            phi = np.array([s.phi.values for s in part])
-            v, uq = _fields(grid, lam, phi, flags, p)
-            rho = np.exp(lam)
+            real = _stack(part)
+            v, uq = _fields(grid, real, flags, p)
+            rho = np.exp(real[0])
+            phi = real[1]
             for j, s in enumerate(part):
                 base = os.path.join(snap_dir, f"{j0 + j:04d}")
                 cols = (rho[j], phi[j], v[j]) + ((uq[j],) if flags.quantum

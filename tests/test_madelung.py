@@ -1,7 +1,9 @@
 """Equations of motion, the RK4 driver, diagnostics, and the action."""
 
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -549,6 +551,12 @@ def test_action_needs_three_uniform_snapshots(grid):
     skew = Trajectory(snapshots=[mk(0.0), mk(0.1), mk(0.35)], records=[])
     with pytest.raises(ValueError, match="uniformly spaced"):
         action(skew, TermFlags(), p, ZERO)
+    # equal times would divide by zero, NaN ones pass every comparison, and
+    # decreasing ones turn the spacing tolerance negative
+    for times in ((0.1, 0.1, 0.1), (0.0, math.nan, 0.2), (0.2, 0.1, 0.0)):
+        bad = Trajectory(snapshots=[mk(t) for t in times], records=[])
+        with pytest.raises(ValueError, match="finite, strictly increasing"):
+            action(bad, TermFlags(), p, ZERO)
 
 
 def test_action_equals_pressure_integral_at_equilibrium(grid):
@@ -611,13 +619,58 @@ def _action_per_snapshot(traj, flags, p, vext):
     return total * dt
 
 
-@pytest.mark.parametrize("make", [presets.traveling, presets.trap, _series])
-def test_chunked_action_equals_per_snapshot_sum(make):
-    state, cfg, flags, p, vext = _setup(make(), 150, 1)
+@functools.cache
+def _recorded(make):
+    """A run of ``make`` storing every step, through 2 CHUNK + 1 snapshots."""
+    state, cfg, flags, p, vext = _setup(make(), 2 * madelung.CHUNK, 1)
     traj = run(state, cfg, flags, p, vext)
-    assert traj.status == "ok" and len(traj.snapshots) > 2 * madelung.CHUNK
+    assert traj.status == "ok"
+    return traj, flags, p, vext
+
+
+_C = madelung.CHUNK
+# the stacks' edges: one short stack, one whole, a last stack of one or two
+# rows, and two whole stacks plus one row, which keeps the closure's own id
+_COUNTS = {"3": 3, "CHUNK-1": _C - 1, "CHUNK": _C, "CHUNK+1": _C + 1,
+           "CHUNK+2": _C + 2, None: 2 * _C + 1}
+
+
+@pytest.mark.parametrize("make,count", [
+    pytest.param(make, count, id=name if edge is None else f"{name}-{edge}")
+    for make, name in ((presets.traveling, "traveling"), (presets.trap, "trap"),
+                       (_series, "_series"))
+    for edge, count in _COUNTS.items()])
+def test_chunked_action_equals_per_snapshot_sum(make, count):
+    traj, flags, p, vext = _recorded(make)
+    traj = Trajectory(snapshots=traj.snapshots[:count], records=[])
     assert action(traj, flags, p, vext) == \
         _action_per_snapshot(traj, flags, p, vext)
+
+
+def test_action_memory_is_bounded_by_a_stack():
+    # numpy reports its buffers to tracemalloc: the traced peak of the
+    # action is the memory it holds beyond its input
+    scn = presets.traveling_action()
+    state, cfg, flags, p, vext = _setup(scn, 1200, 1)
+    assert state.grid.n == 256
+    traj = run(state, cfg, flags, p, vext)
+    assert traj.status == "ok" and len(traj.snapshots) == 1201
+    short = Trajectory(snapshots=traj.snapshots[:3 * _C + 1], records=[])
+
+    def peak(t):
+        action(t, flags, p, vext)  # the operator and grid tables, cached
+        tracemalloc.start()
+        try:
+            action(t, flags, p, vext)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    samples = sum(s.lam.values.nbytes + s.phi.values.nbytes
+                  for s in traj.snapshots)
+    long = peak(traj)
+    assert long <= 1.1 * peak(short)
+    assert long < 0.5 * samples
 
 
 def test_run_aborting_mid_stack_keeps_a_record_per_snapshot(grid):
