@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -157,10 +158,14 @@ def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians"
              orders: str = "1,2") -> int:
     """Truncation sweep: series error against kernel width, per order."""
     try:
-        fracs = [float(w) for w in widths.split(",") if w]
+        given = [w for w in widths.split(",") if w]
+        fracs = [float(w) for w in given]
         order_list = [int(o) for o in orders.split(",") if o]
         if not fracs or not order_list:
             raise ValueError("need at least one width and one order")
+        for w, frac in zip(given, fracs):
+            if not 0.0 < frac < math.inf:
+                raise ValueError(f"widths a/L must be finite and > 0, got {w}")
         if min(order_list) < 1:
             raise ValueError("orders must be >= 1")
         sweep = truncation_sweep(Grid(n=n, length=1.0), fracs, order_list,
@@ -173,7 +178,9 @@ def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians"
         print(f"{frac:<8.4g}" + "".join(f"  {e:.6e}" for e in errs))
     # error per order across widths, floored so the logs stay finite
     cols = [[max(e, 1e-300) for e in col] for col in zip(*sweep)]
-    if len(fracs) >= 2:
+    # a slope needs two distinct widths
+    fit = len(set(fracs)) >= 2
+    if fit:
         for order, col in zip(order_list, cols):
             slope = float(np.polyfit(np.log(fracs), np.log(col), 1)[0])
             print(f"fitted exponent, series n<={order}: {slope:.3f}")
@@ -181,7 +188,7 @@ def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians"
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "scan.csv")
         _write_csv(path, header, (fracs, *zip(*sweep)))
-        if len(fracs) >= 2:
+        if fit:
             series = [(f"n<={o}", np.log10(col))
                       for o, col in zip(order_list, cols)]
             line_plot(os.path.join(out_dir, "scan.svg"), np.log10(fracs),

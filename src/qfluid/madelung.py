@@ -25,20 +25,23 @@ once per run and once per :func:`step`), with the operations and
 operand order of the fresh-array expressions they replace: numpy's complex
 multiply fuses with FMA and is not bitwise commutative, so ``grad * x``,
 ``masks * S`` and ``linear * x`` keep their order and the bits stay.
-:func:`rhs`, :func:`quantum_potential` and a :func:`diagnostics` record
-read the same operator in four transforms each.
+:func:`rhs` reads the whole operator in four transforms.
 
-Its ``stacked`` form takes a stack of states. :func:`run` builds the records
-of its stored states once per ``CHUNK`` of them (and once more for the
-rest, at the end or on abort), in the same four transforms per stack, so
-the per-call cost is paid once per stack: at n = 256 a stored state's
-record costs about a quarter of an RK4 step, where a lone record costs
-about one. :func:`diagnostics` is the one-state case. The snapshot
-writer's v and U_Q go by stacks too, and so does :func:`action`, in one
-pass: a stack reads its phi with a one-row halo for ``dphi/dt``, so the
-action holds one stack's rows beyond its input, whatever the number of
-snapshots. The records, the writer and the action read their stacks of
-states through :func:`_stack`.
+The records, :func:`quantum_potential` and the equilibrium refinement
+need the Bernoulli row alone (U_Q is that row at rest with only the
+quantum term on). :meth:`Tendency.bernoulli` gives it to the bit, for one
+state or a stack of them, from transforms that carry only the rows it
+reads: a Bohm refinement sweep transforms two rows each way, not three.
+:func:`run` builds the records of its stored states once per ``CHUNK`` of
+them (and once more for the rest, at the end or on abort), in four
+transforms per stack, so the per-call cost is paid once per stack: at
+n = 256 a stored state's record costs about a quarter of an RK4 step,
+where a lone record costs about one. :func:`diagnostics` is the
+one-state case. The snapshot writer's v and U_Q go by stacks too, and so
+does :func:`action`, in one pass: a stack reads its phi with a one-row
+halo for ``dphi/dt``, so the action holds one stack's rows beyond its
+input, whatever the number of snapshots. The records, the writer and the
+action read their stacks of states through :func:`_stack`.
 
 Time stepping is classical RK4. A run terminates early, with a partial
 trajectory and an error status, if the density floor is crossed (vacuum)
@@ -50,10 +53,9 @@ stiffer bound (:func:`stability_bound`).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -231,12 +233,13 @@ class Tendency:
     and ``2 (kT/m) M`` off; the series guard, RK4's reach and the
     equilibrium refinement read it.
 
-    ``hat`` is one state's ``(2, nh)``; :attr:`stacked` takes a
-    ``(2, m, nh)`` stack of m states. A call is :meth:`back`, the inverse
-    of a spectrum that holds the state and room for its gradients, then
-    :meth:`rates`, the products and the forward. :meth:`rk4` steps in the
-    arrays of a ``_Work`` set and takes its first stage's inverse from
+    A call takes one state's ``(2, nh)`` ``hat``: :meth:`back`, the
+    inverse of a spectrum that holds the state and room for its gradients,
+    then :meth:`rates`, the products and the forward. :meth:`rk4` steps in
+    the arrays of a ``_Work`` set and takes its first stage's inverse from
     the caller, which may ask it for the state rows as well.
+    :meth:`bernoulli` reads ``d phi^/dt`` alone, of one state or a stack,
+    with the same Bohm product and rho route as :meth:`rates`.
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
@@ -265,16 +268,6 @@ class Tendency:
             self.force += grid.rfft(vext.field(grid).values)
         # the rows a stage's inverse reads and its products fill
         self.rows = 2 if self.remainder is None else 3
-
-    @cached_property
-    def stacked(self) -> Tendency:
-        """This tendency for a ``(2, m, nh)`` stack of m states: the same
-        operator with its ``(2, nh)`` tables read as ``(2, 1, nh)`` views,
-        so the one-state call of the RK4 step takes no branch for stacks."""
-        op = copy.copy(self)
-        op.grad, op.masks, op.linear = (self.grad[:, None], self.masks[:, None],
-                                        self.linear[:, None])
-        return op
 
     def __call__(self, hat: np.ndarray) -> np.ndarray:
         spec = np.empty((4,) + hat.shape[1:], dtype=complex)
@@ -310,14 +303,10 @@ class Tendency:
         np.multiply(dlam, dphi, out=prods[0])
         bern = np.multiply(dphi, dphi, out=prods[1])
         if self.bohm:
-            np.multiply(self.bohm, dlam, out=row)
-            bern -= np.multiply(row, dlam, out=row)
+            bern -= self._bohm(dlam, row)
         if self.remainder is not None:
-            rho = np.exp(real[2], out=row)
-            r_hat = self.grid.rfft(
-                rho, out=None if spectra is None else spectra[2])
-            np.multiply(self.remainder, r_hat, out=r_hat)
-            np.divide(self.grid.irfft(r_hat, out=prods[2]), rho, out=prods[2])
+            self._through_rho(real[2], row, prods[2],
+                              None if spectra is None else spectra[2])
         spectra = self.grid.rfft(prods, out=spectra)
         out = np.multiply(self.masks, spectra[:2], out=out)
         out += np.multiply(self.linear, rev, out=spectra[:2])
@@ -325,6 +314,62 @@ class Tendency:
         if self.remainder is not None:
             out[1] += spectra[2]
         return out
+
+    def bernoulli(self, lam_hat: np.ndarray,
+                  phi_hat: np.ndarray | None = None) -> np.ndarray:
+        """``d phi^/dt`` of ``(lam^, phi^)``, phi = 0 if ``phi_hat`` is not
+        given: row 1 of a call, bit for bit, on one state's ``(nh,)`` rows
+        or an ``(m, nh)`` stack, which the tables broadcast over.
+
+        Its one inverse carries only the rows it reads: grad lam with
+        Bohm, grad phi with ``phi_hat`` and lam with the remainder. Its
+        forward carries the product row and the remainder's. A zero phi's
+        product row is ``0 * 0``, from which Bohm's term is subtracted.
+        """
+        reads = ([lam_hat] if self.bohm else []) + (
+            [] if phi_hat is None else [phi_hat])
+        rem = self.remainder is not None
+        spec = np.empty((len(reads) + rem,) + lam_hat.shape, dtype=complex)
+        for row, x in zip(spec, reads):
+            np.multiply(self.grad[0], x, out=row)
+        if rem:
+            spec[-1] = lam_hat
+        real = self.grid.irfft(spec)
+        prods = np.empty((1 + rem,) + real.shape[1:])
+        row = np.empty(real.shape[1:])
+        bern = prods[0]
+        if phi_hat is None:
+            bern.fill(0.0)
+        else:
+            dphi = real[len(reads) - 1]
+            np.multiply(dphi, dphi, out=bern)
+        if self.bohm:
+            bern -= self._bohm(real[0], row)
+        if rem:
+            self._through_rho(real[-1], row, prods[1])
+        spectra = self.grid.rfft(prods)
+        out = np.multiply(self.masks[1], spectra[0])
+        out += np.multiply(self.linear[1], lam_hat, out=spectra[0])
+        out += self.force
+        if rem:
+            out += spectra[1]
+        return out
+
+    def _bohm(self, dlam: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Bohm's part ``(qc/2) (grad lam)^2`` of the Bernoulli product row,
+        which carries twice its value, into ``row``."""
+        np.multiply(self.bohm, dlam, out=row)
+        return np.multiply(row, dlam, out=row)
+
+    def _through_rho(self, lam: np.ndarray, row: np.ndarray, out: np.ndarray,
+                     spectrum: np.ndarray | None = None) -> None:
+        """The remainder's route ``(R rho) / rho`` of the real ``lam`` rows
+        into ``out``, with rho in ``row`` and its spectrum in ``spectrum``
+        if given."""
+        rho = np.exp(lam, out=row)
+        r_hat = self.grid.rfft(rho, out=spectrum)
+        np.multiply(self.remainder, r_hat, out=r_hat)
+        np.divide(self.grid.irfft(r_hat, out=out), rho, out=out)
 
     def rk4(self, hat: np.ndarray, dt: float, real: np.ndarray,
             work: _Work) -> np.ndarray:
@@ -393,12 +438,11 @@ def _reader(grid: Grid, flags: TermFlags, p: PhysParams, dealias: bool,
 
 def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams,
             dealias: bool):
-    """Spectra of U_Q for an ``(m, nh)`` stack ``lam_hat``: the Bernoulli
-    tendency of each state at rest with only the quantum term on, its
-    products masked as ``dealias`` says."""
-    rest = np.stack((lam_hat, np.zeros_like(lam_hat)))
+    """Spectra of U_Q for one state's lam^ or an ``(m, nh)`` stack: the
+    Bernoulli tendency at rest with only the quantum term on, its products
+    masked as ``dealias`` says."""
     only = replace(flags, thermo=False)
-    return _reader(grid, only, p, dealias).stacked(rest)[1]
+    return _reader(grid, only, p, dealias).bernoulli(lam_hat)
 
 
 def velocity(s: State) -> Field:
@@ -666,9 +710,10 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     """One record per state, built for the whole stack at once.
 
     The energy's rows and the tendency row it needs (U_Q when quantum,
-    else the Bernoulli rate) come back in one inverse for the stack. That
-    row is the tendency's as a run with ``dealias`` steps it, so a fixed
-    point of the run reads a Bernoulli residual at roundoff.
+    else the Bernoulli rate, both read by :meth:`Tendency.bernoulli`) come
+    back in one inverse for the stack. That row is the tendency's as a run
+    with ``dealias`` steps it, so a fixed point of the run reads a
+    Bernoulli residual at roundoff.
     Every sum and extremum runs along a state's own row, so a record does
     not depend on the stack it was built in.
     """
@@ -679,7 +724,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     hat = grid.rfft(real)
     rows = _energy_rows(grid, hat[0], hat[1], flags, p)
     rows.append(_uq_hat(grid, hat[0], flags, p, dealias) if flags.quantum
-                else _reader(grid, flags, p, dealias).stacked(hat)[1])
+                else _reader(grid, flags, p, dealias).bernoulli(*hat))
     back = grid.irfft(np.array(rows))
     dens, rho, v = _energy_density(lam, back, flags, p, varr)
     dx = grid.dx

@@ -633,24 +633,24 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
     thermal restoring term plus U_Q's linear part ``L(k) lam^`` (Bohm's
     and twice the series remainder, the operator's ``rate``) are inverted
     spectrally each sweep, which keeps high wavenumbers contractive, and
-    the remaining nonlinearity is lagged. U_Q is read off the solver's own
-    cached tendency (at rest, only the quantum term on), so the converged
-    profile is a fixed point of the equations as stepped, dealiasing
-    included. The constant is fixed by normalizing mean rho each sweep. A
-    sweep whose update is not finite ends the iteration as diverged.
+    the remaining nonlinearity is lagged. U_Q is the Bernoulli row of the
+    solver's own cached tendency (at rest, only the quantum term on), read
+    alone, so the converged profile is a fixed point of the equations as
+    stepped, dealiasing included. The constant is fixed by normalizing
+    mean rho each sweep. A sweep whose update is not finite ends the
+    iteration as diverged.
     """
     only = dataclasses.replace(flags, thermo=False)
     uq = _reader(grid, only, params, dealias)
     denom = params.kT / params.m + uq.rate
     log_norm = np.log(mean_density)
-    rest = np.zeros((2, grid.half_k2.size), dtype=complex)
     v_hat = grid.rfft(varr)
     for _ in range(400):
-        rest[0] = grid.rfft(lam)
+        lam_hat = grid.rfft(lam)
         # the lagged rest of U_Q is uq - L lam
-        src_hat = -v_hat - uq(rest)[1]
+        src_hat = -v_hat - uq.bernoulli(lam_hat)
         with np.errstate(all="ignore"):
-            new = grid.irfft((src_hat + uq.rate * rest[0]) / denom)
+            new = grid.irfft((src_hat + uq.rate * lam_hat) / denom)
             new = new - np.log(np.exp(new).mean()) + log_norm
             delta = float(np.max(np.abs(new - lam)))
         if not np.isfinite(delta):

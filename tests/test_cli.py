@@ -530,6 +530,26 @@ def test_scan_rejects_bad_orders(capsys):
     assert "orders must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["-0.1", "0", "nan", "inf"])
+def test_scan_refuses_a_width_that_is_not_finite_and_positive(width, capsys):
+    # the value named is the a/L given, not the kernel width built from it
+    rc = cmd_scan(None, widths=f"0.02,{width}")
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"must be finite and > 0, got {width}\n" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_fits_no_exponent_without_two_distinct_widths(tmp_path, capsys):
+    out = tmp_path / "scan"
+    rc = cmd_scan(str(out), family="gaussian", n=64, widths="0.02,0.02",
+                  orders="1")
+    assert rc == EXIT_OK
+    assert "fitted exponent" not in capsys.readouterr().out
+    assert (out / "scan.csv").is_file()
+    assert not (out / "scan.svg").exists()
+
+
 # --------------------------------------------------------------------- main
 
 def test_main_routes_subcommands(tmp_path, capsys):

@@ -354,18 +354,85 @@ def test_rk4_combines_its_stages_in_the_textbook_order(make):
 
 
 class _FFTCount:
-    """Counts the grid's real transforms, the package's only ones."""
+    """Counts the grid's real transforms, the package's only ones, and the
+    rows each direction carries."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        for name in ("rfft", "irfft"):
-            monkeypatch.setattr(Grid, name, self._wrap(getattr(Grid, name)))
+        self.rows = {"rfft": 0, "irfft": 0}
+        for name in self.rows:
+            monkeypatch.setattr(Grid, name,
+                                self._wrap(name, getattr(Grid, name)))
 
-    def _wrap(self, fn):
-        def counted(*args, **kwargs):
+    def _wrap(self, name, fn):
+        def counted(grid, values, *args, **kwargs):
             self.calls += 1
-            return fn(*args, **kwargs)
+            self.rows[name] += math.prod(np.shape(values)[:-1])
+            return fn(grid, values, *args, **kwargs)
         return counted
+
+
+def _bernoulli_cases():
+    grid = Grid(n=64, length=1.0)
+    gauss = moments(make_kernel("gaussian", grid, width=0.03), max_n=3)
+    series = {f"series{o}": (TermFlags(thermo=True, quantum=True,
+                                       quantum_order=o, moments=gauss),
+                             PhysParams(hbar=0.1), ZERO) for o in (2, 3)}
+    return {
+        "thermal": (TermFlags(thermo=True), PhysParams(kT=2.0), ZERO),
+        "bohm": (TermFlags(thermo=False, quantum=True), PhysParams(hbar=0.1),
+                 ZERO),
+        "thermal_bohm_harmonic": (TermFlags(thermo=True, quantum=True),
+                                  PhysParams(hbar=0.1),
+                                  ExternalPotential.harmonic(20.0)),
+        **series,
+    }
+
+
+_BERNOULLI = _bernoulli_cases()
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["masked", "unmasked"])
+@pytest.mark.parametrize("case", list(_BERNOULLI))
+def test_bernoulli_read_is_row_one_of_the_full_operator(case, dealias):
+    # the full call stays the referee: the Bernoulli row alone must give
+    # its row 1 to the bit, on one state and on a stack, phi zero or not
+    flags, p, vext = _BERNOULLI[case]
+    grid = Grid(n=64, length=1.0)
+    op = madelung.Tendency(grid, flags, p, dealias, vext)
+    rng = np.random.default_rng(7)
+    x = 2 * np.pi * grid.x
+    modes = np.arange(1, 5)[:, None]
+    lam = np.log(1.0 + 0.1 * rng.standard_normal((5, 4))
+                 @ np.cos(modes * x + rng.uniform(0, 6, (4, 1))))
+    phi = 0.2 * rng.standard_normal((5, 4)) @ np.sin(modes * x)
+    lam_hat, phi_hat = grid.rfft(lam), grid.rfft(phi)
+    zero = np.zeros_like(lam_hat[0])
+    for given in (phi_hat, None):
+        stack = op.bernoulli(lam_hat, given)
+        assert stack.shape == lam_hat.shape
+        for j in range(len(lam)):
+            row = zero if given is None else given[j]
+            want = op(np.stack((lam_hat[j], row)))[1]
+            assert np.array_equal(stack[j], want)
+            one = op.bernoulli(lam_hat[j], None if given is None else row)
+            assert np.array_equal(one, want)
+
+
+def test_bohm_refinement_sweep_transforms_two_rows_each_way(monkeypatch):
+    # a sweep is lam's forward, the Bernoulli row's inverse of grad lam and
+    # forward of the product row, and the update's inverse; the potential's
+    # spectrum is taken once before the sweeps
+    scn = presets.trap()
+    grid = build_grid(scn)
+    params, vext = build_params(scn), build_external(scn)
+    flags = build_flags(scn, grid)
+    assert flags.quantum and not flags.series
+    counter = _FFTCount(monkeypatch)
+    build_initial_state(scn, grid, params, vext, flags=flags)
+    sweeps, rest = divmod(counter.calls - 1, 4)
+    assert sweeps > 1 and rest == 0
+    assert counter.rows == {"rfft": 1 + 2 * sweeps, "irfft": 2 * sweeps}
 
 
 @pytest.mark.parametrize("make", [presets.trap, presets.traveling])
