@@ -12,7 +12,7 @@ console script exposes ``run``, ``verify``, ``compare`` and ``scan``.
 
 from .version import __version__
 from .grid import Grid, Field, derivative, convolve, integrate, dealias
-from .params import PhysParams, ExternalPotential
+from .params import PhysParams, ExternalTable, Potential
 from .kernels import (Kernel, MomentTable, make_kernel, kernel_from_csv,
                       moments, nonlocal_energy, series_energy)
 from .potentials import (internal_energy, enthalpy, pressure, log_density,
@@ -46,7 +46,7 @@ __all__ = [
     # grid
     "Grid", "Field", "derivative", "convolve", "integrate", "dealias",
     # physics
-    "PhysParams", "ExternalPotential",
+    "PhysParams", "ExternalTable", "Potential",
     # kernels
     "Kernel", "MomentTable", "make_kernel", "kernel_from_csv", "moments",
     "nonlocal_energy", "series_energy",

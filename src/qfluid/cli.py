@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 a verification criterion failed, 2 usage or
 configuration error (an unreadable scenario file or an unwritable output
 directory included), 3 the solver hit vacuum, 4 the solver blew up.
-Aborted runs still write their partial outputs plus error.json.
+Aborted runs still write their partial outputs plus error.json. Each
+command removes the files of its own naming that an earlier one left in
+its output directory and it did not write. ``compare`` refuses a
+classical run and a series closure: its oracle models Bohm's alone.
 
 ``compare`` runs the wave oracle in a forked child process beside the
 fluid run (:func:`~qfluid.fork.beside`), so its wall time is about
@@ -30,7 +33,8 @@ from .fork import beside
 from .grid import Grid
 from .kernels import truncation_sweep
 from .madelung import run
-from .output import _write_csv, write_compare, write_error, write_run
+from .output import (_remove_stale, _write_csv, write_compare, write_error,
+                     write_run)
 from .scenario import Scenario, Setup, load
 from .schrodinger import compare, run_oracle, to_wavefunction
 from .svgplot import line_plot
@@ -119,7 +123,12 @@ def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
     except ValueError as e:
         return _fail(str(e))
     scn, params, vext, ocfg = setup.scn, setup.params, setup.vext, setup.oracle
-    cfg = scn.solver
+    cfg, terms = scn.solver, scn.terms
+    if not terms.quantum or terms.quantum_order >= 2:
+        line = (f"quantum_order = {terms.quantum_order}" if terms.quantum
+                else "quantum = false")
+        return _fail(f"[terms] {line}: the wave oracle models Bohm's closure "
+                     "alone, so it cannot referee this run")
     if abs(ocfg.t_end - cfg.t_end) > 1e-12 * max(cfg.t_end, 1.0):
         return _fail("oracle t_end differs from solver t_end; the "
                      "trajectories cannot be compared snapshot by snapshot")
@@ -137,6 +146,7 @@ def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
         if traj.status != "ok":
             os.makedirs(out, exist_ok=True)
             write_error(out, traj)
+            _remove_stale(out, r"compare\.csv")
             print(f"{scn.name}: solver aborted: {traj.message}",
                   file=sys.stderr)
             return _STATUS_CODES[traj.status]
@@ -186,6 +196,7 @@ def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians"
             print(f"fitted exponent, series n<={order}: {slope:.3f}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        _remove_stale(out_dir, r"scan\.svg")
         path = os.path.join(out_dir, "scan.csv")
         _write_csv(path, header, (fracs, *zip(*sweep)))
         if fit:

@@ -7,13 +7,13 @@ State is the pair ``(lam, phi)`` with ``lam = ln rho`` and velocity
     d phi / dt = (grad phi)^2 / 2 + H_th + U_Q + V_e    (Bernoulli)
 
 where :class:`TermFlags` switches H_th and U_Q, and V_e enters exactly
-when the :class:`ExternalPotential` is not of kind ``zero``, the kind
-the wave oracle reads too. U_Q is the gradient series of the non-local
-log-density energy, cut after ``c_{2 quantum_order}``; its first term
-is Bohm's potential. Working in ``lam`` keeps the density positive by
-construction and makes the enthalpy ``(kT/m)(lam + 1)`` linear in the
-state. Quadratic products in the right hand side are dealiased with the
-2/3 rule (default on).
+when the external :data:`~qfluid.params.Potential` is not of kind
+``zero``, the kind the wave oracle reads too. U_Q is the gradient series
+of the non-local log-density energy, cut after ``c_{2 quantum_order}``;
+its first term is Bohm's potential. Working in ``lam`` keeps the density
+positive by construction and makes the enthalpy ``(kT/m)(lam + 1)``
+linear in the state. Quadratic products in the right hand side are
+dealiased with the 2/3 rule (default on).
 
 Between RK4 stages and steps the state is the stacked half spectrum
 ``(lam^, phi^)`` of the real FFT. A :class:`Tendency`, built once per run,
@@ -61,7 +61,7 @@ import numpy as np
 
 from .grid import Field, Grid, derivative
 from .kernels import MomentTable, _series_multiplier
-from .params import ExternalPotential, PhysParams
+from .params import PhysParams, Potential
 
 __all__ = [
     "State",
@@ -243,7 +243,7 @@ class Tendency:
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
-                 dealias: bool, vext: ExternalPotential | None = None):
+                 dealias: bool, vext: Potential | None = None):
         mask = grid.half_mask if dealias else np.ones(grid.half_k2.shape)
         self.theta = p.kT / p.m if flags.thermo else 0.0
         self.grid = grid
@@ -430,7 +430,7 @@ class _Work:
 
 @lru_cache(maxsize=16)
 def _reader(grid: Grid, flags: TermFlags, p: PhysParams, dealias: bool,
-            vext: ExternalPotential | None = None) -> Tendency:
+            vext: Potential | None = None) -> Tendency:
     """The tendency per key: :func:`rhs` and the records read it with
     ``V_e`` left out, :func:`step` with ``V_e`` in."""
     return Tendency(grid, flags, p, dealias, vext)
@@ -481,7 +481,7 @@ def _fields(grid: Grid, real, flags: TermFlags, p: PhysParams):
     return -v, uq
 
 
-def rhs(s: State, flags: TermFlags, p: PhysParams, vext: ExternalPotential,
+def rhs(s: State, flags: TermFlags, p: PhysParams, vext: Potential,
         dealias: bool = True) -> tuple[Field, Field]:
     """Time derivatives ``(d lam/dt, d phi/dt)`` of the current state."""
     grid = s.grid
@@ -525,7 +525,7 @@ def _check_state(rows, grid, floor, t, row=None):
 
 
 def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
-         vext: ExternalPotential) -> State:
+         vext: Potential) -> State:
     """One RK4 step. Raises :class:`SolverAbort` on vacuum or blowup."""
     grid = s.grid
     op = _reader(grid, flags, p, cfg.dealias, vext)
@@ -601,7 +601,7 @@ def solver_steps(cfg: SolverConfig, grid: Grid, flags: TermFlags,
 
 
 def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
-        vext: ExternalPotential) -> Trajectory:
+        vext: Potential) -> Trajectory:
     """Integrate to ``t_end``, recording every ``snapshot_stride``-th state.
 
     ``t_end = 0`` yields a single-snapshot trajectory of the initial state.
@@ -692,20 +692,20 @@ def _energy_density(lam, rows, flags: TermFlags, p: PhysParams, varr):
     return dens, rho, v
 
 
-def _samples(grid: Grid, vext: ExternalPotential) -> np.ndarray | None:
+def _samples(grid: Grid, vext: Potential) -> np.ndarray | None:
     """V_e on the grid, None for the zero potential."""
     return None if vext.kind == "zero" else vext.field(grid).values
 
 
 def diagnostics(s: State, flags: TermFlags, p: PhysParams,
-                vext: ExternalPotential,
+                vext: Potential,
                 dealias: bool = True) -> DiagnosticRecord:
     """One state's record: the one-state case of the stacked records."""
     return _records([s], flags, p, vext, dealias)[0]
 
 
 def _records(states: list[State], flags: TermFlags, p: PhysParams,
-             vext: ExternalPotential,
+             vext: Potential,
              dealias: bool) -> list[DiagnosticRecord]:
     """One record per state, built for the whole stack at once.
 
@@ -760,7 +760,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
 
 
 def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
-           vext: ExternalPotential) -> float:
+           vext: Potential) -> float:
     """Space-time action of a recorded trajectory.
 
     Trapezoid rule in time over the snapshots; the Lagrangian density is

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 
@@ -55,6 +56,14 @@ def _write_csv(path, header: str, columns, fmt: str | None = None) -> None:
         f.write(fmt % tuple(rows.ravel().tolist()))
 
 
+def _remove_stale(directory, pattern: str, written=()) -> None:
+    """Remove the files in ``directory`` that an earlier run left under a
+    name ``pattern`` matches and this one did not write (``written``)."""
+    for name in os.listdir(directory):
+        if re.fullmatch(pattern, name) and name not in written:
+            os.remove(os.path.join(directory, name))
+
+
 def manifest_dict(setup: Setup, wall_time: float | None = None) -> dict:
     """Every resolved parameter, stated explicitly."""
     scn, p, flags = setup.scn, setup.params, setup.flags
@@ -88,7 +97,8 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
               plot: bool = False) -> None:
     """Write snapshots/, diagnostics.csv, manifest.json and, with
     ``plot``, one SVG per snapshot, for the run of ``setup`` that gave
-    ``traj``.
+    ``traj``, and error.json if it aborted; such files that an earlier
+    run left and this one did not write are removed.
 
     With more than ``CHUNK`` snapshots, a forked child
     (:func:`~qfluid.fork.beside`) writes the snapshots from the
@@ -98,7 +108,6 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
     """
     scn, p, flags = setup.scn, setup.params, setup.flags
     grid = scn.grid
-    os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
 
@@ -108,6 +117,10 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
                        None if flags.quantum else np.zeros(grid.n), varr),
                       grid.n)
     snaps = traj.snapshots
+    _remove_stale(out_dir, r"error\.json")
+    _remove_stale(snap_dir, r"\d{4,}\.(csv|svg)",
+                  {f"{j:04d}.{ext}" for j in range(len(snaps))
+                   for ext in (("csv", "svg") if plot else ("csv",))})
 
     def write_stacks(start: int, stop: int) -> None:
         for j0 in range(start, stop, CHUNK):
@@ -172,7 +185,9 @@ def write_error(out_dir, traj: Trajectory) -> None:
 
 
 def write_compare(out_dir, result: CompareResult) -> None:
+    """Write compare.csv, removing an error.json an abort left."""
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "compare.csv"),
                "t,l2_density_error,phase_error",
                (result.times, result.density_error, result.phase_error))
+    _remove_stale(out_dir, r"error\.json")

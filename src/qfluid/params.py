@@ -6,6 +6,10 @@ term in the Bernoulli equation is an energy per unit mass. The external
 potential ``V_e`` is therefore specified per unit mass as well; the
 wavefunction oracle multiplies it by ``m`` where a per-particle energy is
 required.
+
+Each kind of external potential (:data:`Potential`) is one class that
+checks its own values, names itself in ``kind`` and samples itself with
+``field(grid)``; a scenario's ``[external]`` section parses into one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = ["PhysParams", "ExternalPotential"]
+__all__ = ["PhysParams", "ExternalZero", "ExternalHarmonic", "ExternalCosine",
+           "ExternalTable", "Potential"]
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -103,92 +108,74 @@ def _csv_columns(path, what: str, name: str):
     return data[:, 0], data[:, 1]
 
 
-_EXTERNAL_KINDS = ("zero", "harmonic", "cosine", "tabulated")
+@dataclass(frozen=True)
+class ExternalZero:
+    """No external potential."""
 
-
-@dataclass(frozen=True, eq=False)
-class ExternalPotential:
-    """External potential per unit mass on the periodic box.
-
-    Kinds
-    -----
-    zero
-        Identically zero.
-    harmonic
-        ``0.5 omega^2 (x - L/2)^2`` about the box center, evaluated on the
-        periodic coordinate. The parabola has a corner at the box seam, so
-        scenarios must keep the fluid essentially empty there.
-    cosine
-        ``v0 cos(2 pi x / L)``.
-    tabulated
-        Linear interpolation of a sampled table over ``[0, L]``; the first
-        and last samples must agree (periodic continuity).
-    """
-
-    kind: str = "zero"
-    omega: float = 0.0
-    v0: float = 0.0
-    table_x: np.ndarray | None = field(default=None, repr=False)
-    table_v: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in _EXTERNAL_KINDS:
-            raise ValueError(
-                f"external potential kind must be one of {_EXTERNAL_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "harmonic" and not self.omega > 0:
-            raise ValueError(f"harmonic potential needs omega > 0, got {self.omega}")
-        if self.kind == "tabulated":
-            if self.table_x is None or self.table_v is None:
-                raise ValueError("tabulated potential needs table_x and table_v")
-            tx = np.asarray(self.table_x, dtype=float)
-            tv = np.asarray(self.table_v, dtype=float)
-            if tx.ndim != 1 or tx.shape != tv.shape or tx.size < 2:
-                raise ValueError("potential table must be two matching 1d columns")
-            if np.any(np.diff(tx) <= 0):
-                raise ValueError("potential table abscissae must increase")
-            scale = max(1.0, float(np.abs(tv).max()))
-            if abs(float(tv[0] - tv[-1])) > 1e-12 * scale:
-                raise ValueError(
-                    "tabulated potential is not periodic: first and last samples differ"
-                )
-
-    @classmethod
-    def zero(cls) -> "ExternalPotential":
-        return cls(kind="zero")
-
-    @classmethod
-    def harmonic(cls, omega: float) -> "ExternalPotential":
-        return cls(kind="harmonic", omega=float(omega))
-
-    @classmethod
-    def cosine(cls, v0: float) -> "ExternalPotential":
-        return cls(kind="cosine", v0=float(v0))
-
-    @classmethod
-    def tabulated(cls, xs, vs) -> "ExternalPotential":
-        return cls(
-            kind="tabulated",
-            table_x=np.array(xs, dtype=float),
-            table_v=np.array(vs, dtype=float),
-        )
-
-    @classmethod
-    def from_csv(cls, path) -> "ExternalPotential":
-        return cls.tabulated(*_csv_columns(path, "potential", "V"))
+    kind: str = field(default="zero", init=False)
 
     def field(self, grid: Grid) -> Field:
-        """Sample the potential on the grid."""
-        if self.kind == "zero":
-            return Field.constant(grid, 0.0)
-        if self.kind == "harmonic":
-            d = grid.x - 0.5 * grid.length
-            return Field(grid, 0.5 * self.omega**2 * d**2, _fresh=True)
-        if self.kind == "cosine":
-            vals = self.v0 * np.cos(2.0 * np.pi * grid.x / grid.length)
-            return Field(grid, vals, _fresh=True)
-        tx = np.asarray(self.table_x, dtype=float)
-        tv = np.asarray(self.table_v, dtype=float)
-        span = tx[-1] - tx[0]
-        pos = tx[0] + np.mod(grid.x - tx[0], span)
-        return Field(grid, np.interp(pos, tx, tv), _fresh=True)
+        return Field.constant(grid, 0.0)
+
+
+@dataclass(frozen=True)
+class ExternalHarmonic:
+    """``0.5 omega^2 (x - L/2)^2`` about the box center, evaluated on the
+    periodic coordinate. The parabola has a corner at the box seam, so
+    scenarios must keep the fluid essentially empty there."""
+
+    kind: str = field(default="harmonic", init=False)
+    omega: float
+
+    def __post_init__(self) -> None:
+        if not self.omega > 0:
+            raise ValueError(
+                f"harmonic potential needs omega > 0, got {self.omega}")
+
+    def field(self, grid: Grid) -> Field:
+        d = grid.x - 0.5 * grid.length
+        return Field(grid, 0.5 * self.omega**2 * d**2, _fresh=True)
+
+
+@dataclass(frozen=True)
+class ExternalCosine:
+    """``v0 cos(2 pi x / L)``."""
+
+    kind: str = field(default="cosine", init=False)
+    v0: float
+
+    def field(self, grid: Grid) -> Field:
+        vals = self.v0 * np.cos(2.0 * np.pi * grid.x / grid.length)
+        return Field(grid, vals, _fresh=True)
+
+
+class ExternalTable:
+    """Linear interpolation of a sampled potential ``(xs, vs)``, read
+    periodically over the table's span; the first and last samples must
+    agree (periodic continuity). Hashed by identity, as its arrays are."""
+
+    kind = "tabulated"
+
+    def __init__(self, xs, vs):
+        tx, tv = np.array(xs, dtype=float), np.array(vs, dtype=float)
+        if tx.ndim != 1 or tx.shape != tv.shape or tx.size < 2:
+            raise ValueError("potential table must be two matching 1d columns")
+        if np.any(np.diff(tx) <= 0):
+            raise ValueError("potential table abscissae must increase")
+        scale = max(1.0, float(np.abs(tv).max()))
+        if abs(float(tv[0] - tv[-1])) > 1e-12 * scale:
+            raise ValueError("tabulated potential is not periodic: first "
+                             "and last samples differ")
+        self.x, self.v = tx, tv
+
+    @classmethod
+    def from_csv(cls, path) -> "ExternalTable":
+        return cls(*_csv_columns(path, "potential", "V"))
+
+    def field(self, grid: Grid) -> Field:
+        span = self.x[-1] - self.x[0]
+        pos = self.x[0] + np.mod(grid.x - self.x[0], span)
+        return Field(grid, np.interp(pos, self.x, self.v), _fresh=True)
+
+
+Potential = ExternalZero | ExternalHarmonic | ExternalCosine | ExternalTable

@@ -42,7 +42,11 @@ is runnable, and :func:`load` hands back the Setup it built.
 
 A section's keys, types, defaults and order are the fields of its
 dataclass, one per kind where the section has a ``kind`` (the kernel: a
-``family``). Defaults, applied when a key or section is absent:
+``family``). The ``[external]`` kinds zero, harmonic and cosine are the
+potentials of :mod:`qfluid.params` themselves, so a bad ``omega`` fails
+at parse on its own line; ``tabulated`` names a file, which
+:func:`build_external` loads into an :class:`ExternalTable`. Defaults,
+applied when a key or section is absent:
 
     name unnamed | physics: hbar 1, mass 1, kT 1, no a2, c 1
     terms: thermo on, quantum off, quantum_order 1 | external kind zero
@@ -69,7 +73,8 @@ from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
 from .madelung import (IllPosedSeries, SolverConfig, State, TermFlags,
                        _reader, solver_steps)
-from .params import ExternalPotential, PhysParams, _csv_columns
+from .params import (ExternalCosine, ExternalHarmonic, ExternalTable,
+                     ExternalZero, PhysParams, Potential, _csv_columns)
 from .schrodinger import OracleConfig
 
 __all__ = [
@@ -197,23 +202,6 @@ class InitialTabulated:
 
 InitialSpec = (InitialGaussian | InitialCosine | InitialEquilibrium
                | InitialTabulated)
-
-
-@_kinded
-class ExternalZero:
-    kind: str = field(default="zero", init=False)
-
-
-@_kinded
-class ExternalHarmonic:
-    kind: str = field(default="harmonic", init=False)
-    omega: float
-
-
-@_kinded
-class ExternalCosine:
-    kind: str = field(default="cosine", init=False)
-    v0: float
 
 
 @_kinded
@@ -422,7 +410,7 @@ def _parse_section(name: str, entries: dict):
             raise ScenarioError(f"unknown key {key!r} in section [{name}]", ln)
     try:
         return cls(**kwargs)
-    except ValueError as e:  # Grid and SolverConfig check their values
+    except ValueError as e:  # checked in Grid, SolverConfig, ExternalHarmonic
         raise ScenarioError(str(e), _key_line(entries, str(e))) from None
 
 
@@ -442,7 +430,7 @@ class Setup:
     scn: Scenario
     params: PhysParams
     flags: TermFlags
-    vext: ExternalPotential
+    vext: Potential
     state: State
     oracle: OracleConfig
 
@@ -512,12 +500,11 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
             f"[kernel] family {scn.kernel.family!r} is not read: its moments "
             "serve the quantum term at quantum_order >= 2 only",
             _line(raw, "kernel", "family"))
-    external_line = _line(raw, "external", "kind")
     try:
         vext = build_external(scn, base_dir)
-        vext.field(grid)
+        vext.field(grid)  # its samples must be finite
     except (ValueError, OSError) as e:
-        raise ScenarioError(str(e), external_line) from None
+        raise ScenarioError(str(e), _line(raw, "external", "kind")) from None
 
     try:
         flags = build_flags(scn, grid, base_dir)
@@ -573,15 +560,12 @@ def build_params(scn: Scenario) -> PhysParams:
                       c=p.c)
 
 
-def build_external(scn: Scenario, base_dir: str | None = None) -> ExternalPotential:
+def build_external(scn: Scenario, base_dir: str | None = None) -> Potential:
+    """The scenario's ``[external]`` potential, a table loaded from file."""
     e = scn.external
-    if e.kind == "zero":
-        return ExternalPotential.zero()
-    if e.kind == "harmonic":
-        return ExternalPotential.harmonic(e.omega)
-    if e.kind == "cosine":
-        return ExternalPotential.cosine(e.v0)
-    return ExternalPotential.from_csv(_resolve(e.file, base_dir))
+    if isinstance(e, ExternalTabulated):
+        return ExternalTable.from_csv(_resolve(e.file, base_dir))
+    return e
 
 
 def build_kernel(scn: Scenario, grid: Grid,
@@ -674,7 +658,7 @@ def _periodized_gaussian(grid: Grid, center: float,
 
 
 def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
-                        vext: ExternalPotential,
+                        vext: Potential,
                         base_dir: str | None = None, *,
                         flags: TermFlags | None = None) -> State:
     """Construct the t = 0 state and enforce the initial density floor.

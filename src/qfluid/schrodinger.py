@@ -6,6 +6,8 @@ for ``psi = exp(lam/2) exp(-i m phi / hbar_eff)``:
     i hbar_eff dpsi/dt = [ -(hbar_eff^2 / 2m) lap + m V_e
                            + kT (ln |psi|^2 + 1) ] psi .
 
+``V_e`` is the run's external :data:`~qfluid.params.Potential`, sampled
+once per run (kind ``zero`` adds nothing), the one the fluid run reads.
 The logarithmic term is the enthalpy seen per particle; switching it off
 (``nonlinearity = False``) gives the plain linear Schrodinger equation and
 matches hydrodynamic runs whose thermo term is off. The constant "+1" is
@@ -30,7 +32,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .madelung import State, Trajectory, whole_steps
-from .params import ExternalPotential, PhysParams
+from .params import PhysParams, Potential
 
 __all__ = [
     "WaveState",
@@ -155,7 +157,7 @@ def _potential(psi, base, p: PhysParams, nonlinearity: bool, out):
 
 
 def oracle_step(w: WaveState, cfg: OracleConfig, p: PhysParams,
-                vext: ExternalPotential) -> WaveState:
+                vext: Potential) -> WaveState:
     """One Strang step: half a potential rotation, the kinetic step, half a
     rotation with the updated density."""
     psi = _advance(w.psi, 1, w.grid, cfg, p, vext, lambda i, psi: None)
@@ -174,7 +176,7 @@ def _check_rotation(v, v_max: float, cfg: OracleConfig, p: PhysParams):
 
 
 def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
-             vext: ExternalPotential, record) -> np.ndarray:
+             vext: Potential, record) -> np.ndarray:
     """Take ``n_steps`` Strang steps from ``psi`` and return the last
     state, calling ``record(i, psi)`` after every stride-th step and the
     last. Between snapshots the adjacent half rotations merge.
@@ -211,7 +213,7 @@ def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
 
 
 def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
-               vext: ExternalPotential) -> WaveTrajectory:
+               vext: Potential) -> WaveTrajectory:
     """Integrate the wave equation, recording every stride-th snapshot."""
     grid = initial.grid
     n_steps = whole_steps(cfg.t_end, cfg.dt)

@@ -5,6 +5,9 @@ import errno
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -73,6 +76,38 @@ width = 0.13
 dt = 2e-4
 t_end = 0.02
 snapshot_stride = 25
+"""
+
+
+# Bohm's fluid poured into the cosine well: the density nearly vanishes
+# near t = 0.25 (the wave oracle's minimum falls to 2.4e-3), and the
+# log-density run, unresolved there, ends in vacuum at t = 0.316
+BOHM_DRAIN = """\
+[scenario]
+name = bohm_drain
+
+[grid]
+n = 128
+length = 1.0
+
+[physics]
+hbar = 0.2
+
+[terms]
+thermo = false
+quantum = true
+
+[initial]
+kind = cosine
+
+[external]
+kind = cosine
+v0 = 2.0
+
+[solver]
+dt = 1e-4
+t_end = 0.5
+snapshot_stride = 100
 """
 
 
@@ -424,11 +459,26 @@ def test_compare_rejects_misaligned_oracle(tmp_path, capsys):
 
 
 def test_compare_propagates_solver_abort(tmp_path):
-    path = scenario_file(tmp_path, DRAIN)
+    path = scenario_file(tmp_path, BOHM_DRAIN)
     out = tmp_path / "cmp"
     assert cmd_compare(path, str(out)) == EXIT_VACUUM
     assert json.loads((out / "error.json").read_text())["status"] == "vacuum"
     assert not (out / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    (COMPARE.replace("quantum = true", "quantum = false"), "quantum = false"),
+    (STIFF_SERIES.replace("dt = 1e-4\nt_end = 2e-3",
+                          "dt = 2.5e-4\nt_end = 2.5e-3"), "quantum_order = 2"),
+], ids=["classical", "series"])
+def test_compare_refuses_a_closure_its_oracle_does_not_model(
+        text, line, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "beside", None)  # refused before any fork
+    out = tmp_path / "cmp"
+    assert main(["compare", scenario_file(tmp_path, text), "-o", str(out)]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: [terms] {line}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, t_end, stride", [("trap", 0.0125, 125),
@@ -548,6 +598,66 @@ def test_scan_fits_no_exponent_without_two_distinct_widths(tmp_path, capsys):
     assert "fitted exponent" not in capsys.readouterr().out
     assert (out / "scan.csv").is_file()
     assert not (out / "scan.svg").exists()
+
+
+# ---------------------------------------------------------- reused outputs
+
+SCAN = ["scan", "--n", "64", "--orders", "1", "--widths"]
+
+
+# each case writes twice into one directory; the second command's writer
+# removes the file of its own naming that the first left and it did not
+@pytest.mark.parametrize("first, second, code, stale", [
+    (["run", "drain"], ["run", "quick"], EXIT_OK, "error.json"),
+    (["run", "quick"], ["run", "fewer"], EXIT_OK, "snapshots/0005.csv"),
+    (["run", "quick", "--plot"], ["run", "quick"], EXIT_OK,
+     "snapshots/0000.svg"),
+    (["compare", "cmp"], ["compare", "bohm_drain"], EXIT_VACUUM,
+     "compare.csv"),
+    (["compare", "bohm_drain"], ["compare", "cmp"], EXIT_OK, "error.json"),
+    (SCAN + ["0.02,0.04"], SCAN + ["0.02,0.02"], EXIT_OK, "scan.svg"),
+], ids=["run-error", "run-snapshots", "run-svgs", "compare-report",
+        "compare-error", "scan-plot"])
+def test_a_reused_out_dir_keeps_no_stale_file(first, second, code, stale,
+                                              tmp_path, capsys):
+    files = {"quick": QUICK_RUN, "drain": DRAIN, "cmp": COMPARE,
+             "bohm_drain": BOHM_DRAIN,
+             "fewer": QUICK_RUN.replace("stride = 20", "stride = 50")}
+    out = tmp_path / "out"
+    argv = [[scenario_file(tmp_path, files[a], f"{a}.ini") if a in files
+             else a for a in cmd] + ["-o", str(out)] for cmd in (first, second)]
+    main(argv[0])
+    assert (out / stale).is_file()
+    others = [out / "notes.txt", out / "snapshots" / "notes.txt"]
+    for other in others:
+        other.parent.mkdir(exist_ok=True)
+        other.write_text("kept\n")
+    assert main(argv[1]) == code
+    assert not (out / stale).exists()
+    assert all(other.read_text() == "kept\n" for other in others)
+    capsys.readouterr()
+
+
+def test_the_commands_import_numpy_alone(tmp_path):
+    # numpy is the one declared dependency: the commands run with every
+    # import of scipy failing
+    path = scenario_file(tmp_path, COMPARE)
+    commands = [["run", path, "-o", str(tmp_path / "run")],
+                ["compare", path, "-o", str(tmp_path / "cmp")],
+                ["verify", "identities"]]
+    script = textwrap.dedent(f"""\
+        import sys
+        sys.modules["scipy"] = None
+        from qfluid.cli import main
+        for argv in {commands!r}:
+            assert main(argv) == 0, argv
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # --------------------------------------------------------------------- main

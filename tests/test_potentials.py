@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qfluid.grid import Field, Grid
-from qfluid.params import ExternalPotential, PhysParams
+from qfluid.params import (ExternalCosine, ExternalHarmonic, ExternalTable,
+                           ExternalZero, PhysParams)
 from qfluid.potentials import (bohm_identity_residual, bohm_potential,
                                bohm_potential_log, enthalpy,
                                euler_lagrange_oracle, internal_energy,
@@ -59,48 +60,62 @@ def test_explicit_mode_coefficient_and_hbar_eff():
 
 
 def test_external_potential_kinds(grid):
-    assert np.all(ExternalPotential.zero().field(grid).values == 0.0)
+    assert np.all(ExternalZero().field(grid).values == 0.0)
 
-    h = ExternalPotential.harmonic(3.0).field(grid).values
+    h = ExternalHarmonic(3.0).field(grid).values
     d = grid.x - 0.5 * grid.length
     assert np.abs(h - 0.5 * 9.0 * d**2).max() < 1e-14
 
-    c = ExternalPotential.cosine(0.7).field(grid).values
+    c = ExternalCosine(0.7).field(grid).values
     assert np.abs(c - 0.7 * np.cos(2 * np.pi * grid.x / grid.length)).max() < 1e-14
 
-    with pytest.raises(ValueError, match="omega"):
-        ExternalPotential.harmonic(0.0)
-    with pytest.raises(ValueError, match="kind"):
-        ExternalPotential(kind="linear")
+    for omega in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="omega > 0"):
+            ExternalHarmonic(omega)
+
+
+def test_equal_potentials_are_equal_and_tables_are_themselves():
+    # the operator cache keys on the potential: equal kinds share a key
+    assert ExternalHarmonic(2.0) == ExternalHarmonic(2.0)
+    assert hash(ExternalCosine(0.5)) == hash(ExternalCosine(0.5))
+    assert ExternalZero() != ExternalCosine(0.0)
+    xs, vs = [0.0, 1.0, 2.0], [1.0, 3.0, 1.0]
+    table = ExternalTable(xs, vs)
+    assert table == table and table != ExternalTable(xs, vs)
 
 
 def test_tabulated_potential_interpolates_periodically(grid):
     xs = [0.0, 0.5, 1.0, 1.5, 2.0]
     vs = [0.0, 1.0, 0.0, -1.0, 0.0]
-    v = ExternalPotential.tabulated(xs, vs).field(grid).values
+    v = ExternalTable(xs, vs).field(grid).values
     want = np.interp(grid.x, xs, vs)
     assert np.abs(v - want).max() < 1e-14
+    # a table over half the box repeats across it
+    half = ExternalTable([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]).field(grid).values
+    assert np.array_equal(half, np.interp(grid.x % 1.0, xs[:3], vs[:3]))
 
 
 def test_tabulated_potential_validation():
     with pytest.raises(ValueError, match="periodic"):
-        ExternalPotential.tabulated([0.0, 1.0], [0.0, 2.0])
+        ExternalTable([0.0, 1.0], [0.0, 2.0])
     with pytest.raises(ValueError, match="increase"):
-        ExternalPotential.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 1.0])
-    with pytest.raises(ValueError, match="table"):
-        ExternalPotential(kind="tabulated")
+        ExternalTable([0.0, 0.0, 1.0], [1.0, 2.0, 1.0])
+    for xs, vs in (([0.0, 1.0], [1.0, 2.0, 1.0]), ([0.0], [1.0]),
+                   ([[0.0, 1.0]], [[1.0, 1.0]])):
+        with pytest.raises(ValueError, match="two matching 1d columns"):
+            ExternalTable(xs, vs)
 
 
 def test_potential_from_csv(tmp_path):
     path = tmp_path / "pot.csv"
     path.write_text("x,V\n0.0,1.0\n1.0,3.0\n2.0,1.0\n")
-    pot = ExternalPotential.from_csv(path)
+    pot = ExternalTable.from_csv(path)
     assert pot.kind == "tabulated"
     assert pot.field(Grid(n=8, length=2.0)).values[0] == pytest.approx(1.0)
     bad = tmp_path / "bad.csv"
     bad.write_text("x\n0.0\n1.0\n")
     with pytest.raises(ValueError, match="two columns"):
-        ExternalPotential.from_csv(bad)
+        ExternalTable.from_csv(bad)
 
 
 # ------------------------------------------------------------ thermodynamics

@@ -10,7 +10,7 @@ import pytest
 
 from qfluid import presets, scenario
 from qfluid.madelung import rhs, run
-from qfluid.params import ExternalPotential
+from qfluid.params import ExternalZero
 from qfluid.scenario import (KernelGaussian, ScenarioError, build_external,
                              build_flags, build_grid, build_initial_state,
                              build_oracle_config, build_params,
@@ -149,9 +149,34 @@ def test_the_external_term_follows_the_external_kind():
     assert setup.vext.kind == "cosine"
     args = (setup.state, setup.flags, setup.params)
     _, on = rhs(*args, setup.vext)
-    _, off = rhs(*args, ExternalPotential.zero())
+    _, off = rhs(*args, ExternalZero())
     v = setup.vext.field(setup.scn.grid).values
     assert np.abs(on.values - off.values - v).max() < 1e-14
+
+
+def test_a_tabulated_potential_loads_at_build(tmp_path):
+    (tmp_path / "v.csv").write_text("x,V\n0.0,1.0\n0.5,3.0\n1.0,1.0\n")
+    text = MINIMAL + "\n[external]\nkind = tabulated\nfile = v.csv\n"
+    setup = load(text, base_dir=str(tmp_path))
+    assert setup.vext.kind == "tabulated"
+    assert setup.vext.field(setup.scn.grid).values.max() == 3.0
+
+
+# a potential whose samples the build rejects fails at its kind line
+@pytest.mark.parametrize("external, match", [
+    ("kind = tabulated\nfile = open.csv", "not periodic"),
+    ("kind = tabulated\nfile = nan.csv", "must be finite"),
+    ("kind = cosine\nv0 = inf", "must be finite"),
+    ("kind = cosine\nv0 = nan", "must be finite"),
+], ids=["open-table", "nan-table", "inf-v0", "nan-v0"])
+def test_a_potential_that_cannot_be_sampled_fails_at_its_kind(
+        external, match, tmp_path):
+    (tmp_path / "open.csv").write_text("x,V\n0.0,1.0\n1.0,3.0\n")
+    (tmp_path / "nan.csv").write_text("x,V\n0.0,1.0\n0.5,nan\n1.0,1.0\n")
+    text = MINIMAL + "\n[external]\n" + external + "\n"
+    with pytest.raises(ScenarioError, match=match) as info:
+        load(text, base_dir=str(tmp_path))
+    assert info.value.line == text.splitlines().index("[external]") + 2
 
 
 def test_the_oracle_nonlinearity_follows_thermo():
@@ -183,6 +208,7 @@ VALID = {
     "solver": {"dt": "1e-3", "t_end": "1.0", "snapshot_stride": "1",
                "density_floor": "1e-12"},
     "oracle": {"dt": "1e-3", "t_end": "1.0", "snapshot_stride": "1"},
+    "external": {"kind": "harmonic", "omega": "1"},
 }
 
 
@@ -200,6 +226,8 @@ VALID = {
     ("oracle", "dt", "-1"),
     ("oracle", "t_end", "-1"),
     ("oracle", "snapshot_stride", "0"),
+    ("external", "omega", "0"),
+    ("external", "omega", "-2"),
 ])
 def test_value_errors_name_their_own_line(section, key, value):
     keys = dict(VALID[section], **{key: value})

@@ -8,7 +8,7 @@ import pytest
 from qfluid import presets, schrodinger
 from qfluid.grid import Field, Grid
 from qfluid.madelung import State, Trajectory
-from qfluid.params import ExternalPotential, PhysParams
+from qfluid.params import ExternalCosine, ExternalZero, PhysParams
 from qfluid.scenario import (build_external, build_initial_state,
                              build_oracle_config, build_params)
 from qfluid.schrodinger import (OracleConfig, WaveState, compare,
@@ -26,7 +26,7 @@ def p():
     return PhysParams(hbar=0.5, m=1.0, kT=1.0)
 
 
-ZERO = ExternalPotential.zero()
+ZERO = ExternalZero()
 
 
 def smooth_state(grid, t=0.0):
@@ -113,7 +113,7 @@ def test_oracle_step_advances_time(grid, p):
 
 def test_rotation_bound_rejects_big_dt(grid, p):
     w = to_wavefunction(smooth_state(grid), p)
-    pot = ExternalPotential.cosine(50.0)
+    pot = ExternalCosine(50.0)
     with pytest.raises(ValueError, match="rotation"):
         oracle_step(w, OracleConfig(dt=0.1, t_end=1.0), p, pot)
 
@@ -136,7 +136,7 @@ def test_run_oracle_rejects_non_divisible_t_end(grid, p):
 def test_strang_beats_lie_by_one_order(grid, p):
     # linear problem with an external potential: the splitting error is
     # the only error, and Strang's is second order
-    pot = ExternalPotential.cosine(0.5)
+    pot = ExternalCosine(0.5)
     w0 = to_wavefunction(smooth_state(grid), p)
     cfg_ref = OracleConfig(dt=1e-5, t_end=0.08, nonlinearity=False)
     ref = run_oracle(w0, cfg_ref, p, pot).snapshots[-1].psi

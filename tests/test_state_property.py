@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qfluid.grid import Field, Grid  # noqa: E402
 from qfluid.madelung import (SolverConfig, State, TermFlags,  # noqa: E402
                              run, stability_bound)
-from qfluid.params import ExternalPotential, PhysParams  # noqa: E402
+from qfluid.params import ExternalCosine, ExternalZero, PhysParams  # noqa: E402
 from qfluid.schrodinger import from_wavefunction, to_wavefunction  # noqa: E402
 
 
@@ -71,7 +71,7 @@ def test_short_runs_conserve_mass(data, n, thermo, quantum, hbar, kT, v0,
     p = PhysParams(hbar=hbar, m=1.0, kT=kT)
     flags = TermFlags(thermo=thermo, quantum=quantum)
     # no v0 draws the zero potential
-    vext = ExternalPotential.zero() if v0 is None else ExternalPotential.cosine(v0)
+    vext = ExternalZero() if v0 is None else ExternalCosine(v0)
     dt = frac * stability_bound(grid, p, TermFlags(quantum=True))
     s = State(0.0, Field(grid, lam), Field(grid, phi))
     traj = run(s, SolverConfig(dt=dt, t_end=20 * dt, snapshot_stride=20),
