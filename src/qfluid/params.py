@@ -131,6 +131,9 @@ class ExternalHarmonic:
         if not self.omega > 0:
             raise ValueError(
                 f"harmonic potential needs omega > 0, got {self.omega}")
+        if not math.isfinite(self.omega * self.omega):
+            raise ValueError(f"harmonic potential needs a finite omega^2, "
+                             f"got omega = {self.omega}")
 
     def field(self, grid: Grid) -> Field:
         d = grid.x - 0.5 * grid.length

@@ -38,7 +38,11 @@ Validation is :func:`build`, the one function that turns a Scenario
 into a :class:`Setup` (parameters, flags, external potential, initial
 state, oracle config) and checks the solver's step count, bound and
 series well-posedness; ``parse_scenario`` runs it, so a Scenario in hand
-is runnable, and :func:`load` hands back the Setup it built.
+is runnable, and :func:`load` hands back the Setup it built. Numbers
+must be finite. An error lands in its section on an anchor it names
+(solver ``dt``, ``t_end``; external, initial ``kind``; kernel ``family``;
+terms ``quantum_order``, ``quantum``), else on the first key it names,
+the ``file`` it quotes, the first anchor stated, the section header.
 
 A section's keys, types, defaults and order are the fields of its
 dataclass, one per kind where the section has a ``kind`` (the kernel: a
@@ -71,8 +75,8 @@ import numpy as np
 
 from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
-from .madelung import (IllPosedSeries, SolverConfig, State, TermFlags,
-                       _reader, solver_steps)
+from .madelung import (SolverConfig, State, TermFlags, _reader,
+                       solver_steps, stability_bound)
 from .params import (ExternalCosine, ExternalHarmonic, ExternalTable,
                      ExternalZero, PhysParams, Potential, _csv_columns)
 from .schrodinger import OracleConfig
@@ -217,7 +221,7 @@ ExternalSpec = (ExternalZero | ExternalHarmonic | ExternalCosine
 @_kinded
 class KernelGaussian:
     family: str = field(default="gaussian", init=False)
-    width: float | None = None
+    width: float
 
 
 @_kinded
@@ -233,7 +237,7 @@ class KernelDelta:
 @_kinded
 class KernelTabulated:
     family: str = field(default="tabulated", init=False)
-    file: str | None = None
+    file: str
 
 
 # supplies the moments of quantum_order >= 2
@@ -270,9 +274,15 @@ class _Header:
     name: str = "unnamed"
 
 
-def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: dict[str, tuple[str, int]] | None = None
+class _Section(dict):
+    """A section's ``key -> (value, line)``, and its header's ``line``."""
+
+    line: int | None = None
+
+
+def _tokenize(text: str) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
+    current: _Section | None = None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line[0] in "#;":
@@ -287,16 +297,15 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                     + ", ".join(_SCHEMA), ln)
             if name in sections:
                 raise ScenarioError(f"duplicate section [{name}]", ln)
-            current = {}
-            sections[name] = current
+            current = sections[name] = _Section()
+            current.line = ln
             continue
         if current is None:
             raise ScenarioError("key before any [section] header", ln)
         key, sep, val = line.partition("=")
         if not sep:
             raise ScenarioError("expected key = value", ln)
-        key = key.strip()
-        val = val.strip()
+        key, val = key.strip(), val.strip()
         if not key:
             raise ScenarioError("empty key", ln)
         if key in current:
@@ -308,9 +317,12 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 def _number(tp, what: str):
     def conv(raw: str):
         try:
-            return tp(raw)
+            val = tp(raw)
         except ValueError:
             raise ValueError(f"expected {what}, got {raw!r}") from None
+        if tp is float and not -np.inf < val < np.inf:
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return val
     return conv
 
 
@@ -320,11 +332,9 @@ _FALSE = {"false", "no", "off", "0"}
 
 def _to_bool(raw: str) -> bool:
     low = raw.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"expected true or false, got {raw!r}")
+    if low not in _TRUE | _FALSE:
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return low in _TRUE
 
 
 def _choice(*allowed: str):
@@ -386,11 +396,12 @@ _KEYS = {cls: _keys(cls)
          for *_, by_tag in _SCHEMA.values() for cls in by_tag.values()}
 
 
-def _take(section: str, entries: dict, key: str, conv, default):
+def _take(section: str, entries: _Section, key: str, conv, default):
     if key not in entries:
         if default is _REQUIRED:
             raise ScenarioError(
-                f"section [{section}] is missing required key {key!r}")
+                f"section [{section}] is missing required key {key!r}",
+                entries.line)
         return default
     raw, ln = entries[key]
     try:
@@ -399,7 +410,7 @@ def _take(section: str, entries: dict, key: str, conv, default):
         raise ScenarioError(f"key {key!r}: {e}", ln) from None
 
 
-def _parse_section(name: str, entries: dict):
+def _parse_section(name: str, entries: _Section):
     tag_key, tag_conv, tag_default, by_tag = _SCHEMA[name]
     cls = by_tag[tag_key and _take(name, entries, tag_key, tag_conv,
                                    tag_default)]
@@ -411,16 +422,20 @@ def _parse_section(name: str, entries: dict):
     try:
         return cls(**kwargs)
     except ValueError as e:  # checked in Grid, SolverConfig, ExternalHarmonic
-        raise ScenarioError(str(e), _key_line(entries, str(e))) from None
+        raise ScenarioError(str(e), _line_of(entries, str(e))) from None
 
 
-def _key_line(entries: dict, message: str) -> int | None:
-    """The line of the first word of ``message`` that is a key stated in
-    the section ``entries``: a value error names its own key first."""
-    for word in re.findall(r"\w+", message):
-        if word in entries:
-            return entries[word][1]
-    return None
+def _line_of(entries: _Section, message: str, anchors=()) -> int | None:
+    """The line of the section ``entries`` an error ``message`` is about:
+    an anchor it names, else the first key it names, the ``file`` whose
+    path it quotes, the first anchor stated, the header."""
+    named = re.findall(r"\w+", message)
+    if "file" in entries and entries["file"][0] in message:
+        named.append("file")
+    for key in [*(a for a in anchors if a in named), *named, *anchors]:
+        if key in entries:
+            return entries[key][1]
+    return entries.line
 
 
 @dataclass(frozen=True)
@@ -452,30 +467,10 @@ def load(text: str, base_dir: str | None = None) -> Setup:
         if required not in raw:
             raise ScenarioError(f"missing required section [{required}]")
     parts = {name: None if name == "kernel" and name not in raw
-             else _parse_section(name, raw.get(name, {})) for name in _SCHEMA}
-
-    kspec = parts["kernel"]
-    if isinstance(kspec, KernelGaussian) and kspec.width is None:
-        raise ScenarioError(f"kernel family {kspec.family!r} needs a width")
-    if isinstance(kspec, KernelTabulated) and kspec.file is None:
-        raise ScenarioError("kernel family 'tabulated' needs a file")
-
+             else _parse_section(name, raw.get(name, _Section()))
+             for name in _SCHEMA}
     scn = Scenario(name=parts.pop("scenario").name, **parts)
     return _build(scn, base_dir, raw)
-
-
-def _kernel_line(entries: dict, message: str) -> int | None:
-    """The line of the ``[kernel]`` key a kernel build error names: by its
-    name, else by its value (a missing file names its path), else the
-    family's."""
-    line = _key_line(entries, message)
-    if line is None and "file" in entries and entries["file"][0] in message:
-        line = entries["file"][1]
-    return line or entries.get("family", (None, None))[1]
-
-
-def _line(raw: dict, section: str, key: str) -> int | None:
-    return raw.get(section, {}).get(key, (None, None))[1]
 
 
 def build(scn: Scenario, base_dir: str | None = None) -> Setup:
@@ -488,66 +483,36 @@ def build(scn: Scenario, base_dir: str | None = None) -> Setup:
 
 def _build(scn: Scenario, base_dir, raw) -> Setup:
     grid = scn.grid
+    # each step names the section its errors belong to, then its anchors
+    step = ("physics",)
     try:
         params = build_params(scn)
-    except ValueError as e:
-        raise ScenarioError(
-            str(e), _key_line(raw.get("physics", {}), str(e))) from None
-
-    if scn.kernel is not None and not (scn.terms.quantum
-                                       and scn.terms.quantum_order >= 2):
-        raise ScenarioError(
-            f"[kernel] family {scn.kernel.family!r} is not read: its moments "
-            "serve the quantum term at quantum_order >= 2 only",
-            _line(raw, "kernel", "family"))
-    try:
+        if scn.terms.quantum:
+            params.hbar_eff  # raises unless a real one exists
+        step = ("external", "kind")
         vext = build_external(scn, base_dir)
         vext.field(grid)  # its samples must be finite
-    except (ValueError, OSError) as e:
-        raise ScenarioError(str(e), _line(raw, "external", "kind")) from None
-
-    try:
+        step = (("terms", "quantum_order", "quantum") if scn.kernel is None
+                else ("kernel", "family"))
         flags = build_flags(scn, grid, base_dir)
-    except (ValueError, OSError) as e:
-        line = (_line(raw, "terms", "quantum_order")
-                or _line(raw, "terms", "quantum"))
-        if scn.kernel is not None:  # else the [kernel] section is missing
-            line = _kernel_line(raw.get("kernel", {}), str(e)) or line
-        raise ScenarioError(str(e), line) from None
-
-    try:
+        if flags.series:
+            stability_bound(grid, params, flags)  # the series is well-posed
+        step = ("solver", "dt", "t_end")
         solver_steps(scn.solver, grid, flags, params)
-    except IllPosedSeries as e:
-        raise ScenarioError(str(e), _line(raw, "kernel", "family")) from None
-    except ValueError as e:
-        raise ScenarioError(str(e), _line(raw, "solver", "dt")
-                            or _line(raw, "solver", "t_end")) from None
-
-    ic = scn.initial
-    if isinstance(ic, InitialGaussian) and not np.isfinite(
-            ic.boost * grid.length):
-        raise ScenarioError(
-            f"gaussian boost {ic.boost:g} times the box length "
-            f"{grid.length:g} must be finite", _line(raw, "initial", "boost"))
-    try:
+        step = ("initial", "kind")
         state = build_initial_state(scn, grid, params, vext, base_dir,
                                     flags=flags)
-    except (ValueError, OSError) as e:
-        initial = raw.get("initial", {})
-        raise ScenarioError(str(e), _key_line(initial, str(e))
-                            or _line(raw, "initial", "kind")) from None
-    try:
+        step = ("oracle",)
         oracle = build_oracle_config(scn)
-    except ValueError as e:
-        raise ScenarioError(
-            str(e), _key_line(raw.get("oracle", {}), str(e))) from None
+    except (ValueError, OSError) as e:
+        section, *anchors = step
+        raise ScenarioError(str(e), _line_of(raw.get(section, _Section()),
+                                             str(e), anchors)) from None
     return Setup(scn, params, flags, vext, state, oracle)
 
 
 def _resolve(path: str, base_dir: str | None) -> str:
-    if base_dir is not None and not os.path.isabs(path):
-        return os.path.join(base_dir, path)
-    return path
+    return path if base_dir is None else os.path.join(base_dir, path)
 
 
 def build_grid(scn: Scenario) -> Grid:
@@ -589,6 +554,10 @@ def build_flags(scn: Scenario, grid: Grid,
                 f"quantum_order = {t.quantum_order} needs a [kernel] section "
                 "to supply moment coefficients")
         table = moments(kernel, max_n=t.quantum_order)
+    elif scn.kernel is not None:
+        raise ValueError(
+            f"[kernel] family {scn.kernel.family!r} is not read: its moments "
+            "serve the quantum term at quantum_order >= 2 only")
     return TermFlags(thermo=t.thermo, quantum=t.quantum,
                      quantum_order=t.quantum_order, moments=table)
 
@@ -669,14 +638,16 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
     length = grid.length
     phi = np.zeros(grid.n)
     if ic.kind == "gaussian":
+        if not np.isfinite(ic.boost * length):
+            raise ValueError(f"gaussian boost {ic.boost:g} times the box "
+                             f"length {length:g} must be finite")
         if not ic.width > 0:
             raise ValueError(f"gaussian width must be > 0, got {ic.width}")
         if not ic.amplitude > 0:
             raise ValueError(
                 f"gaussian amplitude must be > 0, got {ic.amplitude}")
         center = ic.center if ic.center is not None else 0.5 * length
-        rho = _periodized_gaussian(grid, center, ic.width)
-        rho *= ic.amplitude
+        rho = ic.amplitude * _periodized_gaussian(grid, center, ic.width)
         if ic.pedestal > 0:
             if ic.pedestal_kind == "thermal" and params.kT > 0:
                 v = vext.field(grid).values

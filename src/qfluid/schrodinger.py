@@ -96,7 +96,6 @@ class OracleConfig:
 @dataclass
 class WaveTrajectory:
     snapshots: list[WaveState]
-    norms: list[float]
 
     @property
     def times(self) -> np.ndarray:
@@ -218,13 +217,10 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
     grid = initial.grid
     n_steps = whole_steps(cfg.t_end, cfg.dt)
     t0 = initial.t
-    dx = grid.dx
-
-    traj = WaveTrajectory(snapshots=[], norms=[])
+    traj = WaveTrajectory(snapshots=[])
 
     def record(i, arr):
         traj.snapshots.append(WaveState(t0 + i * cfg.dt, grid, arr))
-        traj.norms.append(float(np.sum(np.abs(arr) ** 2) * dx))
 
     record(0, initial.psi)
     if n_steps:
@@ -234,12 +230,7 @@ def run_oracle(initial: WaveState, cfg: OracleConfig, p: PhysParams,
 
 def waves_from_states(traj: Trajectory, p: PhysParams) -> WaveTrajectory:
     """Convert a hydrodynamic trajectory through the Madelung map."""
-    out = WaveTrajectory(snapshots=[], norms=[])
-    for s in traj.snapshots:
-        w = to_wavefunction(s, p)
-        out.snapshots.append(w)
-        out.norms.append(float(np.sum(np.abs(w.psi) ** 2) * s.grid.dx))
-    return out
+    return WaveTrajectory([to_wavefunction(s, p) for s in traj.snapshots])
 
 
 @dataclass

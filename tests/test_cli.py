@@ -261,6 +261,21 @@ def test_run_bad_inputs_exit_usage(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+# each fails at parse or build with exit 2, on the line of its last key
+@pytest.mark.parametrize("after, added", [
+    ("snapshot_stride = 25", "\n[external]\nkind = harmonic\nomega = 1e200"),
+    ("width = 0.13", "pedestal = nan"),
+    ("hbar = 0.3", "a2 = -0.01"),
+], ids=["huge-omega", "nan-pedestal", "negative-a2"])
+def test_run_names_the_line_of_a_bad_value(after, added, tmp_path, capsys):
+    text = COMPARE.replace(after, f"{after}\n{added}")
+    path = scenario_file(tmp_path, text)
+    assert main(["run", path, "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    line = text.splitlines().index(added.splitlines()[-1]) + 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert not (tmp_path / "o").exists()
+
+
 # a series cut after c_4 = -10.5 whose multiplier is negative on most modes
 ILL_POSED = """\
 [grid]

@@ -101,7 +101,8 @@ def test_oracle_conserves_norm(grid, p):
     w0 = to_wavefunction(s, p)
     cfg = OracleConfig(dt=1e-3, t_end=0.05, snapshot_stride=10)
     traj = run_oracle(w0, cfg, p, ZERO)
-    norms = np.array(traj.norms)
+    norms = np.array([np.sum(np.abs(w.psi) ** 2) * grid.dx
+                      for w in traj.snapshots])
     assert np.abs(norms - norms[0]).max() < 1e-12 * norms[0]
 
 
