@@ -32,7 +32,7 @@ import numpy as np
 from .fork import beside
 from .grid import Grid
 from .kernels import truncation_sweep
-from .madelung import run
+from .madelung import run, whole_steps
 from .output import (_remove_stale, _write_csv, write_compare, write_error,
                      write_run)
 from .scenario import Scenario, Setup, load
@@ -136,6 +136,10 @@ def cmd_compare(scenario_path: str, out_dir: str | None = None) -> int:
             > 1e-12 * cfg.dt * cfg.snapshot_stride:
         return _fail("oracle dt * snapshot_stride differs from the solver's; "
                      "snapshots would sit at different times")
+    try:
+        whole_steps(ocfg.t_end, ocfg.dt)
+    except ValueError as e:
+        return _fail(f"[oracle] {e}")
 
     out = out_dir or _default_out(scn, "compare")
     oracle, cancel = beside(

@@ -6,11 +6,11 @@ State is the pair ``(lam, phi)`` with ``lam = ln rho`` and velocity
     d lam / dt = grad phi . grad lam + lap phi          (continuity)
     d phi / dt = (grad phi)^2 / 2 + H_th + U_Q + V_e    (Bernoulli)
 
-where :class:`TermFlags` switches H_th and U_Q, and V_e enters exactly
-when the external :data:`~qfluid.params.Potential` is not of kind
-``zero``, the kind the wave oracle reads too. U_Q is the gradient series
-of the non-local log-density energy, cut after ``c_{2 quantum_order}``;
-its first term is Bohm's potential. Working in ``lam`` keeps the density
+where :class:`TermFlags` switches H_th and U_Q, and V_e is the samples
+of the external :data:`~qfluid.params.Potential` (zeros for the zero
+potential), as in the wave oracle. U_Q is the gradient series of the
+non-local log-density energy, cut after ``c_{2 quantum_order}``; its
+first term is Bohm's potential. Working in ``lam`` keeps the density
 positive by construction and makes the enthalpy ``(kT/m)(lam + 1)``
 linear in the state. Quadratic products in the right hand side are
 dealiased with the 2/3 rule (default on).
@@ -109,7 +109,7 @@ class State:
 @dataclass(frozen=True)
 class TermFlags:
     """Which of the thermal and quantum Bernoulli terms participate in the
-    dynamics; V_e participates when the run's potential is not zero.
+    dynamics; V_e is no flag, but the samples of the run's potential.
 
     ``quantum_order`` cuts the quantum closure's gradient series: 1 keeps
     Bohm's first term; >= 2 keeps the terms through ``c_{2 quantum_order}``
@@ -219,8 +219,8 @@ class Tendency:
                     + (theta + qc k^2 / 2 + R) lam^ + F[(R rho) / rho]
                     + n theta delta_k0 + V^
 
-    :attr:`theta` is ``kT/m`` with thermo on, else 0, and ``V^`` enters
-    when ``vext`` is given and not of kind ``zero``. With quantum on the
+    :attr:`theta` is ``kT/m`` with thermo on, else 0, and ``V^`` is the
+    spectrum of ``vext``'s samples (0 without ``vext``). With quantum on the
     closure is ``(kT/m) [M lam + (M rho) / rho]``, ``M = sum_{n=1}^{N}
     (a^2 k^2)^n c_{2n} / (2n)!``. Its n = 1 term is Bohm's, the ``qc``
     terms above; only the ``remainder`` ``R = (kT/m) sum_{n=2}^{N}``
@@ -264,7 +264,7 @@ class Tendency:
         self.linear = np.stack((-grid.half_k2, lin), dtype=complex)
         self.force = np.zeros(mask.shape, dtype=complex)
         self.force[0] = grid.n * self.theta
-        if vext is not None and vext.kind != "zero":
+        if vext is not None:
             self.force += grid.rfft(vext.field(grid).values)
         # the rows a stage's inverse reads and its products fill
         self.rows = 2 if self.remainder is None else 3
@@ -431,18 +431,17 @@ class _Work:
 @lru_cache(maxsize=16)
 def _reader(grid: Grid, flags: TermFlags, p: PhysParams, dealias: bool,
             vext: Potential | None = None) -> Tendency:
-    """The tendency per key: :func:`rhs` and the records read it with
-    ``V_e`` left out, :func:`step` with ``V_e`` in."""
+    """The tendency per key: :func:`rhs` and :func:`step` read it with
+    the run's ``V_e``, the records and :func:`_uq_reader` without."""
     return Tendency(grid, flags, p, dealias, vext)
 
 
-def _uq_hat(grid: Grid, lam_hat, flags: TermFlags, p: PhysParams,
-            dealias: bool):
-    """Spectra of U_Q for one state's lam^ or an ``(m, nh)`` stack: the
-    Bernoulli tendency at rest with only the quantum term on, its products
-    masked as ``dealias`` says."""
-    only = replace(flags, thermo=False)
-    return _reader(grid, only, p, dealias).bernoulli(lam_hat)
+def _uq_reader(grid: Grid, flags: TermFlags, p: PhysParams,
+               dealias: bool) -> Tendency:
+    """The operator of U_Q, only the quantum term on, its products masked
+    as ``dealias`` says: its Bernoulli row at rest is U_Q, and its ``rate``
+    U_Q's linear part. The records, fields and refinement read it."""
+    return _reader(grid, replace(flags, thermo=False), p, dealias)
 
 
 def velocity(s: State) -> Field:
@@ -476,20 +475,17 @@ def _fields(grid: Grid, real, flags: TermFlags, p: PhysParams):
     if not flags.quantum:
         return -grid.apply(grid.half_ik, real[1]), None
     hat = grid.rfft(real)
-    v, uq = grid.irfft(np.stack((grid.half_ik * hat[1],
-                                 _uq_hat(grid, hat[0], flags, p, False))))
+    uq = _uq_reader(grid, flags, p, False).bernoulli(hat[0])
+    v, uq = grid.irfft(np.stack((grid.half_ik * hat[1], uq)))
     return -v, uq
 
 
 def rhs(s: State, flags: TermFlags, p: PhysParams, vext: Potential,
         dealias: bool = True) -> tuple[Field, Field]:
-    """Time derivatives ``(d lam/dt, d phi/dt)`` of the current state."""
+    """``(d lam/dt, d phi/dt)`` of the state, as :func:`step` steps it."""
     grid = s.grid
     hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
-    dlam, dphi = grid.irfft(_reader(grid, flags, p, dealias)(hat))
-    varr = _samples(grid, vext)
-    if varr is not None:
-        dphi = dphi + varr
+    dlam, dphi = grid.irfft(_reader(grid, flags, p, dealias, vext)(hat))
     return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
@@ -673,9 +669,9 @@ def _energy_density(lam, rows, flags: TermFlags, p: PhysParams, varr):
     """Pointwise energy per unit volume for the active terms, with rho and v.
 
     ``rows`` are :func:`_energy_rows` in real space, and ``varr`` the
-    samples of V_e, None for the zero potential. The quantum part is
-    ``(kT/m) rho (M lam)``, whose density derivative is U_Q, with Bohm's
-    term in the sign-definite form ``(kT/m) a^2 rho (grad lam)^2 / 2``.
+    samples of V_e. The quantum part is ``(kT/m) rho (M lam)``, whose
+    density derivative is U_Q, with Bohm's term in the sign-definite form
+    ``(kT/m) a^2 rho (grad lam)^2 / 2``.
     On shell the Lagrangian density is ``rho dphi/dt`` minus this.
     """
     rho = np.exp(lam)
@@ -683,18 +679,12 @@ def _energy_density(lam, rows, flags: TermFlags, p: PhysParams, varr):
     dens = 0.5 * rho * v * v
     if flags.thermo:
         dens = dens + rho * (p.kT / p.m) * lam
-    if varr is not None:
-        dens = dens + rho * varr
+    dens = dens + rho * varr
     if flags.quantum:
         dens = dens + 0.25 * p.quantum_coefficient * rho * rows[1]**2
     if flags.series:
         dens = dens + rho * rows[2]
     return dens, rho, v
-
-
-def _samples(grid: Grid, vext: Potential) -> np.ndarray | None:
-    """V_e on the grid, None for the zero potential."""
-    return None if vext.kind == "zero" else vext.field(grid).values
 
 
 def diagnostics(s: State, flags: TermFlags, p: PhysParams,
@@ -720,10 +710,11 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     grid = states[0].grid
     real = _stack(states)
     lam = real[0]
-    varr = _samples(grid, vext)
+    varr = vext.field(grid).values
     hat = grid.rfft(real)
     rows = _energy_rows(grid, hat[0], hat[1], flags, p)
-    rows.append(_uq_hat(grid, hat[0], flags, p, dealias) if flags.quantum
+    rows.append(_uq_reader(grid, flags, p, dealias).bernoulli(hat[0])
+                if flags.quantum
                 else _reader(grid, flags, p, dealias).bernoulli(*hat))
     back = grid.irfft(np.array(rows))
     dens, rho, v = _energy_density(lam, back, flags, p, varr)
@@ -736,8 +727,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     if flags.thermo:
         # U_th + p/rho telescopes to the enthalpy (kT/m)(lam + 1)
         bern = bern + (p.kT / p.m) * (lam + 1.0)
-    if varr is not None:
-        bern = bern + varr
+    bern = bern + varr
     if flags.quantum:
         bern = bern + back[-1]
     bern_res = [spread / mag if mag > 0 else spread for spread, mag in
@@ -747,7 +737,7 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     if flags.quantum:
         lmp = [math.nan] * len(states)
     else:
-        dp = back[-1] if varr is None else back[-1] + varr
+        dp = back[-1] + varr
         lag = rho * dp - dens
         pr = (p.kT / p.m) * rho
         lmp = [dev / pmax if pmax > 0 else math.nan for dev, pmax in
@@ -791,7 +781,7 @@ def action(traj: Trajectory, flags: TermFlags, p: PhysParams,
         raise ValueError("action needs uniformly spaced snapshots")
     two_dt = 2.0 * dt
     grid = snaps[0].grid
-    varr = _samples(grid, vext)
+    varr = vext.field(grid).values
     # classical: phi alone is transformed, and its spectrum stands in for
     # the unread lam^
     first = 0 if flags.quantum else 1

@@ -75,7 +75,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
-from .madelung import (SolverConfig, State, TermFlags, _reader,
+from .madelung import (SolverConfig, State, TermFlags, _uq_reader,
                        solver_steps, stability_bound)
 from .params import (ExternalCosine, ExternalHarmonic, ExternalTable,
                      ExternalZero, PhysParams, Potential, _csv_columns)
@@ -428,10 +428,12 @@ def _parse_section(name: str, entries: _Section):
 def _line_of(entries: _Section, message: str, anchors=()) -> int | None:
     """The line of the section ``entries`` an error ``message`` is about:
     an anchor it names, else the first key it names, the ``file`` whose
-    path it quotes, the first anchor stated, the header."""
+    path it quotes, the first anchor stated, the header. A quoted path is
+    read whole: its directories may bear the names of keys."""
     named = re.findall(r"\w+", message)
     if "file" in entries and entries["file"][0] in message:
-        named.append("file")
+        quoted = rf"\S*{re.escape(entries['file'][0])}\S*"
+        named = [*re.findall(r"\w+", re.sub(quoted, " ", message)), "file"]
     for key in [*(a for a in anchors if a in named), *named, *anchors]:
         if key in entries:
             return entries[key][1]
@@ -593,8 +595,7 @@ def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
     mean rho each sweep. A sweep whose update is not finite ends the
     iteration as diverged.
     """
-    only = dataclasses.replace(flags, thermo=False)
-    uq = _reader(grid, only, params, dealias)
+    uq = _uq_reader(grid, flags, params, dealias)
     denom = params.kT / params.m + uq.rate
     log_norm = np.log(mean_density)
     v_hat = grid.rfft(varr)
@@ -637,71 +638,74 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
     x = grid.x
     length = grid.length
     phi = np.zeros(grid.n)
-    if ic.kind == "gaussian":
-        if not np.isfinite(ic.boost * length):
-            raise ValueError(f"gaussian boost {ic.boost:g} times the box "
-                             f"length {length:g} must be finite")
-        if not ic.width > 0:
-            raise ValueError(f"gaussian width must be > 0, got {ic.width}")
-        if not ic.amplitude > 0:
-            raise ValueError(
-                f"gaussian amplitude must be > 0, got {ic.amplitude}")
-        center = ic.center if ic.center is not None else 0.5 * length
-        rho = ic.amplitude * _periodized_gaussian(grid, center, ic.width)
-        if ic.pedestal > 0:
-            if ic.pedestal_kind == "thermal" and params.kT > 0:
-                v = vext.field(grid).values
-                shape = np.exp(-(params.m / params.kT) * (v - v.min()))
-            else:
-                shape = np.ones(grid.n)
-            rho = rho + ic.pedestal * ic.amplitude * shape
-        if ic.boost != 0.0:
-            phi = (-(ic.boost * length / (2.0 * np.pi))
-                   * np.sin(2.0 * np.pi * (x - center) / length))
-        if vext.kind == "harmonic":
-            edge = min(center, length - center)
-            if edge < 4.0 * ic.width:
-                warnings.warn(
-                    f"gaussian packet center sits {edge:.4g} from the box "
-                    f"edge, closer than 4 widths ({4 * ic.width:.4g}); the "
-                    "harmonic potential has a seam there", stacklevel=2)
-    elif ic.kind == "cosine":
-        rho = ic.base + ic.amplitude * np.cos(
-            2.0 * np.pi * ic.mode * x / length + ic.phase)
-        phi = ic.phi_amplitude * np.cos(
-            2.0 * np.pi * ic.phi_mode * x / length + ic.phi_phase)
-    elif ic.kind == "equilibrium":
-        if not params.kT > 0:
-            raise ValueError("equilibrium initial condition needs kT > 0")
-        v = vext.field(grid).values
-        w = np.exp(-(params.m / params.kT) * (v - v.min()))
-        rho = ic.mean_density * w / w.mean()
-        if scn.terms.quantum and scn.terms.thermo:
-            if flags is None:
-                flags = build_flags(scn, grid, base_dir)
-            lam = _refine_equilibrium(np.log(rho), grid, flags, params, v,
-                                      ic.mean_density, scn.solver.dealias)
-            rho = np.exp(lam)
-        if ic.amplitude != 0.0:
-            if ic.width is None or not ic.width > 0:
+    # a profile or a mean that overflows is refused below, as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ic.kind == "gaussian":
+            if not np.isfinite(ic.boost * length):
+                raise ValueError(f"gaussian boost {ic.boost:g} times the box "
+                                 f"length {length:g} must be finite")
+            if not ic.width > 0:
+                raise ValueError(f"gaussian width must be > 0, got {ic.width}")
+            if not ic.amplitude > 0:
                 raise ValueError(
-                    "equilibrium bump needs width > 0 when amplitude is set")
+                    f"gaussian amplitude must be > 0, got {ic.amplitude}")
             center = ic.center if ic.center is not None else 0.5 * length
-            rho = rho * np.exp(
-                ic.amplitude * _periodized_gaussian(grid, center, ic.width))
-    else:
-        xs, rhos = _csv_columns(_resolve(ic.file, base_dir), "density",
-                                "rho")
-        rho = np.interp(x, xs, rhos, period=length)
-
+            rho = ic.amplitude * _periodized_gaussian(grid, center, ic.width)
+            if ic.pedestal > 0:
+                if ic.pedestal_kind == "thermal" and params.kT > 0:
+                    v = vext.field(grid).values
+                    shape = np.exp(-(params.m / params.kT) * (v - v.min()))
+                else:
+                    shape = np.ones(grid.n)
+                rho = rho + ic.pedestal * ic.amplitude * shape
+            if ic.boost != 0.0:
+                phi = (-(ic.boost * length / (2.0 * np.pi))
+                       * np.sin(2.0 * np.pi * (x - center) / length))
+            if vext.kind == "harmonic":
+                edge = min(center, length - center)
+                if edge < 4.0 * ic.width:
+                    warnings.warn(
+                        f"gaussian packet center sits {edge:.4g} from the "
+                        "box edge, closer than 4 widths "
+                        f"({4 * ic.width:.4g}); the harmonic potential has a "
+                        "seam there", stacklevel=2)
+        elif ic.kind == "cosine":
+            rho = ic.base + ic.amplitude * np.cos(
+                2.0 * np.pi * ic.mode * x / length + ic.phase)
+            phi = ic.phi_amplitude * np.cos(
+                2.0 * np.pi * ic.phi_mode * x / length + ic.phi_phase)
+        elif ic.kind == "equilibrium":
+            if not params.kT > 0:
+                raise ValueError("equilibrium initial condition needs kT > 0")
+            v = vext.field(grid).values
+            w = np.exp(-(params.m / params.kT) * (v - v.min()))
+            rho = ic.mean_density * w / w.mean()
+            if scn.terms.quantum and scn.terms.thermo:
+                if flags is None:
+                    flags = build_flags(scn, grid, base_dir)
+                lam = _refine_equilibrium(np.log(rho), grid, flags, params, v,
+                                          ic.mean_density, scn.solver.dealias)
+                rho = np.exp(lam)
+            if ic.amplitude != 0.0:
+                if ic.width is None or not ic.width > 0:
+                    raise ValueError("equilibrium bump needs width > 0 "
+                                     "when amplitude is set")
+                center = ic.center if ic.center is not None else 0.5 * length
+                rho = rho * np.exp(ic.amplitude * _periodized_gaussian(
+                    grid, center, ic.width))
+        else:
+            xs, rhos = _csv_columns(_resolve(ic.file, base_dir), "density",
+                                    "rho")
+            rho = np.interp(x, xs, rhos, period=length)
+        mean = rho.mean()
+    if not np.isfinite(mean):
+        raise ValueError(f"initial density is not finite: its mean is {mean}")
     if rho.min() <= 0:
         raise ValueError("initial density must be positive everywhere")
-    floor = 1e-10 * rho.mean()
-    if rho.min() < floor:
+    if rho.min() < 1e-10 * mean:
         raise ValueError(
             f"initial density minimum {rho.min():.3g} sits below 1e-10 of "
-            f"the mean ({rho.mean():.3g}); add a pedestal or widen the "
-            "profile")
+            f"the mean ({mean:.3g}); add a pedestal or widen the profile")
     lam = np.log(rho)
     return State(0.0, Field(grid, lam, _fresh=True),
                  Field(grid, phi, _fresh=True))

@@ -7,7 +7,7 @@ for ``psi = exp(lam/2) exp(-i m phi / hbar_eff)``:
                            + kT (ln |psi|^2 + 1) ] psi .
 
 ``V_e`` is the run's external :data:`~qfluid.params.Potential`, sampled
-once per run (kind ``zero`` adds nothing), the one the fluid run reads.
+once per run, the one the fluid run reads.
 The logarithmic term is the enthalpy seen per particle; switching it off
 (``nonlinearity = False``) gives the plain linear Schrodinger equation and
 matches hydrodynamic runs whose thermo term is off. The constant "+1" is
@@ -145,7 +145,7 @@ def _principal(angle: float) -> float:
 
 def _potential(psi, base, p: PhysParams, nonlinearity: bool, out):
     """``m V_e + kT (ln |psi|^2 + 1)`` over the terms on, into ``out``;
-    ``base`` is ``0.0 + m V_e``, or 0.0 without V_e."""
+    ``base`` is ``0.0 + m V_e``."""
     if not nonlinearity:
         return base
     np.square(np.abs(psi, out=out), out=out)
@@ -183,9 +183,7 @@ def _advance(psi, n_steps: int, grid: Grid, cfg: OracleConfig, p: PhysParams,
     The steps write into work arrays this call owns; a recorded state is a
     fresh array, which ``record`` keeps.
     """
-    base = 0.0
-    if vext.kind != "zero":
-        base = base + p.m * vext.field(grid).values
+    base = 0.0 + p.m * vext.field(grid).values
     kin = np.exp(-0.5j * p.hbar_eff * grid.k**2 * cfg.dt / p.m)
     full = -1j * cfg.dt / p.hbar_eff
     half = 0.5 * full

@@ -580,6 +580,8 @@ def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     cache = RunCache()
     cache.fill(name for fn in SUITES[suite] for name in READS.get(fn, ()))
     results = []

@@ -21,6 +21,7 @@ from qfluid.kernels import truncation_sweep
 from qfluid.madelung import quantum_potential, run, velocity
 from qfluid.output import _write_csv, write_compare, write_run
 from qfluid.schrodinger import compare, run_oracle, to_wavefunction
+from qfluid.verify import RunCache
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -447,6 +448,15 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_negative_seed_before_any_run(capsys, monkeypatch):
+    def no_run(scn):
+        raise AssertionError(f"preset {scn.name} ran before the seed was read")
+
+    monkeypatch.setattr(RunCache, "_integrate", staticmethod(no_run))
+    assert cmd_verify("conservation", seed=-1) == EXIT_USAGE
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ compare
 
 def test_compare_writes_report(tmp_path, capsys):
@@ -461,7 +471,7 @@ def test_compare_writes_report(tmp_path, capsys):
     assert data[:, 1].max() < 1e-3  # the two solvers track each other
 
 
-def test_compare_rejects_misaligned_oracle(tmp_path, capsys):
+def test_compare_rejects_misaligned_oracle(tmp_path, capsys, monkeypatch):
     skew_end = COMPARE + "\n[oracle]\nt_end = 0.04\n"
     path = scenario_file(tmp_path, skew_end, "skew1.ini")
     assert cmd_compare(path, str(tmp_path / "c1")) == EXIT_USAGE
@@ -471,6 +481,19 @@ def test_compare_rejects_misaligned_oracle(tmp_path, capsys):
     path = scenario_file(tmp_path, skew_dt, "skew2.ini")
     assert cmd_compare(path, str(tmp_path / "c2")) == EXIT_USAGE
     assert "snapshot_stride" in capsys.readouterr().err
+
+    # the snapshots align, but the oracle's dt does not divide t_end: it is
+    # refused before the oracle forks or the fluid runs
+    def no_fork():
+        raise AssertionError("compare forked before refusing its oracle")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    skew_steps = (COMPARE.replace("stride = 25", "stride = 30")
+                  + "\n[oracle]\ndt = 1.5e-3\nsnapshot_stride = 4\n")
+    path = scenario_file(tmp_path, skew_steps, "skew3.ini")
+    assert cmd_compare(path, str(tmp_path / "c3")) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: [oracle] t_end=0.02 is not an integer number of steps")
 
 
 def test_compare_propagates_solver_abort(tmp_path):

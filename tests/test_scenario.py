@@ -361,17 +361,40 @@ SERIES = BOHM + "quantum_order = 2\n\n[physics]\nhbar = 0.1\n"
      "positive everywhere"),
     (MINIMAL + "\n[oracle]\nsnapshot_stride = 2\ndt = -1\n", "dt = -1",
      "dt must be > 0"),
+    # a quoted path is read whole, though its directories bear key names
+    (SERIES + "\n[kernel]\nfamily = tabulated\nfile = family/kern.csv\n",
+     "file = family/kern.csv", "exactly two columns"),
+    (MINIMAL + "\n[external]\nkind = tabulated\nfile = kind/v.csv\n",
+     "file = kind/v.csv", "exactly two columns"),
+    (MINIMAL.replace("kind = cosine\namplitude = 0.1",
+                     "kind = tabulated\nfile = kind/rho.csv"),
+     "file = kind/rho.csv", "exactly two columns"),
 ], ids=["physics", "physics-and-solver", "external", "external-file",
         "kernel-not-read", "terms", "kernel-series", "solver-bound",
-        "solver-steps", "initial", "oracle"])
+        "solver-steps", "initial", "oracle", "kernel-path", "external-path",
+        "initial-path"])
 def test_each_build_step_names_its_line(text, culprit, match, tmp_path):
     (tmp_path / "open.csv").write_text("x,V\n0.0,1.0\n1.0,3.0\n")
+    for name in ("family/kern.csv", "kind/v.csv", "kind/rho.csv"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("x,y,z\n0.0,1.0,1.0\n0.5,1.0,1.0\n")
     with pytest.raises(ScenarioError, match=match) as info:
         parse_scenario(text, base_dir=str(tmp_path))
     assert info.value.line == text.splitlines().index(culprit) + 1
 
 
 # ------------------------------------------------------------ initial state
+
+@pytest.mark.parametrize("amplitude", ["9e307", "0"])
+def test_an_overflowing_initial_density_is_refused_as_not_finite(amplitude):
+    # the profile itself overflows, or only the sum its mean takes
+    text = MINIMAL.replace("amplitude = 0.1",
+                           f"base = 1e308\namplitude = {amplitude}")
+    with pytest.raises(ScenarioError,
+                       match="initial density is not finite") as info:
+        parse_scenario(text)
+    assert info.value.line == text.splitlines().index("kind = cosine") + 1
+
 
 def test_cosine_initial_state():
     text = """\
