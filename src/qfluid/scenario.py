@@ -627,6 +627,9 @@ def _periodized_gaussian(grid: Grid, center: float,
     return out
 
 
+# a profile or a mean that overflows is refused below, as not finite;
+# the seam warning's stacklevel steps past errstate's wrapper
+@np.errstate(over="ignore", invalid="ignore")
 def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
                         vext: Potential,
                         base_dir: str | None = None, *,
@@ -638,66 +641,63 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
     x = grid.x
     length = grid.length
     phi = np.zeros(grid.n)
-    # a profile or a mean that overflows is refused below, as not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        if ic.kind == "gaussian":
-            if not np.isfinite(ic.boost * length):
-                raise ValueError(f"gaussian boost {ic.boost:g} times the box "
-                                 f"length {length:g} must be finite")
-            if not ic.width > 0:
-                raise ValueError(f"gaussian width must be > 0, got {ic.width}")
-            if not ic.amplitude > 0:
+    if ic.kind == "gaussian":
+        if not np.isfinite(ic.boost * length):
+            raise ValueError(f"gaussian boost {ic.boost:g} times the box "
+                             f"length {length:g} must be finite")
+        if not ic.width > 0:
+            raise ValueError(f"gaussian width must be > 0, got {ic.width}")
+        if not ic.amplitude > 0:
+            raise ValueError(
+                f"gaussian amplitude must be > 0, got {ic.amplitude}")
+        center = ic.center if ic.center is not None else 0.5 * length
+        rho = ic.amplitude * _periodized_gaussian(grid, center, ic.width)
+        if ic.pedestal > 0:
+            if ic.pedestal_kind == "thermal" and params.kT > 0:
+                v = vext.field(grid).values
+                shape = np.exp(-(params.m / params.kT) * (v - v.min()))
+            else:
+                shape = np.ones(grid.n)
+            rho = rho + ic.pedestal * ic.amplitude * shape
+        if ic.boost != 0.0:
+            phi = (-(ic.boost * length / (2.0 * np.pi))
+                   * np.sin(2.0 * np.pi * (x - center) / length))
+        if vext.kind == "harmonic":
+            edge = min(center, length - center)
+            if edge < 4.0 * ic.width:
+                warnings.warn(
+                    f"gaussian packet center sits {edge:.4g} from the box "
+                    f"edge, closer than 4 widths ({4 * ic.width:.4g}); the "
+                    "harmonic potential has a seam there", stacklevel=3)
+    elif ic.kind == "cosine":
+        rho = ic.base + ic.amplitude * np.cos(
+            2.0 * np.pi * ic.mode * x / length + ic.phase)
+        phi = ic.phi_amplitude * np.cos(
+            2.0 * np.pi * ic.phi_mode * x / length + ic.phi_phase)
+    elif ic.kind == "equilibrium":
+        if not params.kT > 0:
+            raise ValueError("equilibrium initial condition needs kT > 0")
+        v = vext.field(grid).values
+        w = np.exp(-(params.m / params.kT) * (v - v.min()))
+        rho = ic.mean_density * w / w.mean()
+        if scn.terms.quantum and scn.terms.thermo:
+            if flags is None:
+                flags = build_flags(scn, grid, base_dir)
+            lam = _refine_equilibrium(np.log(rho), grid, flags, params, v,
+                                      ic.mean_density, scn.solver.dealias)
+            rho = np.exp(lam)
+        if ic.amplitude != 0.0:
+            if ic.width is None or not ic.width > 0:
                 raise ValueError(
-                    f"gaussian amplitude must be > 0, got {ic.amplitude}")
+                    "equilibrium bump needs width > 0 when amplitude is set")
             center = ic.center if ic.center is not None else 0.5 * length
-            rho = ic.amplitude * _periodized_gaussian(grid, center, ic.width)
-            if ic.pedestal > 0:
-                if ic.pedestal_kind == "thermal" and params.kT > 0:
-                    v = vext.field(grid).values
-                    shape = np.exp(-(params.m / params.kT) * (v - v.min()))
-                else:
-                    shape = np.ones(grid.n)
-                rho = rho + ic.pedestal * ic.amplitude * shape
-            if ic.boost != 0.0:
-                phi = (-(ic.boost * length / (2.0 * np.pi))
-                       * np.sin(2.0 * np.pi * (x - center) / length))
-            if vext.kind == "harmonic":
-                edge = min(center, length - center)
-                if edge < 4.0 * ic.width:
-                    warnings.warn(
-                        f"gaussian packet center sits {edge:.4g} from the "
-                        "box edge, closer than 4 widths "
-                        f"({4 * ic.width:.4g}); the harmonic potential has a "
-                        "seam there", stacklevel=2)
-        elif ic.kind == "cosine":
-            rho = ic.base + ic.amplitude * np.cos(
-                2.0 * np.pi * ic.mode * x / length + ic.phase)
-            phi = ic.phi_amplitude * np.cos(
-                2.0 * np.pi * ic.phi_mode * x / length + ic.phi_phase)
-        elif ic.kind == "equilibrium":
-            if not params.kT > 0:
-                raise ValueError("equilibrium initial condition needs kT > 0")
-            v = vext.field(grid).values
-            w = np.exp(-(params.m / params.kT) * (v - v.min()))
-            rho = ic.mean_density * w / w.mean()
-            if scn.terms.quantum and scn.terms.thermo:
-                if flags is None:
-                    flags = build_flags(scn, grid, base_dir)
-                lam = _refine_equilibrium(np.log(rho), grid, flags, params, v,
-                                          ic.mean_density, scn.solver.dealias)
-                rho = np.exp(lam)
-            if ic.amplitude != 0.0:
-                if ic.width is None or not ic.width > 0:
-                    raise ValueError("equilibrium bump needs width > 0 "
-                                     "when amplitude is set")
-                center = ic.center if ic.center is not None else 0.5 * length
-                rho = rho * np.exp(ic.amplitude * _periodized_gaussian(
-                    grid, center, ic.width))
-        else:
-            xs, rhos = _csv_columns(_resolve(ic.file, base_dir), "density",
-                                    "rho")
-            rho = np.interp(x, xs, rhos, period=length)
-        mean = rho.mean()
+            rho = rho * np.exp(
+                ic.amplitude * _periodized_gaussian(grid, center, ic.width))
+    else:
+        xs, rhos = _csv_columns(_resolve(ic.file, base_dir), "density",
+                                "rho")
+        rho = np.interp(x, xs, rhos, period=length)
+    mean = rho.mean()
     if not np.isfinite(mean):
         raise ValueError(f"initial density is not finite: its mean is {mean}")
     if rho.min() <= 0:

@@ -549,6 +549,8 @@ def test_rhs_is_the_tendency_a_run_integrates(make):
 
 def test_rhs_takes_four_transforms(monkeypatch):
     state, cfg, flags, p, vext = _setup(presets.trap(), 1, 1)
+    # the first call may build the cached operator, V_e's transform included
+    rhs(state, flags, p, vext)
     counter = _FFTCount(monkeypatch)
     rhs(state, flags, p, vext)
     assert counter.calls == 4
