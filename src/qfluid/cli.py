@@ -184,7 +184,7 @@ def cmd_scan(out_dir: str | None = None, family: str = "difference_of_gaussians"
             raise ValueError("orders must be >= 1")
         sweep = truncation_sweep(Grid(n=n, length=1.0), fracs, order_list,
                                  family)
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         return _fail(str(e))
     header = "a_over_L" + "".join(f",err_n{o}" for o in order_list)
     print(header.replace(",", "  "))

@@ -18,14 +18,17 @@ dealiased with the 2/3 rule (default on).
 Between RK4 stages and steps the state is the stacked half spectrum
 ``(lam^, phi^)`` of the real FFT. A :class:`Tendency`, built once per run,
 gives both tendencies from it in two batched transforms through the grid's
-operator layer. The first stage's inverse carries the state rows too, so
-an RK4 step reads its state back at no extra transform and takes eight.
-A run's steps write into work arrays the run owns (a ``_Work`` set, built
-once per run and once per :func:`step`), with the operations and
-operand order of the fresh-array expressions they replace: numpy's complex
-multiply fuses with FMA and is not bitwise commutative, so ``grad * x``,
-``masks * S`` and ``linear * x`` keep their order and the bits stay.
-:func:`rhs` reads the whole operator in four transforms.
+operator layer. Its :meth:`~Tendency.stepper` is a closure bound once to
+the operator and to a ``_Work`` set of arrays (one per run, per
+:func:`step` and per call), and every stage :func:`run`, :func:`step` and
+:func:`rhs` evaluate goes through it. A step ends with the inverse of the
+new state, which the next k1 reads too, so it takes eight transforms. The
+stepper keeps the operations and operand order of the fresh-array
+expressions it replaces, with the linear table's product split into its
+two rows: numpy's complex multiply fuses with FMA and is not bitwise
+commutative, so ``grad * x``, ``masks * S`` and ``linear * x`` keep their
+order and the bits stay. :func:`rhs` reads the whole operator in four
+transforms.
 
 The records, :func:`quantum_potential` and the equilibrium refinement
 need the Bernoulli row alone (U_Q is that row at rest with only the
@@ -233,13 +236,11 @@ class Tendency:
     and ``2 (kT/m) M`` off; the series guard, RK4's reach and the
     equilibrium refinement read it.
 
-    A call takes one state's ``(2, nh)`` ``hat``: :meth:`back`, the
-    inverse of a spectrum that holds the state and room for its gradients,
-    then :meth:`rates`, the products and the forward. :meth:`rk4` steps in
-    the arrays of a ``_Work`` set and takes its first stage's inverse from
-    the caller, which may ask it for the state rows as well.
-    :meth:`bernoulli` reads ``d phi^/dt`` alone, of one state or a stack,
-    with the same Bohm product and rho route as :meth:`rates`.
+    A call takes one state's ``(2, nh)`` ``hat`` through a stage of the
+    :meth:`stepper` a run steps with: the inverse of a spectrum that holds
+    the state and room for its gradients, then the products, the forward
+    and the tables. :meth:`bernoulli` reads ``d phi^/dt`` alone, of one
+    state or a stack, with the same Bohm product and rho route.
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
@@ -270,50 +271,88 @@ class Tendency:
         self.rows = 2 if self.remainder is None else 3
 
     def __call__(self, hat: np.ndarray) -> np.ndarray:
-        spec = np.empty((4,) + hat.shape[1:], dtype=complex)
-        spec[2:] = hat
-        return self.rates(hat[::-1], self.back(spec))
+        """The tendency of one state's ``(2, nh)`` ``hat``: k1 of a
+        :meth:`stepper` on a work set of its own."""
+        work = _Work(self)
+        work.state[2:] = hat
+        k = work.k[0]
+        return self.stepper(work, 0.0)[1](*work.state[2:], k, k[1])
 
-    def back(self, spec: np.ndarray, state: bool = False,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """One inverse transform of ``spec``, a ``(4, ...)`` spectrum with
-        a state in rows 2:4. The state's masked gradients go to rows 0:2;
-        the inverse reads them, then the state rows with ``state``, else
-        lam for the remainder, into ``out`` if given."""
-        np.multiply(self.grad, spec[2:], out=spec[:2])
-        rows = spec if state else spec[:self.rows]
-        return self.grid.irfft(
-            rows, out=None if out is None else out[:len(rows)])
+    def stepper(self, work: _Work, dt: float):
+        """``(advance, stage)``, bound once to this operator and ``work``,
+        whose ``state`` holds a spectrum in rows 2:4; the build reads back
+        the rows a stage reads of it.
 
-    def rates(self, rev: np.ndarray, real: np.ndarray,
-              out: np.ndarray | None = None,
-              work: _Work | None = None) -> np.ndarray:
-        """The tendency of a state from its :meth:`back` rows ``real`` and
-        its spectrum with the rows reversed, ``rev = (phi^, lam^)``, into
-        ``out`` if given, with the products in ``work``'s arrays if
-        given."""
-        dlam, dphi = real[0], real[1]
-        if work is None:
-            prods, spectra = np.empty((self.rows,) + dlam.shape), None
-            row = np.empty(dlam.shape)
-        else:
-            prods, spectra, row = work.prods, work.spectra, work.row
-        # two multiplies: one that broadcasts dphi over both rows is slower
-        # at n = 256 (2.2 against 1.7 us)
-        np.multiply(dlam, dphi, out=prods[0])
-        bern = np.multiply(dphi, dphi, out=prods[1])
-        if self.bohm:
-            bern -= self._bohm(dlam, row)
-        if self.remainder is not None:
-            self._through_rho(real[2], row, prods[2],
-                              None if spectra is None else spectra[2])
-        spectra = self.grid.rfft(prods, out=spectra)
-        out = np.multiply(self.masks, spectra[:2], out=out)
-        out += np.multiply(self.linear, rev, out=spectra[:2])
-        out[1] += self.force
-        if self.remainder is not None:
-            out[1] += spectra[2]
-        return out
+        ``stage(lam^, phi^, k, k[1])`` writes into ``k`` the tendency of the
+        state whose inverse ``work.real`` holds: the products and their
+        forward, the masked spectra, the linear table as two contiguous row
+        products and the forcing row. ``advance()`` takes one RK4 step of
+        the state in place, in the order of ``hat + dt/6 (k1 + 2 (k2 + k3)
+        + k4)``, and ends with the inverse of the new state and its
+        gradients: a run checks and stores the state rows, and the next k1
+        reads the rest. Every table, view, ufunc and transform is bound
+        here, and each scalar factor is a 0-d array of the value numpy
+        casts the Python float to, so a step looks up and converts nothing.
+        """
+        rfft, irfft = self.grid.rfft, self.grid.irfft
+        mul, add, sub, exp, div = (np.multiply, np.add, np.subtract, np.exp,
+                                   np.divide)
+        grad, masks, force, rem = (self.grad, self.masks, self.force,
+                                   self.remainder)
+        to_lam, to_phi = self.linear  # -k^2 scales phi^, the rest lam^
+        bohm = np.array(self.bohm) if self.bohm else None
+        half, full, sixth, two = (np.array(c, dtype=complex)
+                                  for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+        state, spec, real, row = work.state, work.spec, work.real, work.row
+        prods, spectra, (k1, k2, k3, k4) = work.prods, work.spectra, work.k
+        hat, grads, x = state[2:], spec[:2], spec[2:]
+        (hat_lam, hat_phi), (x_lam, x_phi) = hat, x
+        dlam, dphi, lam, _ = real
+        adv, bern, lin, s_lam, s_phi = (prods[0], prods[1], spectra[:2],
+                                        spectra[0], spectra[1])
+        by_rho, s_rho = prods[-1], spectra[-1]  # read with the remainder alone
+        x_rows, x_real = spec[:self.rows], real[:self.rows]
+        stages = ((k1, half, k2, k2[1]), (k2, half, k3, k3[1]),
+                  (k3, full, k4, k4[1]))
+        k1_phi = k1[1]
+        mul(grad, hat, state[:2])
+        irfft(state[:self.rows], x_real)
+
+        def stage(lam_hat, phi_hat, k, k_phi):
+            mul(dlam, dphi, adv)
+            mul(dphi, dphi, bern)
+            if bohm is not None:  # (qc/2) (grad lam)^2, twice its value
+                sub(bern, mul(mul(bohm, dlam, row), dlam, row), bern)
+            if rem is not None:  # (R rho) / rho, rho in row
+                mul(rem, rfft(exp(lam, row), s_rho), s_rho)
+                div(irfft(s_rho, by_rho), row, by_rho)
+            rfft(prods, spectra)
+            mul(masks, lin, k)
+            mul(to_lam, phi_hat, s_lam)
+            mul(to_phi, lam_hat, s_phi)
+            add(k, lin, k)
+            add(k_phi, force, k_phi)
+            if rem is not None:
+                add(k_phi, s_rho, k_phi)
+            return k
+
+        def advance():
+            stage(hat_lam, hat_phi, k1, k1_phi)
+            for k, c, kn, kn_phi in stages:
+                add(hat, mul(c, k, x), x)
+                mul(grad, x, grads)
+                irfft(x_rows, x_real)
+                stage(x_lam, x_phi, kn, kn_phi)
+            add(k2, k3, k2)
+            mul(k2, two, k2)
+            add(k1, k2, k1)
+            add(k1, k4, k1)
+            mul(k1, sixth, k1)
+            add(k1, hat, hat)
+            mul(grad, hat, state[:2])
+            irfft(state, real)
+
+        return advance, stage
 
     def bernoulli(self, lam_hat: np.ndarray,
                   phi_hat: np.ndarray | None = None) -> np.ndarray:
@@ -344,9 +383,13 @@ class Tendency:
             dphi = real[len(reads) - 1]
             np.multiply(dphi, dphi, out=bern)
         if self.bohm:
-            bern -= self._bohm(real[0], row)
+            np.multiply(self.bohm, real[0], out=row)
+            bern -= np.multiply(row, real[0], out=row)
         if rem:
-            self._through_rho(real[-1], row, prods[1])
+            rho = np.exp(real[-1], out=row)
+            r_hat = self.grid.rfft(rho)
+            np.multiply(self.remainder, r_hat, out=r_hat)
+            np.divide(self.grid.irfft(r_hat, out=prods[1]), rho, out=prods[1])
         spectra = self.grid.rfft(prods)
         out = np.multiply(self.masks[1], spectra[0])
         out += np.multiply(self.linear[1], lam_hat, out=spectra[0])
@@ -355,63 +398,20 @@ class Tendency:
             out += spectra[1]
         return out
 
-    def _bohm(self, dlam: np.ndarray, row: np.ndarray) -> np.ndarray:
-        """Bohm's part ``(qc/2) (grad lam)^2`` of the Bernoulli product row,
-        which carries twice its value, into ``row``."""
-        np.multiply(self.bohm, dlam, out=row)
-        return np.multiply(row, dlam, out=row)
-
-    def _through_rho(self, lam: np.ndarray, row: np.ndarray, out: np.ndarray,
-                     spectrum: np.ndarray | None = None) -> None:
-        """The remainder's route ``(R rho) / rho`` of the real ``lam`` rows
-        into ``out``, with rho in ``row`` and its spectrum in ``spectrum``
-        if given."""
-        rho = np.exp(lam, out=row)
-        r_hat = self.grid.rfft(rho, out=spectrum)
-        np.multiply(self.remainder, r_hat, out=r_hat)
-        np.divide(self.grid.irfft(r_hat, out=out), rho, out=out)
-
-    def rk4(self, hat: np.ndarray, dt: float, real: np.ndarray,
-            work: _Work) -> np.ndarray:
-        """One classical RK4 step of the stacked half spectrum ``hat``,
-        written over it; ``real`` is its :meth:`back` rows, which k1 reads.
-        The stages and their inputs go to ``work``'s arrays and combine in
-        place, in the order of ``hat + dt/6 (k1 + 2 (k2 + k3) + k4)``. A
-        stage's inverse is :meth:`back` on the views ``work`` holds."""
-        k1, k2, k3, k4 = work.k
-        x = work.x
-        self.rates(hat[::-1], real, k1, work)
-        for k, c, kn in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
-            np.add(hat, np.multiply(c, k, out=x), out=x)
-            np.multiply(self.grad, x, out=work.grads)
-            self.rates(work.x_rev,
-                       self.grid.irfft(work.x_rows, out=work.x_real), kn, work)
-        k2 += k3
-        k2 *= 2.0
-        k1 += k2
-        k1 += k4
-        k1 *= dt / 6.0
-        return np.add(k1, hat, out=hat)
-
 
 class _Work:
-    """The arrays a run's RK4 steps write into, for one :class:`Tendency`.
+    """The arrays a :meth:`Tendency.stepper` writes into, for one operator.
+    They belong to the run (or the :func:`step` or call), not to the
+    cached operators.
 
     ``state`` (the run's) and ``spec`` (a stage input's) are ``(4, nh)``
-    spectra laid out for :meth:`Tendency.back`: the state in rows 2:4,
-    its masked gradients in rows 0:2, so one inverse reads both with no
-    copy. ``real`` takes that inverse, ``k`` the four stages, ``prods`` and
-    ``spectra`` the product rows and their spectra, and ``row`` Bohm's
-    term and rho. They belong to the run, not to the cached operators.
-
-    The views a stage reads are sliced once here: its input ``x``, its
-    gradient rows ``grads``, the input reversed ``x_rev`` for the linear
-    table, the rows ``x_rows`` its inverse reads and ``x_real`` that
-    inverse fills, and ``checked``, the state rows of the run's inverse.
+    spectra, each with its masked gradients in rows 0:2 and itself in rows
+    2:4, so one inverse reads both with no copy. ``real`` takes that
+    inverse, ``k`` the four stages, ``prods`` and ``spectra`` the product
+    rows and their spectra, and ``row`` Bohm's term and rho.
     """
 
-    __slots__ = ("state", "spec", "real", "k", "prods", "spectra", "row",
-                 "x", "grads", "x_rev", "x_rows", "x_real", "checked")
+    __slots__ = ("state", "spec", "real", "k", "prods", "spectra", "row")
 
     def __init__(self, op: Tendency):
         n, nh = op.grid.n, op.grid.half_k2.size
@@ -422,10 +422,6 @@ class _Work:
         self.prods = np.empty((op.rows, n))
         self.spectra = np.empty((op.rows, nh), dtype=complex)
         self.row = np.empty(n)
-        self.x, self.grads = self.spec[2:], self.spec[:2]
-        self.x_rev = self.x[::-1]
-        self.x_rows, self.x_real = self.spec[:op.rows], self.real[:op.rows]
-        self.checked = self.real[2:]
 
 
 @lru_cache(maxsize=16)
@@ -526,12 +522,11 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     grid = s.grid
     op = _reader(grid, flags, p, cfg.dealias, vext)
     work = _Work(op)
-    spec = work.state
-    hat = grid.rfft(np.array((s.lam.values, s.phi.values)), out=spec[2:])
-    real = grid.irfft(op.rk4(hat, cfg.dt, op.back(spec, out=work.real), work))
+    grid.rfft(np.array((s.lam.values, s.phi.values)), work.state[2:])
+    op.stepper(work, cfg.dt)[0]()
     t_new = s.t + cfg.dt
-    _check_state(real, grid, cfg.density_floor, t_new, work.row)
-    lam, phi = real
+    _check_state(work.real[2:], grid, cfg.density_floor, t_new, work.row)
+    lam, phi = work.real[2:]
     return State(t_new, Field(grid, lam, _fresh=True),
                  Field(grid, phi, _fresh=True))
 
@@ -613,12 +608,19 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     rows = np.array((lam, phi))
     _check_state(rows, grid, cfg.density_floor, t0)
     # the state lives on the half spectrum, in the work arrays the run
-    # owns; k1's inverse reads it back
+    # owns, and its stepper ends each step with the state rows
     op = Tendency(grid, flags, p, cfg.dealias, vext)
     work = _Work(op)
-    spec = work.state
-    hat = grid.rfft(rows, out=spec[2:])
-    real = op.back(spec, out=work.real)
+    grid.rfft(rows, work.state[2:])
+    advance = op.stepper(work, cfg.dt)[0]
+    checked, row = work.real[2:], work.row
+    (lam_row, phi_row), flat = checked, checked.reshape(-1)
+    # _check_state's tests with its per-run constants hoisted, a sum for
+    # its finiteness (finite only if every entry is); it words an abort
+    dt, stride, floor = cfg.dt, cfg.snapshot_stride, cfg.density_floor
+    n, top = grid.n, _LOG_MAX - math.log(2 * grid.n)
+    total, high, low, exp = (np.add.reduce, np.maximum.reduce,
+                             np.minimum.reduce, np.exp)
 
     traj = Trajectory(snapshots=[], records=[])
 
@@ -636,12 +638,13 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     store(t0, lam, phi)
     try:
         for i in range(1, n_steps + 1):
-            op.rk4(hat, cfg.dt, real, work)
-            real = op.back(spec, state=True, out=work.real)
-            t = t0 + i * cfg.dt
-            _check_state(work.checked, grid, cfg.density_floor, t, work.row)
-            if i % cfg.snapshot_stride == 0 or i == n_steps:
-                store(t, real[2], real[3])
+            advance()
+            t = t0 + i * dt
+            if not (math.isfinite(total(flat)) and high(lam_row) <= top
+                    and low(exp(lam_row, row)) > floor * (total(row) / n)):
+                _check_state(checked, grid, floor, t, row)
+            if i % stride == 0 or i == n_steps:
+                store(t, lam_row, phi_row)
     except SolverAbort as abort:
         traj.status = abort.kind
         traj.message = str(abort)

@@ -486,8 +486,10 @@ def build(scn: Scenario, base_dir: str | None = None) -> Setup:
 def _build(scn: Scenario, base_dir, raw) -> Setup:
     grid = scn.grid
     # each step names the section its errors belong to, then its anchors
-    step = ("physics",)
+    step = ("grid", "n")
     try:
+        grid.x  # builds the grid's tables: they must fit in memory
+        step = ("physics",)
         params = build_params(scn)
         if scn.terms.quantum:
             params.hbar_eff  # raises unless a real one exists
@@ -506,7 +508,7 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
                                     flags=flags)
         step = ("oracle",)
         oracle = build_oracle_config(scn)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         section, *anchors = step
         raise ScenarioError(str(e), _line_of(raw.get(section, _Section()),
                                              str(e), anchors)) from None

@@ -618,6 +618,28 @@ def test_scan_rejects_bad_orders(capsys):
     assert "orders must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("forced", [False, True], ids=["too-big", "no-memory"])
+def test_a_grid_too_large_to_allocate_is_refused_on_its_n_line(
+        forced, tmp_path, monkeypatch, capsys):
+    # numpy refuses n = 2^60 before it allocates anything; a MemoryError,
+    # which a smaller n raises only where the system will not grant it, is
+    # forced here
+    if forced:
+        def no_memory(n, length):
+            raise MemoryError(f"no room for n = {n}")
+        monkeypatch.setattr("qfluid.grid._shared_tables", no_memory)
+    big = f"n = {2**60}"
+    text = (DEMO_SCENARIOS / "traveling.ini").read_text().replace(
+        "n = 256", big)
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    assert cmd_run(str(path), str(tmp_path / "out")) == EXIT_USAGE
+    line = text.splitlines().index(big) + 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert cmd_scan(None, n=2**60) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("width", ["-0.1", "0", "nan", "inf"])
 def test_scan_refuses_a_width_that_is_not_finite_and_positive(width, capsys):
     # the value named is the a/L given, not the kernel width built from it

@@ -333,25 +333,33 @@ def _fresh_tendency(op, hat):
                                   presets.trap, _series])
 def test_rk4_combines_its_stages_in_the_textbook_order(make):
     # traveling has no force row, equilibrium a cosine force, trap Bohm and
-    # a harmonic force. Three steps through one work set, each the bits of
-    # hat + dt/6 (k1 + 2 (k2 + k3) + k4) on fresh arrays; k1 read from an
-    # inverse that also carries the state rows, as in run
+    # a harmonic force, and the series the rho route. Three steps of one
+    # stepper, each the bits of hat + dt/6 (k1 + 2 (k2 + k3) + k4) on fresh
+    # arrays, with k1 read from the inverse the step before left
     state, cfg, flags, p, vext = _setup(make(), 1, 1)
     grid, dt = state.grid, cfg.dt
-    op = madelung.Tendency(grid, flags, p, cfg.dealias, vext)
-    work = madelung._Work(op)
-    hat = grid.rfft(np.array((state.lam.values, state.phi.values)),
-                    out=work.state[2:])
-    want = hat.copy()
-    for _ in range(3):
-        k1 = _fresh_tendency(op, want)
-        k2 = _fresh_tendency(op, want + 0.5 * dt * k1)
-        k3 = _fresh_tendency(op, want + 0.5 * dt * k2)
-        k4 = _fresh_tendency(op, want + dt * k3)
-        want = want + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        real = op.back(work.state, state=True, out=work.real)
-        assert op.rk4(hat, dt, real, work) is hat
-        assert np.array_equal(hat, want)
+    for dealias in (True, False):
+        cfg = dataclasses.replace(cfg, dealias=dealias)
+        op = madelung.Tendency(grid, flags, p, dealias, vext)
+        work = madelung._Work(op)
+        hat = grid.rfft(np.array((state.lam.values, state.phi.values)),
+                        out=work.state[2:])
+        advance = op.stepper(work, dt)[0]
+        want = hat.copy()
+        for _ in range(3):
+            k1 = _fresh_tendency(op, want)
+            k2 = _fresh_tendency(op, want + 0.5 * dt * k1)
+            k3 = _fresh_tendency(op, want + 0.5 * dt * k2)
+            k4 = _fresh_tendency(op, want + dt * k3)
+            want = want + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            advance()
+            assert np.array_equal(hat, want)
+        # step() is a one-step run's last stored state, bit for bit
+        one = step(state, cfg, flags, p, vext)
+        last = run(state, cfg, flags, p, vext).snapshots[-1]
+        assert one.t == last.t
+        assert np.array_equal(one.lam.values, last.lam.values)
+        assert np.array_equal(one.phi.values, last.phi.values)
 
 
 class _FFTCount:
@@ -436,18 +444,22 @@ def test_bohm_refinement_sweep_transforms_two_rows_each_way(monkeypatch):
     assert counter.rows == {"rfft": 1 + 2 * sweeps, "irfft": 2 * sweeps}
 
 
-@pytest.mark.parametrize("make", [presets.trap, presets.traveling])
-def test_rk4_step_costs_at_most_eight_transforms(make, monkeypatch):
+@pytest.mark.parametrize("make", [presets.trap, presets.traveling, _series])
+def test_rk4_step_takes_eight_transforms(make, monkeypatch):
+    # k1's inverse reads the state back: 1 + 3 * 2 + 1; the series adds a
+    # forward and an inverse of rho per stage
+    per_step = 16 if make is _series else 8
     counter = _FFTCount(monkeypatch)
-    calls = []
-    for n_steps in (10, 20):
-        # stride = step count: both runs record the same two states
-        args = _setup(make(), n_steps, n_steps)
-        counter.calls = 0
-        assert run(*args).status == "ok"
-        calls.append(counter.calls)
-    # k1's inverse reads the state back: 1 + 3 * 2 + 1
-    assert calls[1] - calls[0] <= 8 * 10
+    for dealias in (True, False):
+        calls = []
+        for n_steps in (10, 20):
+            # stride = step count: both runs record the same two states
+            state, cfg, flags, p, vext = _setup(make(), n_steps, n_steps)
+            cfg = dataclasses.replace(cfg, dealias=dealias)
+            counter.calls = 0
+            assert run(state, cfg, flags, p, vext).status == "ok"
+            calls.append(counter.calls)
+        assert calls[1] - calls[0] == per_step * 10
 
 
 def test_series_first_term_is_bohm():
