@@ -35,8 +35,8 @@ need the Bernoulli row alone (U_Q is that row at rest with only the
 quantum term on). :meth:`Tendency.bernoulli` gives it to the bit, for one
 state or a stack of them, from transforms that carry only the rows it
 reads: a Bohm refinement sweep transforms two rows each way, not three.
-:func:`run` builds the records of its stored states once per ``CHUNK`` of
-them (and once more for the rest, at the end or on abort), in four
+:func:`run` stores its states and builds their records at the end,
+through :func:`_records`, one stack of ``CHUNK`` states at a time, in four
 transforms per stack, so the per-call cost is paid once per stack: at
 n = 256 a stored state's record costs about a quarter of an RK4 step,
 where a lone record costs about one. :func:`diagnostics` is the
@@ -485,35 +485,46 @@ def rhs(s: State, flags: TermFlags, p: PhysParams, vext: Potential,
     return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
-def _check_state(rows, grid, floor, t, row=None):
-    """Abort on the stacked real state ``(lam, phi)``: blowup if it is not
-    finite or its density would overflow, vacuum below the floor. The
-    density goes to ``row`` if given."""
+def _state_check(rows, grid: Grid, floor: float, row):
+    """``check(t)`` of the stacked real state ``rows`` ``(lam, phi)``: a
+    blowup if it is not finite or its density would overflow, a vacuum
+    below the floor. Bound once per run (or :func:`step`) to the rows, the
+    grid's constants and the scratch ``row``, which takes the density.
+
+    A good state passes one test: the sum of the entries (finite only if
+    each is), lam's maximum and the density's minimum against its mean.
+    Otherwise the tests go one by one and word the abort. The sum warns if
+    finite entries overflow it or infinities of both signs meet, so a
+    caller that must not warn calls under ``np.errstate``.
+    """
+    lam, flat = rows[0], rows.reshape(-1)
+    n, x, top = grid.n, grid.x, _LOG_MAX - math.log(2 * grid.n)
     # the reductions are numpy's ufunc methods, called without the Python
     # wrappers of ndarray.all, max, sum and min: the same bits
-    if not np.logical_and.reduce(np.isfinite(rows), axis=None):
-        raise SolverAbort("blowup", f"state stopped being finite at t={t:.6g}", t)
-    lam = rows[0]
-    # below this neither a node's density nor the sum of n of them overflows
-    if np.maximum.reduce(lam) > _LOG_MAX - math.log(2 * grid.n):
-        j = int(np.argmax(lam))
-        raise SolverAbort(
-            "blowup",
-            f"density overflows at t={t:.6g}: lam={lam[j]:.6g} at node {j}"
-            f" (x={grid.x[j]:.6g})",
-            t,
-        )
-    rho = np.exp(lam, out=row)
-    mean = float(np.add.reduce(rho) / grid.n)  # the bits of rho.mean()
-    mn = float(np.minimum.reduce(rho))
-    if mn <= floor * mean:
-        j = int(np.argmin(rho))
-        raise SolverAbort(
-            "vacuum",
-            f"density floor crossed at t={t:.6g}: rho={mn:.3e} "
-            f"({mn / mean:.3e} of mean) at node {j} (x={grid.x[j]:.6g})",
-            t,
-        )
+    total, high, low, exp = (np.add.reduce, np.maximum.reduce,
+                             np.minimum.reduce, np.exp)
+
+    def check(t: float) -> None:
+        if (math.isfinite(total(flat)) and high(lam) <= top
+                and low(exp(lam, row)) > floor * (total(row) / n)):
+            return
+        if not np.logical_and.reduce(np.isfinite(rows), axis=None):
+            raise SolverAbort(
+                "blowup", f"state stopped being finite at t={t:.6g}", t)
+        # below top no node's density, nor the sum of n of them, overflows
+        if high(lam) > top:
+            j = int(np.argmax(lam))
+            raise SolverAbort("blowup", f"density overflows at t={t:.6g}: "
+                              f"lam={lam[j]:.6g} at node {j} (x={x[j]:.6g})", t)
+        mean = float(total(exp(lam, row)) / n)  # the bits of rho.mean()
+        mn = float(low(row))
+        if mn <= floor * mean:
+            j = int(np.argmin(row))
+            raise SolverAbort(
+                "vacuum", f"density floor crossed at t={t:.6g}: rho={mn:.3e} "
+                f"({mn / mean:.3e} of mean) at node {j} (x={x[j]:.6g})", t)
+
+    return check
 
 
 def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
@@ -525,7 +536,8 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     grid.rfft(np.array((s.lam.values, s.phi.values)), work.state[2:])
     op.stepper(work, cfg.dt)[0]()
     t_new = s.t + cfg.dt
-    _check_state(work.real[2:], grid, cfg.density_floor, t_new, work.row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _state_check(work.real[2:], grid, cfg.density_floor, work.row)(t_new)
     lam, phi = work.real[2:]
     return State(t_new, Field(grid, lam, _fresh=True),
                  Field(grid, phi, _fresh=True))
@@ -593,64 +605,47 @@ def solver_steps(cfg: SolverConfig, grid: Grid, flags: TermFlags,
 
 def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
         vext: Potential) -> Trajectory:
-    """Integrate to ``t_end``, recording every ``snapshot_stride``-th state.
+    """Integrate to ``t_end``, storing every ``snapshot_stride``-th state
+    and the last; :func:`_records` builds their records at the end.
 
     ``t_end = 0`` yields a single-snapshot trajectory of the initial state.
-    On vacuum or blowup the partial trajectory is returned with the
-    corresponding status instead of raising.
+    An initial state that fails the step's check raises
+    :class:`SolverAbort`. On vacuum or blowup later, the states stored so
+    far are returned with the corresponding status instead of raising.
     """
     grid = initial.grid
     n_steps = solver_steps(cfg, grid, flags, p)
-
-    lam = initial.lam.values
-    phi = initial.phi.values
-    t0 = initial.t
-    rows = np.array((lam, phi))
-    _check_state(rows, grid, cfg.density_floor, t0)
     # the state lives on the half spectrum, in the work arrays the run
-    # owns, and its stepper ends each step with the state rows
+    # owns; its stepper ends each step with the state rows, which the one
+    # check reads and the run stores
     op = Tendency(grid, flags, p, cfg.dealias, vext)
     work = _Work(op)
+    rows = work.real[2:]
+    rows[:] = initial.lam.values, initial.phi.values
+    check = _state_check(rows, grid, cfg.density_floor, work.row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        check(initial.t)
     grid.rfft(rows, work.state[2:])
     advance = op.stepper(work, cfg.dt)[0]
-    checked, row = work.real[2:], work.row
-    (lam_row, phi_row), flat = checked, checked.reshape(-1)
-    # _check_state's tests with its per-run constants hoisted, a sum for
-    # its finiteness (finite only if every entry is); it words an abort
-    dt, stride, floor = cfg.dt, cfg.snapshot_stride, cfg.density_floor
-    n, top = grid.n, _LOG_MAX - math.log(2 * grid.n)
-    total, high, low, exp = (np.add.reduce, np.maximum.reduce,
-                             np.minimum.reduce, np.exp)
+    t0, dt, stride = initial.t, cfg.dt, cfg.snapshot_stride
+    snaps, status, message = [], "ok", None
 
-    traj = Trajectory(snapshots=[], records=[])
+    def store(t):
+        snaps.append(State(t, *(Field(grid, r.copy(), _fresh=True)
+                                for r in rows)))
 
-    def record():
-        # the stored states that have no record yet, as one stack
-        traj.records += _records(traj.snapshots[len(traj.records):], flags,
-                                 p, vext, cfg.dealias)
-
-    def store(t, larr, parr):
-        traj.snapshots.append(State(t, Field(grid, larr.copy(), _fresh=True),
-                                    Field(grid, parr.copy(), _fresh=True)))
-        if len(traj.snapshots) % CHUNK == 0:
-            record()
-
-    store(t0, lam, phi)
+    store(t0)
     try:
         for i in range(1, n_steps + 1):
             advance()
             t = t0 + i * dt
-            if not (math.isfinite(total(flat)) and high(lam_row) <= top
-                    and low(exp(lam_row, row)) > floor * (total(row) / n)):
-                _check_state(checked, grid, floor, t, row)
+            check(t)
             if i % stride == 0 or i == n_steps:
-                store(t, lam_row, phi_row)
+                store(t)
     except SolverAbort as abort:
-        traj.status = abort.kind
-        traj.message = str(abort)
-    if len(traj.records) < len(traj.snapshots):
-        record()
-    return traj
+        status, message = abort.kind, str(abort)
+    return Trajectory(snaps, _records(snaps, flags, p, vext, cfg.dealias),
+                      status, message)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +695,7 @@ def diagnostics(s: State, flags: TermFlags, p: PhysParams,
 def _records(states: list[State], flags: TermFlags, p: PhysParams,
              vext: Potential,
              dealias: bool) -> list[DiagnosticRecord]:
-    """One record per state, built for the whole stack at once.
+    """One record per state, built a stack of ``CHUNK`` states at a time.
 
     The energy's rows and the tendency row it needs (U_Q when quantum,
     else the Bernoulli rate, both read by :meth:`Tendency.bernoulli`) come
@@ -710,6 +705,9 @@ def _records(states: list[State], flags: TermFlags, p: PhysParams,
     Every sum and extremum runs along a state's own row, so a record does
     not depend on the stack it was built in.
     """
+    if len(states) > CHUNK:
+        return [rec for j in range(0, len(states), CHUNK) for rec in
+                _records(states[j:j + CHUNK], flags, p, vext, dealias)]
     grid = states[0].grid
     real = _stack(states)
     lam = real[0]

@@ -145,19 +145,11 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
                      if middle < count else (lambda: None, lambda: None))
     try:
         write_stacks(0, middle)
-        recs = traj.records
-        _write_csv(
-            os.path.join(out_dir, "diagnostics.csv"),
-            "t,mass,energy,bernoulli_residual,lagrangian_minus_pressure,min_density",
-            (
-                [r.t for r in recs],
-                [r.mass for r in recs],
-                [r.energy for r in recs],
-                [r.bernoulli_residual for r in recs],
-                [r.lagrangian_minus_pressure for r in recs],
-                [r.min_density for r in recs],
-            ),
-        )
+        # each column of diagnostics.csv is named for its record field
+        cols = ("t", "mass", "energy", "bernoulli_residual",
+                "lagrangian_minus_pressure", "min_density")
+        _write_csv(os.path.join(out_dir, "diagnostics.csv"), ",".join(cols),
+                   [[getattr(r, c) for r in traj.records] for c in cols])
 
         manifest = manifest_dict(setup, wall_time)
         with open(os.path.join(out_dir, "manifest.json"), "w",

@@ -49,6 +49,7 @@ land on identical sample times.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .grid import Grid
@@ -92,18 +93,9 @@ def traveling() -> Scenario:
 
 
 def traveling_action() -> Scenario:
-    base = traveling()
-    return Scenario(
-        name="traveling_action",
-        grid=base.grid,
-        physics=base.physics,
-        terms=base.terms,
-        initial=base.initial,
-        external=base.external,
-        kernel=None,
-        solver=SolverConfig(dt=1e-3, t_end=0.4, snapshot_stride=1),
-        oracle=OracleSpec(),
-    )
+    return dataclasses.replace(
+        traveling(), name="traveling_action",
+        solver=SolverConfig(dt=1e-3, t_end=0.4, snapshot_stride=1))
 
 
 def trap() -> Scenario:
@@ -137,7 +129,7 @@ def free() -> Scenario:
         external=ExternalZero(),
         kernel=None,
         solver=SolverConfig(dt=6e-5, t_end=0.492, snapshot_stride=2050),
-        oracle=OracleSpec(dt=None, t_end=None, snapshot_stride=None),
+        oracle=OracleSpec(),
     )
 
 

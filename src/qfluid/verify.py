@@ -13,6 +13,8 @@ named suites:
     covariant     finite-signal-speed forms (C10a, C10b, C10c)
     all           everything above
 
+One table states each check once, in order, with its suite and the
+presets it reads; the check list, ``SUITES`` and ``READS`` derive from it.
 Checks run one after another. Scenario runs are shared through a cache,
 so a suite never integrates the same preset twice. Before its first
 check, a suite integrates the presets its checks read (``READS``) in two
@@ -24,7 +26,10 @@ whichever suite the check runs in and whether or not a lane forks.
 
 from __future__ import annotations
 
+import contextlib
+import filecmp
 import functools
+import io
 import math
 import os
 import tempfile
@@ -496,82 +501,63 @@ def check_rk4_order(ctx) -> CheckResult:
 
 
 def check_reproducibility(ctx) -> CheckResult:
+    """Two ``qfluid run`` calls of one preset write the same CSV bytes. The
+    runs' progress lines stay out of the check's output."""
     from .cli import cmd_run
 
     scn = presets.traveling_action()
-    identical = True
-    compared = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.ini")
         with open(path, "w", encoding="utf-8") as f:
             f.write(serialize(scn))
         outs = (os.path.join(tmp, "a"), os.path.join(tmp, "b"))
         for out in outs:
-            code = cmd_run(path, out)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cmd_run(path, out)
             if code != 0:
                 raise RuntimeError(f"reproducibility run exited {code}")
         names = ["diagnostics.csv"] + sorted(
             os.path.join("snapshots", f)
             for f in os.listdir(os.path.join(outs[0], "snapshots"))
             if f.endswith(".csv"))
-        for rel in names:
-            with open(os.path.join(outs[0], rel), "rb") as f:
-                blob_a = f.read()
-            with open(os.path.join(outs[1], rel), "rb") as f:
-                blob_b = f.read()
-            compared += 1
-            if blob_a != blob_b:
-                identical = False
+        same = filecmp.cmpfiles(*outs, names, shallow=False)[0]
+    identical = len(same) == len(names)
     return CheckResult("C12", "reproducibility", identical,
-                       f"files_identical={identical} ({compared} compared)",
+                       f"files_identical={identical} ({len(names)} compared)",
                        "bit-identical CSVs")
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-_CHECKS = [
-    check_bohm_identity,
-    check_euler_lagrange,
-    check_truncation,
-    check_convolution,
-    check_trap_equivalence,
-    check_free_packet,
-    check_conservation,
-    check_equilibrium_fixed_point,
-    check_onshell,
-    check_action_stationarity,
-    check_covariant_static,
-    check_covariant_contraction,
-    check_retarded_rate,
-    check_rk4_order,
-    check_reproducibility,
-]
+# Every check once, in the order that seeds it, with its suite and the
+# presets it reads from the run cache.
+_TABLE = (
+    (check_bohm_identity, "identities", ()),
+    (check_euler_lagrange, "identities", ()),
+    (check_truncation, "truncation", ()),
+    (check_convolution, "truncation", ()),
+    (check_trap_equivalence, "oracle", ("trap",)),
+    (check_free_packet, "oracle", ("free",)),
+    (check_conservation, "conservation", tuple(presets.suite())),
+    (check_equilibrium_fixed_point, "conservation", ("equilibrium",)),
+    (check_onshell, "action", ("equilibrium", "traveling")),
+    (check_action_stationarity, "action", ("traveling_action",)),
+    (check_covariant_static, "covariant", ()),
+    (check_covariant_contraction, "covariant", ()),
+    (check_retarded_rate, "covariant", ()),
+    (check_rk4_order, "oracle", ()),
+    (check_reproducibility, "conservation", ()),
+)
 
+_CHECKS = [fn for fn, _, _ in _TABLE]
 SUITES: dict[str, tuple] = {
-    "identities": (check_bohm_identity, check_euler_lagrange),
-    "truncation": (check_truncation, check_convolution),
-    "oracle": (check_trap_equivalence, check_free_packet, check_rk4_order),
-    "conservation": (check_conservation, check_equilibrium_fixed_point,
-                     check_reproducibility),
-    "action": (check_onshell, check_action_stationarity),
-    "covariant": (check_covariant_static, check_covariant_contraction,
-                  check_retarded_rate),
-    "all": tuple(_CHECKS),
-}
-
+    name: tuple(fn for fn, suite, _ in _TABLE if suite == name)
+    for name in dict.fromkeys(suite for _, suite, _ in _TABLE)}
+SUITES["all"] = tuple(_CHECKS)
 SUITE_NAMES = tuple(SUITES)
-
-# The presets each check reads from the run cache; a check not listed
-# reads none.
 READS: dict[object, tuple[str, ...]] = {
-    check_trap_equivalence: ("trap",),
-    check_free_packet: ("free",),
-    check_conservation: tuple(presets.suite()),
-    check_equilibrium_fixed_point: ("equilibrium",),
-    check_onshell: ("equilibrium", "traveling"),
-    check_action_stationarity: ("traveling_action",),
-}
+    fn: reads for fn, _, reads in _TABLE if reads}
 
 
 def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:

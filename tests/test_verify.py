@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qfluid import presets
+from qfluid import cli, presets, verify
 from qfluid.madelung import SolverConfig
 from qfluid.verify import READS, SUITES, RunCache, format_line, run_suite
 
@@ -96,3 +96,25 @@ def test_one_preset_or_none_forks_nothing(monkeypatch):
     setup, traj = cache.get("traveling_action")
     assert setup.scn.name == "traveling_action" and traj.status == "ok"
     assert all(line.startswith("[PASS]") for line in lines("identities"))
+
+
+def test_reproducibility_prints_nothing_of_its_own(capsys):
+    # its two runs' progress lines would change between identical calls
+    result = verify.check_reproducibility(None)
+    assert result.passed
+    assert capsys.readouterr().out == ""
+
+
+def test_reproducibility_reads_a_missing_file_as_not_identical(monkeypatch):
+    run = cli.cmd_run
+
+    def loses_a_snapshot(path, out):
+        code = run(path, out)
+        if out.endswith("b"):
+            os.remove(os.path.join(out, "snapshots", "0007.csv"))
+        return code
+
+    monkeypatch.setattr(cli, "cmd_run", loses_a_snapshot)
+    result = verify.check_reproducibility(None)
+    assert not result.passed
+    assert result.value == "files_identical=False (402 compared)"
