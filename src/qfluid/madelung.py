@@ -20,21 +20,23 @@ Between RK4 stages and steps the state is the stacked half spectrum
 gives both tendencies from it in two batched transforms through the grid's
 operator layer. Its :meth:`~Tendency.stepper` is a closure bound once to
 the operator and to a ``_Work`` set of arrays (one per run, per
-:func:`step` and per call), and every stage :func:`run`, :func:`step` and
-:func:`rhs` evaluate goes through it. A step ends with the inverse of the
-new state, which the next k1 reads too, so it takes eight transforms. The
+:func:`step` and per :func:`rhs` call), and every stage :func:`run`,
+:func:`step` and :func:`rhs` evaluate goes through it: :func:`rhs` is
+one stage, in four transforms. A step ends with the inverse of the new
+state, which the next k1 reads too, so it takes eight transforms. The
 stepper keeps the operations and operand order of the fresh-array
 expressions it replaces, with the linear table's product split into its
 two rows: numpy's complex multiply fuses with FMA and is not bitwise
 commutative, so ``grad * x``, ``masks * S`` and ``linear * x`` keep their
-order and the bits stay. :func:`rhs` reads the whole operator in four
-transforms.
+order and the bits stay.
 
 The records, :func:`quantum_potential` and the equilibrium refinement
 need the Bernoulli row alone (U_Q is that row at rest with only the
 quantum term on). :meth:`Tendency.bernoulli` gives it to the bit, for one
 state or a stack of them, from transforms that carry only the rows it
 reads: a Bohm refinement sweep transforms two rows each way, not three.
+The closure's real-space products have one home, the rule
+:meth:`Tendency.products` builds, which the stage and ``bernoulli`` bind.
 :func:`run` stores its states and builds their records at the end,
 through :func:`_records`, one stack of ``CHUNK`` states at a time, in four
 transforms per stack, so the per-call cost is paid once per stack: at
@@ -203,10 +205,6 @@ class SolverAbort(RuntimeError):
         return type(self), (self.kind, str(self), self.t)
 
 
-# log of the largest float: the density exp(lam) overflows above it
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
 # ---------------------------------------------------------------------------
 # right-hand side on the half spectrum
 
@@ -236,11 +234,10 @@ class Tendency:
     and ``2 (kT/m) M`` off; the series guard, RK4's reach and the
     equilibrium refinement read it.
 
-    A call takes one state's ``(2, nh)`` ``hat`` through a stage of the
-    :meth:`stepper` a run steps with: the inverse of a spectrum that holds
-    the state and room for its gradients, then the products, the forward
-    and the tables. :meth:`bernoulli` reads ``d phi^/dt`` alone, of one
-    state or a stack, with the same Bohm product and rho route.
+    The closure's real-space products are stated once, in the rule
+    :meth:`products` builds. A stage of the :meth:`stepper` binds it once
+    per stepper and :meth:`bernoulli`, which reads ``d phi^/dt`` alone of
+    one state or a stack, once per call; :func:`rhs` is one stage.
     """
 
     def __init__(self, grid: Grid, flags: TermFlags, p: PhysParams,
@@ -270,13 +267,33 @@ class Tendency:
         # the rows a stage's inverse reads and its products fill
         self.rows = 2 if self.remainder is None else 3
 
-    def __call__(self, hat: np.ndarray) -> np.ndarray:
-        """The tendency of one state's ``(2, nh)`` ``hat``: k1 of a
-        :meth:`stepper` on a work set of its own."""
-        work = _Work(self)
-        work.state[2:] = hat
-        k = work.k[0]
-        return self.stepper(work, 0.0)[1](*work.state[2:], k, k[1])
+    def products(self, dlam, dphi, lam, adv, bern, by_rho):
+        """``fill()``, the closure's products in the one rule of a
+        :meth:`stepper`'s stage and :meth:`bernoulli`, bound to the inverse
+        rows it reads and to the rows it fills: ``grad phi grad lam`` into
+        ``adv`` (None: skipped), twice ``(grad phi)^2/2 - (qc/4) (grad
+        lam)^2`` into ``bern`` (at rest ``dphi`` is a 0-d zero: ``0 * 0``
+        less Bohm's term) and ``(R rho) / rho`` into ``by_rho``. A scratch
+        row (Bohm's term, rho) and rho's spectrum are made only if read.
+        """
+        rfft, irfft, rem = self.grid.rfft, self.grid.irfft, self.remainder
+        mul, sub, exp, div = np.multiply, np.subtract, np.exp, np.divide
+        bohm = np.array(self.bohm) if self.bohm else None
+        row = np.empty(bern.shape) if self.bohm or rem is not None else None
+        r_hat = (None if rem is None else
+                 np.empty(bern.shape[:-1] + rem.shape, dtype=complex))
+
+        def fill():
+            if adv is not None:
+                mul(dlam, dphi, adv)
+            mul(dphi, dphi, bern)
+            if bohm is not None:  # (qc/2) (grad lam)^2, twice its value
+                sub(bern, mul(mul(bohm, dlam, row), dlam, row), bern)
+            if rem is not None:  # (R rho) / rho, rho in row
+                mul(rem, rfft(exp(lam, row), r_hat), r_hat)
+                div(irfft(r_hat, by_rho), row, by_rho)
+
+        return fill
 
     def stepper(self, work: _Work, dt: float):
         """``(advance, stage)``, bound once to this operator and ``work``,
@@ -284,60 +301,49 @@ class Tendency:
         the rows a stage reads of it.
 
         ``stage(lam^, phi^, k, k[1])`` writes into ``k`` the tendency of the
-        state whose inverse ``work.real`` holds: the products and their
+        state whose inverse ``work.real`` holds: the :meth:`products`, their
         forward, the masked spectra, the linear table as two contiguous row
-        products and the forcing row. ``advance()`` takes one RK4 step of
-        the state in place, in the order of ``hat + dt/6 (k1 + 2 (k2 + k3)
-        + k4)``, and ends with the inverse of the new state and its
-        gradients: a run checks and stores the state rows, and the next k1
-        reads the rest. Every table, view, ufunc and transform is bound
-        here, and each scalar factor is a 0-d array of the value numpy
-        casts the Python float to, so a step looks up and converts nothing.
+        products and the forcing row; ``stage()`` is k1. ``advance()`` takes
+        one RK4 step of the state in place, in the order of ``hat + dt/6 (k1
+        + 2 (k2 + k3) + k4)``, and ends with the inverse of the new state and
+        its gradients: a run checks and stores the state rows, and the next
+        k1 reads the rest. Every table, view, ufunc and transform is bound
+        here, and each scalar factor is a 0-d array of the value numpy casts
+        the Python float to, so a step looks up and converts nothing.
         """
         rfft, irfft = self.grid.rfft, self.grid.irfft
-        mul, add, sub, exp, div = (np.multiply, np.add, np.subtract, np.exp,
-                                   np.divide)
+        mul, add = np.multiply, np.add
         grad, masks, force, rem = (self.grad, self.masks, self.force,
                                    self.remainder)
         to_lam, to_phi = self.linear  # -k^2 scales phi^, the rest lam^
-        bohm = np.array(self.bohm) if self.bohm else None
         half, full, sixth, two = (np.array(c, dtype=complex)
                                   for c in (0.5 * dt, dt, dt / 6.0, 2.0))
-        state, spec, real, row = work.state, work.spec, work.real, work.row
+        state, spec, real = work.state, work.spec, work.real
         prods, spectra, (k1, k2, k3, k4) = work.prods, work.spectra, work.k
         hat, grads, x = state[2:], spec[:2], spec[2:]
         (hat_lam, hat_phi), (x_lam, x_phi) = hat, x
-        dlam, dphi, lam, _ = real
-        adv, bern, lin, s_lam, s_phi = (prods[0], prods[1], spectra[:2],
-                                        spectra[0], spectra[1])
-        by_rho, s_rho = prods[-1], spectra[-1]  # read with the remainder alone
+        lin, s_lam, s_phi, s_rho = spectra[:2], *spectra[:2], spectra[-1]
+        fill = self.products(*real[:3], *prods[:2], prods[-1])
         x_rows, x_real = spec[:self.rows], real[:self.rows]
         stages = ((k1, half, k2, k2[1]), (k2, half, k3, k3[1]),
                   (k3, full, k4, k4[1]))
-        k1_phi = k1[1]
         mul(grad, hat, state[:2])
         irfft(state[:self.rows], x_real)
 
-        def stage(lam_hat, phi_hat, k, k_phi):
-            mul(dlam, dphi, adv)
-            mul(dphi, dphi, bern)
-            if bohm is not None:  # (qc/2) (grad lam)^2, twice its value
-                sub(bern, mul(mul(bohm, dlam, row), dlam, row), bern)
-            if rem is not None:  # (R rho) / rho, rho in row
-                mul(rem, rfft(exp(lam, row), s_rho), s_rho)
-                div(irfft(s_rho, by_rho), row, by_rho)
+        def stage(lam_hat=hat_lam, phi_hat=hat_phi, k=k1, k_phi=k1[1]):
+            fill()
             rfft(prods, spectra)
             mul(masks, lin, k)
             mul(to_lam, phi_hat, s_lam)
             mul(to_phi, lam_hat, s_phi)
             add(k, lin, k)
             add(k_phi, force, k_phi)
-            if rem is not None:
+            if rem is not None:  # s_rho is read with the remainder alone
                 add(k_phi, s_rho, k_phi)
             return k
 
         def advance():
-            stage(hat_lam, hat_phi, k1, k1_phi)
+            stage()
             for k, c, kn, kn_phi in stages:
                 add(hat, mul(c, k, x), x)
                 mul(grad, x, grads)
@@ -357,13 +363,13 @@ class Tendency:
     def bernoulli(self, lam_hat: np.ndarray,
                   phi_hat: np.ndarray | None = None) -> np.ndarray:
         """``d phi^/dt`` of ``(lam^, phi^)``, phi = 0 if ``phi_hat`` is not
-        given: row 1 of a call, bit for bit, on one state's ``(nh,)`` rows
-        or an ``(m, nh)`` stack, which the tables broadcast over.
+        given: row 1 of a :meth:`stepper`'s stage, bit for bit, on one
+        state's ``(nh,)`` rows or an ``(m, nh)`` stack, which the tables
+        broadcast over. Its products are the stage's :meth:`products`.
 
         Its one inverse carries only the rows it reads: grad lam with
         Bohm, grad phi with ``phi_hat`` and lam with the remainder. Its
-        forward carries the product row and the remainder's. A zero phi's
-        product row is ``0 * 0``, from which Bohm's term is subtracted.
+        forward carries the product row and the remainder's.
         """
         reads = ([lam_hat] if self.bohm else []) + (
             [] if phi_hat is None else [phi_hat])
@@ -374,23 +380,12 @@ class Tendency:
         if rem:
             spec[-1] = lam_hat
         real = self.grid.irfft(spec)
-        prods = np.empty((1 + rem,) + real.shape[1:])
-        row = np.empty(real.shape[1:])
-        bern = prods[0]
-        if phi_hat is None:
-            bern.fill(0.0)
-        else:
-            dphi = real[len(reads) - 1]
-            np.multiply(dphi, dphi, out=bern)
-        if self.bohm:
-            np.multiply(self.bohm, real[0], out=row)
-            bern -= np.multiply(row, real[0], out=row)
-        if rem:
-            rho = np.exp(real[-1], out=row)
-            r_hat = self.grid.rfft(rho)
-            np.multiply(self.remainder, r_hat, out=r_hat)
-            np.divide(self.grid.irfft(r_hat, out=prods[1]), rho, out=prods[1])
-        spectra = self.grid.rfft(prods)
+        dlam = real[0] if self.bohm else None
+        dphi = np.zeros(()) if phi_hat is None else real[len(reads) - 1]
+        lam = real[-1] if rem else None
+        prod = np.empty((1 + rem,) + lam_hat.shape[:-1] + (self.grid.n,))
+        self.products(dlam, dphi, lam, None, prod[0], prod[-1])()
+        spectra = self.grid.rfft(prod)
         out = np.multiply(self.masks[1], spectra[0])
         out += np.multiply(self.linear[1], lam_hat, out=spectra[0])
         out += self.force
@@ -401,27 +396,25 @@ class Tendency:
 
 class _Work:
     """The arrays a :meth:`Tendency.stepper` writes into, for one operator.
-    They belong to the run (or the :func:`step` or call), not to the
-    cached operators.
+    They belong to the run (or the :func:`step` or :func:`rhs` call), not
+    to the cached operators.
 
     ``state`` (the run's) and ``spec`` (a stage input's) are ``(4, nh)``
     spectra, each with its masked gradients in rows 0:2 and itself in rows
     2:4, so one inverse reads both with no copy. ``real`` takes that
     inverse, ``k`` the four stages, ``prods`` and ``spectra`` the product
-    rows and their spectra, and ``row`` Bohm's term and rho.
+    rows and their spectra.
     """
 
-    __slots__ = ("state", "spec", "real", "k", "prods", "spectra", "row")
+    __slots__ = ("state", "spec", "real", "k", "prods", "spectra")
 
     def __init__(self, op: Tendency):
         n, nh = op.grid.n, op.grid.half_k2.size
-        self.state = np.empty((4, nh), dtype=complex)
-        self.spec = np.empty((4, nh), dtype=complex)
+        self.state, self.spec = np.empty((2, 4, nh), dtype=complex)
         self.real = np.empty((4, n))
         self.k = np.empty((4, 2, nh), dtype=complex)
         self.prods = np.empty((op.rows, n))
         self.spectra = np.empty((op.rows, nh), dtype=complex)
-        self.row = np.empty(n)
 
 
 @lru_cache(maxsize=16)
@@ -478,51 +471,56 @@ def _fields(grid: Grid, real, flags: TermFlags, p: PhysParams):
 
 def rhs(s: State, flags: TermFlags, p: PhysParams, vext: Potential,
         dealias: bool = True) -> tuple[Field, Field]:
-    """``(d lam/dt, d phi/dt)`` of the state, as :func:`step` steps it."""
+    """``(d lam/dt, d phi/dt)`` of the state: k1 of a :func:`step`."""
     grid = s.grid
-    hat = grid.rfft(np.array((s.lam.values, s.phi.values)))
-    dlam, dphi = grid.irfft(_reader(grid, flags, p, dealias, vext)(hat))
+    op = _reader(grid, flags, p, dealias, vext)
+    work = _Work(op)
+    grid.rfft(np.array((s.lam.values, s.phi.values)), work.state[2:])
+    dlam, dphi = grid.irfft(op.stepper(work, 0.0)[1]())
     return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
-def _state_check(rows, grid: Grid, floor: float, row):
+def _state_check(rows, grid: Grid, floor: float):
     """``check(t)`` of the stacked real state ``rows`` ``(lam, phi)``: a
     blowup if it is not finite or its density would overflow, a vacuum
-    below the floor. Bound once per run (or :func:`step`) to the rows, the
-    grid's constants and the scratch ``row``, which takes the density.
+    below the floor. Bound once per run (or :func:`step`) to the rows and
+    the grid's constants.
 
-    A good state passes one test: the sum of the entries (finite only if
-    each is), lam's maximum and the density's minimum against its mean.
-    Otherwise the tests go one by one and word the abort. The sum warns if
+    A good state passes one test, with no ``exp``: phi's sum is finite
+    (only if each entry is), lam's maximum is at most ``top``, its minimum
+    gives a normal density and its spread is under ``-ln floor`` less a
+    margin for the rounding of ``exp`` and the mean (n up to about 1e6).
+    The tests one by one alone decide and word an abort. The sum warns if
     finite entries overflow it or infinities of both signs meet, so a
     caller that must not warn calls under ``np.errstate``.
     """
-    lam, flat = rows[0], rows.reshape(-1)
-    n, x, top = grid.n, grid.x, _LOG_MAX - math.log(2 * grid.n)
+    lam, phi = rows
+    x, top = grid.x, math.log(np.finfo(float).max) - math.log(2 * grid.n)
+    gap, bottom = -math.log(floor) - 1e-9, math.log(np.finfo(float).tiny) + 1
     # the reductions are numpy's ufunc methods, called without the Python
-    # wrappers of ndarray.all, max, sum and min: the same bits
-    total, high, low, exp = (np.add.reduce, np.maximum.reduce,
-                             np.minimum.reduce, np.exp)
+    # wrappers of ndarray.max, sum and min: the same bits
+    total, high, low = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
     def check(t: float) -> None:
-        if (math.isfinite(total(flat)) and high(lam) <= top
-                and low(exp(lam, row)) > floor * (total(row) / n)):
+        hi, lo = high(lam), low(lam)
+        if (math.isfinite(total(phi)) and hi <= top and hi - lo < gap
+                and lo > bottom):
             return
         if not np.logical_and.reduce(np.isfinite(rows), axis=None):
             raise SolverAbort(
                 "blowup", f"state stopped being finite at t={t:.6g}", t)
         # below top no node's density, nor the sum of n of them, overflows
-        if high(lam) > top:
+        if hi > top:
             j = int(np.argmax(lam))
             raise SolverAbort("blowup", f"density overflows at t={t:.6g}: "
                               f"lam={lam[j]:.6g} at node {j} (x={x[j]:.6g})", t)
-        mean = float(total(exp(lam, row)) / n)  # the bits of rho.mean()
-        mn = float(low(row))
+        rho = np.exp(lam)
+        mean, mn = float(rho.mean()), float(rho.min())
         if mn <= floor * mean:
-            j = int(np.argmin(row))
+            j, share = int(np.argmin(rho)), mn / mean if mean else math.nan
             raise SolverAbort(
                 "vacuum", f"density floor crossed at t={t:.6g}: rho={mn:.3e} "
-                f"({mn / mean:.3e} of mean) at node {j} (x={x[j]:.6g})", t)
+                f"({share:.3e} of mean) at node {j} (x={x[j]:.6g})", t)
 
     return check
 
@@ -537,7 +535,7 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     op.stepper(work, cfg.dt)[0]()
     t_new = s.t + cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        _state_check(work.real[2:], grid, cfg.density_floor, work.row)(t_new)
+        _state_check(work.real[2:], grid, cfg.density_floor)(t_new)
     lam, phi = work.real[2:]
     return State(t_new, Field(grid, lam, _fresh=True),
                  Field(grid, phi, _fresh=True))
@@ -622,7 +620,7 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     work = _Work(op)
     rows = work.real[2:]
     rows[:] = initial.lam.values, initial.phi.values
-    check = _state_check(rows, grid, cfg.density_floor, work.row)
+    check = _state_check(rows, grid, cfg.density_floor)
     with np.errstate(over="ignore", invalid="ignore"):
         check(initial.t)
     grid.rfft(rows, work.state[2:])

@@ -243,6 +243,15 @@ def test_overflowing_density_is_a_blowup(grid):
     assert "node 3" in str(info.value)
 
 
+def test_a_state_whose_densities_all_underflow_is_a_vacuum(grid):
+    # the mean density is 0 as well: the abort words its share as nan
+    with pytest.raises(madelung.SolverAbort) as info:
+        run(make_state(grid, np.full(grid.n, -800.0), np.zeros(grid.n)),
+            SolverConfig(t_end=0.0), TermFlags(), PhysParams(), ZERO)
+    assert info.value.kind == "vacuum"
+    assert "rho=0.000e+00 (nan of mean) at node 0" in str(info.value)
+
+
 def test_finite_rows_summing_past_the_float_maximum_do_not_abort(grid):
     # the one test's sum overflows and the tests one by one pass the state;
     # the initial check keeps that sum's warning to itself (the transforms
@@ -346,6 +355,14 @@ def _fresh_tendency(op, hat):
     return out
 
 
+def _stage(op, hat):
+    """One stage of a stepper on a work set of its own: the operator's
+    tendency of one state's ``(2, nh)`` ``hat``, as :func:`rhs` reads it."""
+    work = madelung._Work(op)
+    work.state[2:] = hat
+    return op.stepper(work, 0.0)[1]()
+
+
 @pytest.mark.parametrize("make", [presets.traveling, presets.equilibrium,
                                   presets.trap, _series])
 def test_rk4_combines_its_stages_in_the_textbook_order(make):
@@ -421,28 +438,73 @@ _BERNOULLI = _bernoulli_cases()
 @pytest.mark.parametrize("dealias", [True, False], ids=["masked", "unmasked"])
 @pytest.mark.parametrize("case", list(_BERNOULLI))
 def test_bernoulli_read_is_row_one_of_the_full_operator(case, dealias):
-    # the full call stays the referee: the Bernoulli row alone must give
+    # a full stage stays the referee: the Bernoulli row alone must give
     # its row 1 to the bit, on one state and on a stack, phi zero or not
     flags, p, vext = _BERNOULLI[case]
     grid = Grid(n=64, length=1.0)
     op = madelung.Tendency(grid, flags, p, dealias, vext)
+    lam_hat, phi_hat = _bernoulli_states(grid)
+    zero = np.zeros_like(lam_hat[0])
+    for given in (phi_hat, None):
+        stack = op.bernoulli(lam_hat, given)
+        assert stack.shape == lam_hat.shape
+        for j in range(len(lam_hat)):
+            row = zero if given is None else given[j]
+            want = _stage(op, np.stack((lam_hat[j], row)))[1]
+            assert np.array_equal(stack[j], want)
+            one = op.bernoulli(lam_hat[j], None if given is None else row)
+            assert np.array_equal(one, want)
+
+
+def _bernoulli_states(grid):
+    """Spectra of five smooth random states, ``(lam^, phi^)`` stacks."""
     rng = np.random.default_rng(7)
     x = 2 * np.pi * grid.x
     modes = np.arange(1, 5)[:, None]
     lam = np.log(1.0 + 0.1 * rng.standard_normal((5, 4))
                  @ np.cos(modes * x + rng.uniform(0, 6, (4, 1))))
     phi = 0.2 * rng.standard_normal((5, 4)) @ np.sin(modes * x)
-    lam_hat, phi_hat = grid.rfft(lam), grid.rfft(phi)
+    return grid.rfft(lam), grid.rfft(phi)
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["masked", "unmasked"])
+@pytest.mark.parametrize("case", [c for c in _BERNOULLI if c != "thermal"])
+def test_the_closure_products_have_one_home(case, dealias, monkeypatch):
+    # a rule that doubles Bohm's term, built by Tendency.products alone,
+    # moves a stage and the Bernoulli read alike: they still agree to the
+    # bit, and each differs from its unpatched value (the thermal case has
+    # no Bohm term to double)
+    flags, p, vext = _BERNOULLI[case]
+    grid = Grid(n=64, length=1.0)
+    op = madelung.Tendency(grid, flags, p, dealias, vext)
+    lam_hat, phi_hat = _bernoulli_states(grid)
     zero = np.zeros_like(lam_hat[0])
-    for given in (phi_hat, None):
-        stack = op.bernoulli(lam_hat, given)
-        assert stack.shape == lam_hat.shape
-        for j in range(len(lam)):
-            row = zero if given is None else given[j]
-            want = op(np.stack((lam_hat[j], row)))[1]
-            assert np.array_equal(stack[j], want)
-            one = op.bernoulli(lam_hat[j], None if given is None else row)
-            assert np.array_equal(one, want)
+
+    def reads():
+        for given in (phi_hat, None):
+            stack = op.bernoulli(lam_hat, given)
+            for j in range(len(lam_hat)):
+                row = zero if given is None else given[j]
+                yield (stack[j], _stage(op, np.stack((lam_hat[j], row)))[1],
+                       op.bernoulli(lam_hat[j], None if given is None
+                                    else row))
+
+    before = list(reads())
+    build = madelung.Tendency.products
+
+    def doubled(self, *rows):
+        bohm, self.bohm = self.bohm, 2.0 * self.bohm
+        try:
+            return build(self, *rows)
+        finally:
+            self.bohm = bohm
+
+    monkeypatch.setattr(madelung.Tendency, "products", doubled)
+    for (stack, stage, one), old in zip(reads(), before, strict=True):
+        assert np.array_equal(stack, stage)
+        assert np.array_equal(one, stage)
+        assert not np.array_equal(stage, old[1])
+        assert not np.array_equal(stack, old[0])
 
 
 def test_bohm_refinement_sweep_transforms_two_rows_each_way(monkeypatch):
@@ -569,8 +631,8 @@ def test_rhs_is_the_tendency_a_run_integrates(make):
     assert vext.kind != "zero"
     grid = state.grid
     op = madelung.Tendency(grid, flags, p, cfg.dealias, vext)
-    want = grid.irfft(op(grid.rfft(np.array((state.lam.values,
-                                              state.phi.values)))))
+    want = grid.irfft(_stage(op, grid.rfft(np.array((state.lam.values,
+                                                      state.phi.values)))))
     got = rhs(state, flags, p, vext, cfg.dealias)
     for field, row in zip(got, want):
         assert np.array_equal(field.values, row)

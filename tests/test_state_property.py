@@ -6,7 +6,12 @@ to 1e-12. Mass, a sum of ``exp(lam)``, is not linear in the RK4 state, so
 RK4 keeps it only to its truncation error: at half the quantum step bound
 (n = 32, hbar = 0.05) 50 steps drift by 1.5e-10. The runs here step at
 most a tenth of that bound, where the error sits at roundoff.
+
+The state check's one fast test passes a state only where its tests one
+by one pass it too, so every abort keeps its kind, time and message.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qfluid.grid import Field, Grid  # noqa: E402
-from qfluid.madelung import (SolverConfig, State, TermFlags,  # noqa: E402
-                             run, stability_bound)
+from qfluid.madelung import (SolverAbort, SolverConfig, State,  # noqa: E402
+                             TermFlags, _state_check, run, stability_bound)
 from qfluid.params import ExternalCosine, ExternalZero, PhysParams  # noqa: E402
 from qfluid.schrodinger import from_wavefunction, to_wavefunction  # noqa: E402
 
@@ -79,3 +84,72 @@ def test_short_runs_conserve_mass(data, n, thermo, quantum, hbar, kT, v0,
     assert traj.status == "ok"
     first, last = traj.records[0].mass, traj.records[-1].mass
     assert abs(last - first) <= 1e-12 * first
+
+
+def _tests_one_by_one(rows, grid, floor, t):
+    """``(kind, message)`` of the abort the state check's tests, taken one
+    by one, word for ``rows`` ``(lam, phi)``; None if they all pass."""
+    lam, x = rows[0], grid.x
+    if not np.isfinite(rows).all():
+        return "blowup", f"state stopped being finite at t={t:.6g}"
+    if lam.max() > math.log(np.finfo(float).max) - math.log(2 * grid.n):
+        j = int(np.argmax(lam))
+        return "blowup", (f"density overflows at t={t:.6g}: lam={lam[j]:.6g}"
+                          f" at node {j} (x={x[j]:.6g})")
+    rho = np.exp(lam)
+    mean, mn = float(rho.mean()), float(rho.min())
+    if mn <= floor * mean:
+        # every density underflows to 0 below lam = -745: share 0 / 0
+        share = mn / mean if mean > 0 else math.nan
+        j = int(np.argmin(rho))
+        return "vacuum", (f"density floor crossed at t={t:.6g}: rho={mn:.3e}"
+                          f" ({share:.3e} of mean) at node {j}"
+                          f" (x={x[j]:.6g})")
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(data=st.data(), n=st.sampled_from([8, 64, 256]),
+       floor=st.sampled_from([1e-12, 1e-3, 0.5, 1e-300]),
+       t=floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_state_check_aborts_where_its_tests_one_by_one_do(data, n, floor, t,
+                                                          seed):
+    grid = Grid(n=n, length=1.0)
+    rng = np.random.default_rng(seed)
+    gap = -math.log(floor)
+    top = math.log(np.finfo(float).max) - math.log(2 * n)
+    # lam's spread within 1e-6 of -ln floor, about the vacuum edge (1/n
+    # above it when one node is low and the rest high) and one drawn
+    spreads = gap + np.array([-1e-6, -1e-8, 1e-8, 1e-6, 0.5 / n, 1.0 / n,
+                              2.0 / n, data.draw(floats(-gap, gap))])
+    # its minimum at a plain density, a subnormal one or none (below
+    # -745), or its maximum about the overflow guard
+    low = data.draw(floats(-30.0, 30.0) | floats(-746.0, -736.0)
+                    | st.just(-760.0))
+    high = data.draw(st.none() | floats(-1.0, 1.0))
+    shape = np.ones(n) if data.draw(st.booleans()) else rng.uniform(size=n)
+    shape[rng.permutation(n)[:2]] = 0.0, 1.0
+    # phi plain, or finite and summing past the float maximum
+    phi = (rng.standard_normal(n) if data.draw(st.booleans())
+           else rng.uniform(0.5e308, 1e308, n))
+    # no entry, or one NaN or infinity at an end or a drawn node
+    node = data.draw(st.integers(0, n - 1))
+    specials = [None] + [(row, j, value) for row in (0, 1)
+                         for j in (0, node, n - 1)
+                         for value in (math.nan, math.inf, -math.inf)]
+    for spread in spreads:
+        base = low if high is None else top - spread + high
+        for special in specials:
+            rows = np.array((base + spread * shape, phi))
+            if special is not None:
+                rows[special[:2]] = special[2]
+            want = _tests_one_by_one(rows, grid, floor, t)
+            check = _state_check(rows, grid, floor)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if want is None:
+                    check(t)
+                    continue
+                with pytest.raises(SolverAbort) as info:
+                    check(t)
+            assert (info.value.kind, str(info.value), info.value.t) == (
+                *want, t)
