@@ -30,12 +30,13 @@ two rows: numpy's complex multiply fuses with FMA and is not bitwise
 commutative, so ``grad * x``, ``masks * S`` and ``linear * x`` keep their
 order and the bits stay.
 
-The records, :func:`quantum_potential` and the equilibrium refinement
-need the Bernoulli row alone (U_Q is that row at rest with only the
-quantum term on). :meth:`Tendency.bernoulli` gives it to the bit, for one
-state or a stack of them, from transforms that carry only the rows it
-reads: a Bohm refinement sweep transforms two rows each way, not three.
-The closure's real-space products have one home, the rule
+The records, :func:`quantum_potential` and :func:`refine_equilibrium`
+(a quantum equilibrium's fixed point) need the Bernoulli row alone (U_Q
+is that row at rest with only the quantum term on); no other module
+reads an operator. :meth:`Tendency.bernoulli` gives it to the bit, for
+one state or a stack of them, from transforms that carry only the rows
+it reads: a Bohm refinement sweep transforms two rows each way, not
+three. The closure's real-space products have one home, the rule
 :meth:`Tendency.products` builds, which the stage and ``bernoulli`` bind.
 :func:`run` stores its states and builds their records at the end,
 through :func:`_records`, one stack of ``CHUNK`` states at a time, in four
@@ -84,6 +85,7 @@ __all__ = [
     "run",
     "diagnostics",
     "action",
+    "refine_equilibrium",
 ]
 
 # States per stacked pass of the records, the snapshot fields and the
@@ -144,6 +146,16 @@ class TermFlags:
         return self.quantum and self.quantum_order >= 2
 
 
+def check_timing(cfg) -> None:
+    """The timing rule of :class:`SolverConfig` and ``OracleConfig``."""
+    if not cfg.dt > 0:
+        raise ValueError(f"dt must be > 0, got {cfg.dt}")
+    if cfg.t_end < 0:
+        raise ValueError(f"t_end must be >= 0, got {cfg.t_end}")
+    if cfg.snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 1e-3
@@ -153,12 +165,7 @@ class SolverConfig:
     density_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        check_timing(self)
         if not 0.0 < self.density_floor < 1.0:
             raise ValueError(f"density_floor must be in (0, 1), got {self.density_floor}")
 
@@ -467,6 +474,43 @@ def _fields(grid: Grid, real, flags: TermFlags, p: PhysParams):
     uq = _uq_reader(grid, flags, p, False).bernoulli(hat[0])
     v, uq = grid.irfft(np.stack((grid.half_ik * hat[1], uq)))
     return -v, uq
+
+
+def refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
+                       params: PhysParams, varr: np.ndarray,
+                       mean_density: float, dealias: bool) -> np.ndarray:
+    """Sharpen the Boltzmann ansatz into a discrete quantum fixed point.
+
+    Solves kT/m (lam + 1) + U_Q[lam] + V = const by damped iteration: the
+    thermal restoring term plus U_Q's linear part ``L(k) lam^`` (Bohm's
+    and twice the series remainder, the operator's ``rate``) are inverted
+    spectrally each sweep, which keeps high wavenumbers contractive, and
+    the remaining nonlinearity is lagged. U_Q is the Bernoulli row alone
+    of :func:`_uq_reader`, the records' operator, so the converged profile
+    is a fixed point of the equations as stepped, dealiasing included.
+    Normalizing mean rho each sweep fixes the constant; a sweep whose
+    update is not finite ends the iteration as diverged.
+    """
+    uq = _uq_reader(grid, flags, params, dealias)
+    denom = params.kT / params.m + uq.rate
+    log_norm = np.log(mean_density)
+    v_hat = grid.rfft(varr)
+    for _ in range(400):
+        lam_hat = grid.rfft(lam)
+        # the lagged rest of U_Q is uq - L lam
+        src_hat = -v_hat - uq.bernoulli(lam_hat)
+        with np.errstate(all="ignore"):
+            new = grid.irfft((src_hat + uq.rate * lam_hat) / denom)
+            new = new - np.log(np.exp(new).mean()) + log_norm
+            delta = float(np.max(np.abs(new - lam)))
+        if not np.isfinite(delta):
+            break
+        lam = new
+        if delta < 1e-14:
+            return lam
+    raise ValueError(
+        "equilibrium refinement did not converge; the quantum term is too "
+        f"stiff for this potential (last update {delta:.3g})")
 
 
 def rhs(s: State, flags: TermFlags, p: PhysParams, vext: Potential,

@@ -38,7 +38,8 @@ Validation is :func:`build`, the one function that turns a Scenario
 into a :class:`Setup` (parameters, flags, external potential, initial
 state, oracle config) and checks the solver's step count, bound and
 series well-posedness; ``parse_scenario`` runs it, so a Scenario in hand
-is runnable, and :func:`load` hands back the Setup it built. Numbers
+is runnable, and :func:`load` hands back the Setup it built. It reads no
+operator: madelung refines a quantum equilibrium's fixed point. Numbers
 must be finite. An error lands in its section on an anchor it names
 (solver ``dt``, ``t_end``; external, initial ``kind``; kernel ``family``;
 terms ``quantum_order``, ``quantum``), else on the first key it names,
@@ -75,7 +76,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
-from .madelung import (SolverConfig, State, TermFlags, _uq_reader,
+from .madelung import (SolverConfig, State, TermFlags, refine_equilibrium,
                        solver_steps, stability_bound)
 from .params import (ExternalCosine, ExternalHarmonic, ExternalTable,
                      ExternalZero, PhysParams, Potential, _csv_columns)
@@ -581,44 +582,6 @@ def build_oracle_config(scn: Scenario) -> OracleConfig:
     )
 
 
-def _refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
-                        params: PhysParams, varr: np.ndarray,
-                        mean_density: float, dealias: bool) -> np.ndarray:
-    """Sharpen the Boltzmann ansatz into a discrete quantum fixed point.
-
-    Solves kT/m (lam + 1) + U_Q[lam] + V = const by damped iteration: the
-    thermal restoring term plus U_Q's linear part ``L(k) lam^`` (Bohm's
-    and twice the series remainder, the operator's ``rate``) are inverted
-    spectrally each sweep, which keeps high wavenumbers contractive, and
-    the remaining nonlinearity is lagged. U_Q is the Bernoulli row of the
-    solver's own cached tendency (at rest, only the quantum term on), read
-    alone, so the converged profile is a fixed point of the equations as
-    stepped, dealiasing included. The constant is fixed by normalizing
-    mean rho each sweep. A sweep whose update is not finite ends the
-    iteration as diverged.
-    """
-    uq = _uq_reader(grid, flags, params, dealias)
-    denom = params.kT / params.m + uq.rate
-    log_norm = np.log(mean_density)
-    v_hat = grid.rfft(varr)
-    for _ in range(400):
-        lam_hat = grid.rfft(lam)
-        # the lagged rest of U_Q is uq - L lam
-        src_hat = -v_hat - uq.bernoulli(lam_hat)
-        with np.errstate(all="ignore"):
-            new = grid.irfft((src_hat + uq.rate * lam_hat) / denom)
-            new = new - np.log(np.exp(new).mean()) + log_norm
-            delta = float(np.max(np.abs(new - lam)))
-        if not np.isfinite(delta):
-            break
-        lam = new
-        if delta < 1e-14:
-            return lam
-    raise ValueError(
-        "equilibrium refinement did not converge; the quantum term is too "
-        f"stiff for this potential (last update {delta:.3g})")
-
-
 def _periodized_gaussian(grid: Grid, center: float,
                          width: float) -> np.ndarray:
     """A unit-peak gaussian summed with its six nearest periodic images."""
@@ -637,8 +600,8 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
                         base_dir: str | None = None, *,
                         flags: TermFlags | None = None) -> State:
     """Construct the t = 0 state and enforce the initial density floor.
-    A quantum equilibrium refines against ``flags``, built here if not
-    given."""
+    A quantum equilibrium is madelung's :func:`refine_equilibrium` of the
+    Boltzmann profile under ``flags``, built here if not given."""
     ic = scn.initial
     x = grid.x
     length = grid.length
@@ -685,8 +648,8 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
         if scn.terms.quantum and scn.terms.thermo:
             if flags is None:
                 flags = build_flags(scn, grid, base_dir)
-            lam = _refine_equilibrium(np.log(rho), grid, flags, params, v,
-                                      ic.mean_density, scn.solver.dealias)
+            lam = refine_equilibrium(np.log(rho), grid, flags, params, v,
+                                     ic.mean_density, scn.solver.dealias)
             rho = np.exp(lam)
         if ic.amplitude != 0.0:
             if ic.width is None or not ic.width > 0:

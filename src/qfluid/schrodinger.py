@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Field, Grid
-from .madelung import State, Trajectory, whole_steps
+from .madelung import State, Trajectory, check_timing, whole_steps
 from .params import PhysParams, Potential
 
 __all__ = [
@@ -84,13 +84,7 @@ class OracleConfig:
     snapshot_stride: int = 1
     nonlinearity: bool = True
 
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+    __post_init__ = check_timing
 
 
 @dataclass

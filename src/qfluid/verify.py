@@ -77,11 +77,10 @@ def format_line(r: CheckResult) -> str:
 class RunCache:
     """Builds and integrates presets, once per name per verify call.
 
-    :meth:`get` integrates a preset it does not hold when asked for it.
     :meth:`fill` integrates several ahead, in two lanes: a forked child
     (:func:`~qfluid.fork.beside`) runs one while the caller runs the
-    other. A preset that fails in either lane is held as its error, which
-    :meth:`get` raises as it would have raised integrating it there.
+    other. :meth:`get` fills a preset it does not hold, as one lane. A
+    preset that fails is held as its error, which :meth:`get` raises.
     """
 
     def __init__(self):
@@ -89,7 +88,7 @@ class RunCache:
 
     def get(self, name: str) -> tuple[Setup, Trajectory]:
         if name not in self._runs:
-            self._runs[name] = self._integrate(presets.suite()[name])
+            self.fill([name])
         held = self._runs[name]
         if isinstance(held, Exception):
             raise held

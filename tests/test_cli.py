@@ -225,8 +225,8 @@ def test_run_emits_the_seam_warning_once(tmp_path):
 
 def test_compare_refines_the_equilibrium_once(tmp_path, monkeypatch):
     calls = []
-    refine = scenario._refine_equilibrium
-    monkeypatch.setattr(scenario, "_refine_equilibrium",
+    refine = scenario.refine_equilibrium
+    monkeypatch.setattr(scenario, "refine_equilibrium",
                         lambda *a: calls.append(1) or refine(*a))
     scn = presets.trap()
     short = dataclasses.replace(

@@ -829,6 +829,29 @@ def test_only_scenario_runs_the_builders():
     assert offenders == []
 
 
+def test_only_madelung_reads_the_operator():
+    """No module but madelung names the operator or its readers, nor reads
+    an operator's ``rate`` or ``bernoulli``: the U_Q fixed point is the
+    solver's, and the operator can change inside one file."""
+    names = {"Tendency", "_reader", "_uq_reader"}
+    attrs = names | {"rate", "bernoulli"}
+    src = Path(__file__).resolve().parents[1] / "src" / "qfluid"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "madelung.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used = node.id in names
+            elif isinstance(node, ast.alias):  # an import, dotted or not
+                used = node.name.rpartition(".")[2] in names
+            else:
+                used = getattr(node, "attr", None) in attrs
+            if used:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_loading_a_quantum_equilibrium_builds_its_flags_once(monkeypatch):
     """The refinement of trap's equilibrium reads the flags build made."""
     calls = []

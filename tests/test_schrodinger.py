@@ -7,7 +7,7 @@ import pytest
 
 from qfluid import presets, schrodinger
 from qfluid.grid import Field, Grid
-from qfluid.madelung import State, Trajectory
+from qfluid.madelung import SolverConfig, State, Trajectory
 from qfluid.params import ExternalCosine, ExternalZero, PhysParams
 from qfluid.scenario import (build_external, build_initial_state,
                              build_oracle_config, build_params)
@@ -120,12 +120,16 @@ def test_rotation_bound_rejects_big_dt(grid, p):
 
 
 def test_oracle_config_validation():
-    with pytest.raises(ValueError, match="dt"):
-        OracleConfig(dt=0.0, t_end=1.0)
-    with pytest.raises(ValueError, match="t_end"):
-        OracleConfig(dt=0.1, t_end=-1.0)
-    with pytest.raises(ValueError, match="stride"):
-        OracleConfig(dt=0.1, t_end=1.0, snapshot_stride=0)
+    # the solver's config states the same timing rule, word for word
+    for config in (OracleConfig, SolverConfig):
+        with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
+            config(dt=0.0, t_end=1.0)
+        with pytest.raises(ValueError,
+                           match=r"^t_end must be >= 0, got -1\.0$"):
+            config(dt=0.1, t_end=-1.0)
+        with pytest.raises(ValueError,
+                           match="^snapshot_stride must be >= 1, got 0$"):
+            config(dt=0.1, t_end=1.0, snapshot_stride=0)
 
 
 def test_run_oracle_rejects_non_divisible_t_end(grid, p):

@@ -98,6 +98,23 @@ def test_one_preset_or_none_forks_nothing(monkeypatch):
     assert all(line.startswith("[PASS]") for line in lines("identities"))
 
 
+def test_get_fills_one_lane_and_holds_its_failure(monkeypatch):
+    calls = []
+
+    def aborts(scn):
+        calls.append(scn.name)
+        raise RuntimeError(f"preset {scn.name!r} aborted")
+
+    monkeypatch.setattr(RunCache, "_integrate", staticmethod(aborts))
+    monkeypatch.setattr(os, "fork",
+                        lambda: pytest.fail("one preset forked a child"))
+    cache = RunCache()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="^preset 'trap' aborted$"):
+            cache.get("trap")
+    assert calls == ["trap"]
+
+
 def test_reproducibility_prints_nothing_of_its_own(capsys):
     # its two runs' progress lines would change between identical calls
     result = verify.check_reproducibility(None)
