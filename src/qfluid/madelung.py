@@ -43,18 +43,19 @@ through :func:`_records`, one stack of ``CHUNK`` states at a time, in four
 transforms per stack, so the per-call cost is paid once per stack: at
 n = 256 a stored state's record costs about a quarter of an RK4 step,
 where a lone record costs about one. :func:`diagnostics` is the
-one-state case. The snapshot writer's v and U_Q go by stacks too, and so
-does :func:`action`, in one pass: a stack reads its phi with a one-row
-halo for ``dphi/dt``, so the action holds one stack's rows beyond its
-input, whatever the number of snapshots. The records, the writer and the
-action read their stacks of states through :func:`_stack`.
+one-state case. The snapshot files' fields go by stacks too, through
+:func:`snapshot_fields`, and so does :func:`action`, in one pass: a
+stack reads its phi with a one-row halo for ``dphi/dt``, so the action
+holds one stack's rows beyond its input, whatever the number of
+snapshots. All three read their stacks of states through :func:`_stack`.
 
 Time stepping is classical RK4. A run terminates early, with a partial
 trajectory and an error status, if the density floor is crossed (vacuum)
-or the state stops being finite (blowup). For quantum runs the time step
-must respect ``dt <= 0.5 dx^2 m / hbar_eff``, the usual explicit spectral
-bound for the free dispersion branch, and a series closure its own,
-stiffer bound (:func:`stability_bound`).
+or the state stops being finite (blowup), which the check words and
+numpy does not warn of. A quantum run's time step must respect
+``dt <= 0.5 dx^2 m / hbar_eff``, the explicit spectral bound for the
+free dispersion branch, and a series closure its own, stiffer bound;
+:func:`_step_bounds` alone says which bounds a closure has.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ __all__ = [
     "diagnostics",
     "action",
     "refine_equilibrium",
+    "snapshot_fields",
 ]
 
 # States per stacked pass of the records, the snapshot fields and the
@@ -150,6 +152,8 @@ def check_timing(cfg) -> None:
     """The timing rule of :class:`SolverConfig` and ``OracleConfig``."""
     if not cfg.dt > 0:
         raise ValueError(f"dt must be > 0, got {cfg.dt}")
+    if not math.isfinite(cfg.dt):
+        raise ValueError(f"dt must be finite, got {cfg.dt}")
     if cfg.t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {cfg.t_end}")
     if cfg.snapshot_stride < 1:
@@ -448,13 +452,12 @@ def velocity(s: State) -> Field:
 def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
     """The quantum-potential field the active flags produce (zeros if off):
     the series closure, Bohm's at order 1. It is the Bernoulli tendency of
-    the state at rest with only the quantum term on and dealiasing off.
+    the state at rest with only the quantum term on and dealiasing off,
+    the one-state case of :func:`snapshot_fields`.
     """
-    grid = s.grid
-    if not flags.quantum:
-        return Field.constant(grid, 0.0)
-    _, uq = _fields(grid, _stack([s]), flags, p)
-    return Field(grid, uq[0], _fresh=True)
+    *_, uq = next(snapshot_fields([s], flags, p))
+    return (Field.constant(s.grid, 0.0) if uq is None
+            else Field(s.grid, uq, _fresh=True))
 
 
 def _stack(states) -> np.ndarray:
@@ -463,17 +466,21 @@ def _stack(states) -> np.ndarray:
                      [s.phi.values for s in states]])
 
 
-def _fields(grid: Grid, real, flags: TermFlags, p: PhysParams):
-    """``(v, U_Q)`` of a :func:`_stack` ``real`` from one forward and one
-    inverse transform; U_Q is None with the quantum term off.
-    :func:`quantum_potential` is the one-state case, and v is
-    :func:`velocity`'s ``-grad phi`` state by state."""
-    if not flags.quantum:
-        return -grid.apply(grid.half_ik, real[1]), None
-    hat = grid.rfft(real)
-    uq = _uq_reader(grid, flags, p, False).bernoulli(hat[0])
-    v, uq = grid.irfft(np.stack((grid.half_ik * hat[1], uq)))
-    return -v, uq
+def snapshot_fields(states, flags: TermFlags, p: PhysParams):
+    """``(t, rho, phi, v, U_Q)`` of each state, a snapshot file's fields,
+    U_Q None with the quantum term off; a stack of ``CHUNK`` states takes
+    one forward and one inverse transform. v is :func:`velocity`'s."""
+    for j0 in range(0, len(states), CHUNK):
+        part = states[j0:j0 + CHUNK]
+        real, grid = _stack(part), part[0].grid
+        if flags.quantum:
+            hat = grid.rfft(real)
+            uq = _uq_reader(grid, flags, p, False).bernoulli(hat[0])
+            dphi, uq = grid.irfft(np.stack((grid.half_ik * hat[1], uq)))
+        else:
+            dphi, uq = grid.apply(grid.half_ik, real[1]), [None] * len(part)
+        yield from zip([s.t for s in part], np.exp(real[0]), real[1], -dphi,
+                       uq)
 
 
 def refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
@@ -576,9 +583,10 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     op = _reader(grid, flags, p, cfg.dealias, vext)
     work = _Work(op)
     grid.rfft(np.array((s.lam.values, s.phi.values)), work.state[2:])
-    op.stepper(work, cfg.dt)[0]()
     t_new = s.t + cfg.dt
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a blowup is the check's to word, so numpy does not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        op.stepper(work, cfg.dt)[0]()
         _state_check(work.real[2:], grid, cfg.density_floor)(t_new)
     lam, phi = work.real[2:]
     return State(t_new, Field(grid, lam, _fresh=True),
@@ -593,7 +601,7 @@ class IllPosedSeries(ValueError):
 
 def _step_bounds(grid: Grid, p: PhysParams,
                  flags: TermFlags) -> dict[str, float]:
-    """The quantum time step's bounds by name.
+    """The time step's bounds by name; none without the quantum term.
 
     Every quantum run keeps ``0.5 dx^2 m / hbar_eff`` (ValueError if no
     real ``hbar_eff`` exists). A series closure must have ``L(k) >= 0`` on
@@ -602,6 +610,8 @@ def _step_bounds(grid: Grid, p: PhysParams,
     over its fastest linear mode, ``2 sqrt(2) / max_k omega_k`` with
     ``omega_k^2 = k^2 L(k)``; both read the operator's :attr:`Tendency.rate`.
     """
+    if not flags.quantum:
+        return {}
     bounds = {"quantum stability bound 0.5 dx^2 m / hbar_eff":
               0.5 * grid.dx**2 * p.m / p.hbar_eff}
     if flags.series:
@@ -617,10 +627,11 @@ def _step_bounds(grid: Grid, p: PhysParams,
     return bounds
 
 
-def stability_bound(grid: Grid, p: PhysParams, flags: TermFlags) -> float:
-    """Largest admissible quantum time step: the least of the bounds
-    :func:`_step_bounds` names."""
-    return min(_step_bounds(grid, p, flags).values())
+def stability_bound(grid: Grid, p: PhysParams,
+                    flags: TermFlags) -> float | None:
+    """Largest admissible time step: the least of the bounds
+    :func:`_step_bounds` names, None if it names none."""
+    return min(_step_bounds(grid, p, flags).values(), default=None)
 
 
 def whole_steps(t_end: float, dt: float) -> int:
@@ -635,13 +646,12 @@ def whole_steps(t_end: float, dt: float) -> int:
 def solver_steps(cfg: SolverConfig, grid: Grid, flags: TermFlags,
                  p: PhysParams) -> int:
     """Steps a run of ``cfg`` takes; ValueError if ``t_end`` is not whole
-    steps or, with the quantum term on, ``dt`` breaks the binding one of
-    the :func:`_step_bounds`, which raise for a run that has none."""
-    if flags.quantum:
-        name, bound = min(_step_bounds(grid, p, flags).items(),
-                          key=lambda item: item[1])
-        if cfg.dt > bound * (1.0 + 1e-12):
-            raise ValueError(f"dt={cfg.dt:g} violates the {name} = {bound:g}")
+    steps or ``dt`` breaks the binding one of the :func:`_step_bounds`,
+    which raise for a quantum run that can have none."""
+    name, bound = min(_step_bounds(grid, p, flags).items(),
+                      key=lambda item: item[1], default=("", math.inf))
+    if cfg.dt > bound * (1.0 + 1e-12):
+        raise ValueError(f"dt={cfg.dt:g} violates the {name} = {bound:g}")
     return whole_steps(cfg.t_end, cfg.dt)
 
 
@@ -665,10 +675,6 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
     rows = work.real[2:]
     rows[:] = initial.lam.values, initial.phi.values
     check = _state_check(rows, grid, cfg.density_floor)
-    with np.errstate(over="ignore", invalid="ignore"):
-        check(initial.t)
-    grid.rfft(rows, work.state[2:])
-    advance = op.stepper(work, cfg.dt)[0]
     t0, dt, stride = initial.t, cfg.dt, cfg.snapshot_stride
     snaps, status, message = [], "ok", None
 
@@ -676,16 +682,21 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
         snaps.append(State(t, *(Field(grid, r.copy(), _fresh=True)
                                 for r in rows)))
 
-    store(t0)
-    try:
-        for i in range(1, n_steps + 1):
-            advance()
-            t = t0 + i * dt
-            check(t)
-            if i % stride == 0 or i == n_steps:
-                store(t)
-    except SolverAbort as abort:
-        status, message = abort.kind, str(abort)
+    # a blowup is the check's to word, so numpy does not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        check(t0)
+        grid.rfft(rows, work.state[2:])
+        advance = op.stepper(work, dt)[0]
+        store(t0)
+        try:
+            for i in range(1, n_steps + 1):
+                advance()
+                t = t0 + i * dt
+                check(t)
+                if i % stride == 0 or i == n_steps:
+                    store(t)
+        except SolverAbort as abort:
+            status, message = abort.kind, str(abort)
     return Trajectory(snaps, _records(snaps, flags, p, vext, cfg.dealias),
                       status, message)
 

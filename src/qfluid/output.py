@@ -21,7 +21,7 @@ import re
 import numpy as np
 
 from .fork import beside
-from .madelung import (CHUNK, Trajectory, _fields, _stack, stability_bound,
+from .madelung import (CHUNK, Trajectory, snapshot_fields, stability_bound,
                        whole_steps)
 from .scenario import Setup
 from .schrodinger import CompareResult
@@ -78,8 +78,9 @@ def manifest_dict(setup: Setup, wall_time: float | None = None) -> dict:
         derived["hbar_eff"] = p.hbar_eff
     except ValueError:
         derived["hbar_eff"] = None
-    if flags.quantum:
-        derived["stability_dt_bound"] = stability_bound(grid, p, flags)
+    bound = stability_bound(grid, p, flags)
+    if bound is not None:
+        derived["stability_dt_bound"] = bound
     if flags.moments is not None:
         derived["kernel_a2"] = flags.moments.a2
         derived["kernel_moments"] = list(flags.moments.c)
@@ -100,11 +101,11 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
     ``traj``, and error.json if it aborted; such files that an earlier
     run left and this one did not write are removed.
 
-    With more than ``CHUNK`` snapshots, a forked child
-    (:func:`~qfluid.fork.beside`) writes the snapshots from the
-    middle one on while this process writes those before it and the run's
-    other files; each side goes in stacks of ``CHUNK``. An error of either
-    is raised here, after the child has been reaped.
+    A snapshot file holds what :func:`~qfluid.madelung.snapshot_fields`
+    yields. With more than ``CHUNK`` snapshots, a forked child
+    (:func:`~qfluid.fork.beside`) writes those from the middle one on
+    while this process writes the rest and the run's other files. An
+    error of either is raised here, after the child has been reaped.
     """
     scn, p, flags = setup.scn, setup.params, setup.flags
     grid = scn.grid
@@ -123,21 +124,14 @@ def write_run(out_dir, setup: Setup, traj: Trajectory, wall_time: float,
                    for ext in (("csv", "svg") if plot else ("csv",))})
 
     def write_stacks(start: int, stop: int) -> None:
-        for j0 in range(start, stop, CHUNK):
-            part = snaps[j0:min(j0 + CHUNK, stop)]
-            real = _stack(part)
-            v, uq = _fields(grid, real, flags, p)
-            rho = np.exp(real[0])
-            phi = real[1]
-            for j, s in enumerate(part):
-                base = os.path.join(snap_dir, f"{j0 + j:04d}")
-                cols = (rho[j], phi[j], v[j]) + ((uq[j],) if flags.quantum
-                                                 else ())
-                _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e", cols, fmt)
-                if plot:
-                    line_plot(base + ".svg", grid.x,
-                              [("rho", rho[j]), ("v", v[j])],
-                              title=f"{scn.name}  t = {s.t:.6g}", xlabel="x")
+        fields = snapshot_fields(snaps[start:stop], flags, p)
+        for j, (t, rho, phi, v, uq) in enumerate(fields, start):
+            base = os.path.join(snap_dir, f"{j:04d}")
+            cols = (rho, phi, v) + (() if uq is None else (uq,))
+            _write_csv(base + ".csv", "x,rho,phi,v,U_Q,V_e", cols, fmt)
+            if plot:
+                line_plot(base + ".svg", grid.x, [("rho", rho), ("v", v)],
+                          title=f"{scn.name}  t = {t:.6g}", xlabel="x")
 
     count = len(snaps)
     middle = (count + 1) // 2 if count > CHUNK else count

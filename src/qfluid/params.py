@@ -47,6 +47,10 @@ class PhysParams:
     c: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("hbar", "m", "kT", "a2_explicit"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be > 0, got {self.hbar}")
         if not self.m > 0:

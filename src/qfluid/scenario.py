@@ -500,8 +500,7 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
         step = (("terms", "quantum_order", "quantum") if scn.kernel is None
                 else ("kernel", "family"))
         flags = build_flags(scn, grid, base_dir)
-        if flags.series:
-            stability_bound(grid, params, flags)  # the series is well-posed
+        stability_bound(grid, params, flags)  # a series must be well-posed
         step = ("solver", "dt", "t_end")
         solver_steps(scn.solver, grid, flags, params)
         step = ("initial", "kind")

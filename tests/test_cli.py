@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 
 from qfluid import Grid, cli, output, presets, scenario, serialize
-from qfluid.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_VACUUM,
-                        cmd_compare, cmd_run, cmd_scan, cmd_verify, main)
+from qfluid.cli import (EXIT_BLOWUP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
+                        EXIT_VACUUM, cmd_compare, cmd_run, cmd_scan,
+                        cmd_verify, main)
 from qfluid.kernels import truncation_sweep
-from qfluid.madelung import quantum_potential, run, velocity
+from qfluid.madelung import (TermFlags, quantum_potential, run,
+                             stability_bound, velocity)
 from qfluid.output import _write_csv, write_compare, write_run
+from qfluid.params import PhysParams
 from qfluid.schrodinger import compare, run_oracle, to_wavefunction
 from qfluid.verify import RunCache
 
@@ -206,6 +209,50 @@ def test_run_vacuum_exit_code_and_partial_outputs(tmp_path, capsys):
     assert len(list((out / "snapshots").glob("*.csv"))) >= 1
     assert (out / "diagnostics.csv").exists()
     assert "vacuum" in capsys.readouterr().out
+
+
+# a phase of 1e60: the first step's products overflow, so the state at
+# t = 1 is not finite
+BLOWUP = """\
+[scenario]
+name = blowup
+
+[grid]
+n = 64
+length = 1.0
+
+[terms]
+thermo = false
+
+[initial]
+kind = cosine
+phi_amplitude = 1e60
+
+[solver]
+dt = 1
+t_end = 3
+"""
+
+
+def test_run_blowup_is_worded_by_its_abort(tmp_path, capsys):
+    # tier-1 makes a RuntimeWarning an error: an overflow the stepper let
+    # escape would crash the run before the check could word it
+    path = scenario_file(tmp_path, BLOWUP)
+    assert main(["run", path, "-o", str(tmp_path / "o")]) == EXIT_BLOWUP
+    assert capsys.readouterr().err == "  state stopped being finite at t=1\n"
+
+
+def test_only_a_quantum_closure_has_a_step_bound(tmp_path):
+    assert stability_bound(Grid(64, 1.0), PhysParams(), TermFlags()) is None
+    for text, name in ((QUICK_RUN, "classical"), (COMPARE, "bohm")):
+        setup = scenario.load(text)
+        out = tmp_path / name
+        assert main(["run", scenario_file(tmp_path, text, f"{name}.ini"),
+                     "-o", str(out)]) == EXIT_OK
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        bound = stability_bound(setup.scn.grid, setup.params, setup.flags)
+        assert derived.get("stability_dt_bound") == bound
+        assert (bound is None) == (name == "classical")
 
 
 # a gaussian two widths from the harmonic seam: the build warns about it

@@ -1,5 +1,7 @@
 """Thermodynamic potentials, the quantum potential in all forms, and params."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ def test_phys_params_validation():
         PhysParams(kT=-0.5)
     with pytest.raises(ValueError, match="signal speed"):
         PhysParams(c=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["hbar", "m", "kT", "a2_explicit"])
+def test_phys_params_refuse_non_finite_constants(name, value):
+    # NaN passes every comparison, and inf each sign rule
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be finite, got {value}$"):
+        PhysParams(**{name: value})
 
 
 def test_de_broglie_length_needs_positive_kT():

@@ -831,9 +831,11 @@ def test_only_scenario_runs_the_builders():
 
 def test_only_madelung_reads_the_operator():
     """No module but madelung names the operator or its readers, nor reads
-    an operator's ``rate`` or ``bernoulli``: the U_Q fixed point is the
-    solver's, and the operator can change inside one file."""
-    names = {"Tendency", "_reader", "_uq_reader"}
+    an operator's ``rate`` or ``bernoulli``, nor imports a private name of
+    madelung (its state stacks among them): the U_Q fixed point and a
+    snapshot's fields are the solver's, and the operator can change inside
+    one file."""
+    names = {"Tendency", "_reader", "_uq_reader", "_stack", "_fields"}
     attrs = names | {"rate", "bernoulli"}
     src = Path(__file__).resolve().parents[1] / "src" / "qfluid"
     offenders = []
@@ -843,6 +845,9 @@ def test_only_madelung_reads_the_operator():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 used = node.id in names
+            elif isinstance(node, ast.ImportFrom):
+                used = node.module == "madelung" and any(
+                    a.name.startswith("_") for a in node.names)
             elif isinstance(node, ast.alias):  # an import, dotted or not
                 used = node.name.rpartition(".")[2] in names
             else:

@@ -1,6 +1,7 @@
 """Wavefunction oracle: the Madelung map, splitting steps, and compare."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -124,6 +125,9 @@ def test_oracle_config_validation():
     for config in (OracleConfig, SolverConfig):
         with pytest.raises(ValueError, match=r"^dt must be > 0, got 0\.0$"):
             config(dt=0.0, t_end=1.0)
+        # an infinite step would be zero steps of a run that reports ok
+        with pytest.raises(ValueError, match=r"^dt must be finite, got inf$"):
+            config(dt=math.inf, t_end=1.0)
         with pytest.raises(ValueError,
                            match=r"^t_end must be >= 0, got -1\.0$"):
             config(dt=0.1, t_end=-1.0)
