@@ -19,16 +19,16 @@ Between RK4 stages and steps the state is the stacked half spectrum
 ``(lam^, phi^)`` of the real FFT. A :class:`Tendency`, built once per run,
 gives both tendencies from it in two batched transforms through the grid's
 operator layer. Its :meth:`~Tendency.stepper` is a closure bound once to
-the operator and to a ``_Work`` set of arrays (one per run, per
-:func:`step` and per :func:`rhs` call), and every stage :func:`run`,
-:func:`step` and :func:`rhs` evaluate goes through it: :func:`rhs` is
-one stage, in four transforms. A step ends with the inverse of the new
-state, which the next k1 reads too, so it takes eight transforms. The
-stepper keeps the operations and operand order of the fresh-array
-expressions it replaces, with the linear table's product split into its
-two rows: numpy's complex multiply fuses with FMA and is not bitwise
-commutative, so ``grad * x``, ``masks * S`` and ``linear * x`` keep their
-order and the bits stay.
+the operator and to arrays of its own, started from a state's samples
+(one per run, per :func:`step` and per :func:`rhs` call), and every stage
+:func:`run`, :func:`step` and :func:`rhs` evaluate goes through it:
+:func:`rhs` is one stage, in four transforms. A step ends with the
+inverse of the new state, which the next k1 reads too, so it takes eight
+transforms. The stepper keeps the operations and operand order of the
+fresh-array expressions it replaces, with the linear table's product
+split into its two rows: numpy's complex multiply fuses with FMA and is
+not bitwise commutative, so ``grad * x``, ``masks * S`` and ``linear * x``
+keep their order and the bits stay.
 
 The records, :func:`quantum_potential` and :func:`refine_equilibrium`
 (a quantum equilibrium's fixed point) need the Bernoulli row alone (U_Q
@@ -38,24 +38,26 @@ one state or a stack of them, from transforms that carry only the rows
 it reads: a Bohm refinement sweep transforms two rows each way, not
 three. The closure's real-space products have one home, the rule
 :meth:`Tendency.products` builds, which the stage and ``bernoulli`` bind.
-:func:`run` stores its states and builds their records at the end,
-through :func:`_records`, one stack of ``CHUNK`` states at a time, in four
-transforms per stack, so the per-call cost is paid once per stack: at
-n = 256 a stored state's record costs about a quarter of an RK4 step,
-where a lone record costs about one. :func:`diagnostics` is the
-one-state case. The snapshot files' fields go by stacks too, through
-:func:`snapshot_fields`, and so does :func:`action`, in one pass: a
-stack reads its phi with a one-row halo for ``dphi/dt``, so the action
-holds one stack's rows beyond its input, whatever the number of
-snapshots. All three read their stacks of states through :func:`_stack`.
+:func:`run` stores its initial state itself and the steps' states, and
+builds their records at the end, through :func:`_records`, one stack of
+``CHUNK`` states at a time, in four transforms per stack, so the per-call
+cost is paid once per stack: at n = 256 a stored state's record costs
+about a quarter of an RK4 step, where a lone record costs about one.
+:func:`diagnostics` is the one-state case. The snapshot files' fields go
+by stacks too, through :func:`snapshot_fields`, and so does
+:func:`action`, in one pass: a stack reads its phi with a one-row halo
+for ``dphi/dt``, so the action holds one stack's rows beyond its input,
+whatever the number of snapshots. All three read their stacks of states
+through :func:`_stack`.
 
 Time stepping is classical RK4. A run terminates early, with a partial
 trajectory and an error status, if the density floor is crossed (vacuum)
 or the state stops being finite (blowup), which the check words and
-numpy does not warn of. A quantum run's time step must respect
-``dt <= 0.5 dx^2 m / hbar_eff``, the explicit spectral bound for the
-free dispersion branch, and a series closure its own, stiffer bound;
-:func:`_step_bounds` alone says which bounds a closure has.
+numpy does not warn of, in the steps or in the records; an initial state
+must pass the same check, :func:`check_state`. A quantum run's time step
+must respect ``dt <= 0.5 dx^2 m / hbar_eff``, the explicit spectral bound
+for the free dispersion branch, and a series closure its own, stiffer
+bound; :func:`_step_bounds` alone says which bounds a closure has.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ __all__ = [
     "rhs",
     "step",
     "run",
+    "check_state",
     "diagnostics",
     "action",
     "refine_equilibrium",
@@ -306,19 +309,23 @@ class Tendency:
 
         return fill
 
-    def stepper(self, work: _Work, dt: float):
-        """``(advance, stage)``, bound once to this operator and ``work``,
-        whose ``state`` holds a spectrum in rows 2:4; the build reads back
-        the rows a stage reads of it.
+    def stepper(self, lam: np.ndarray, phi: np.ndarray, dt: float):
+        """``(advance, stage, rows, hat)`` of a stepper started from the
+        samples ``lam``, ``phi``, bound once to this operator and to arrays
+        of its own. ``hat``, the state's spectrum, and its masked gradients
+        share one ``(4, nh)`` array, and ``rows``, the real state, are rows
+        2:4 of its inverse, so one inverse reads both with no copy. The
+        build reads back the rows k1 reads: with the remainder, lam's round
+        trip overwrites its samples.
 
         ``stage(lam^, phi^, k, k[1])`` writes into ``k`` the tendency of the
-        state whose inverse ``work.real`` holds: the :meth:`products`, their
+        state whose inverse the real rows hold: the :meth:`products`, their
         forward, the masked spectra, the linear table as two contiguous row
         products and the forcing row; ``stage()`` is k1. ``advance()`` takes
-        one RK4 step of the state in place, in the order of ``hat + dt/6 (k1
-        + 2 (k2 + k3) + k4)``, and ends with the inverse of the new state and
-        its gradients: a run checks and stores the state rows, and the next
-        k1 reads the rest. Every table, view, ufunc and transform is bound
+        one RK4 step of ``hat`` in place, in the order of ``hat + dt/6 (k1 +
+        2 (k2 + k3) + k4)``, and ends with the inverse of the new state and
+        its gradients: a run checks and stores ``rows``, and the next k1
+        reads the rest. Every table, view, ufunc and transform is bound
         here, and each scalar factor is a 0-d array of the value numpy casts
         the Python float to, so a step looks up and converts nothing.
         """
@@ -329,15 +336,22 @@ class Tendency:
         to_lam, to_phi = self.linear  # -k^2 scales phi^, the rest lam^
         half, full, sixth, two = (np.array(c, dtype=complex)
                                   for c in (0.5 * dt, dt, dt / 6.0, 2.0))
-        state, spec, real = work.state, work.spec, work.real
-        prods, spectra, (k1, k2, k3, k4) = work.prods, work.spectra, work.k
-        hat, grads, x = state[2:], spec[:2], spec[2:]
+        n, nh = self.grid.n, self.grid.half_k2.size
+        # the state's and a stage input's spectra with their gradients
+        state, spec = np.empty((2, 4, nh), dtype=complex)
+        real = np.empty((4, n))
+        k1, k2, k3, k4 = np.empty((4, 2, nh), dtype=complex)
+        prods = np.empty((self.rows, n))
+        spectra = np.empty((self.rows, nh), dtype=complex)
+        hat, grads, x, rows = state[2:], spec[:2], spec[2:], real[2:]
         (hat_lam, hat_phi), (x_lam, x_phi) = hat, x
         lin, s_lam, s_phi, s_rho = spectra[:2], *spectra[:2], spectra[-1]
         fill = self.products(*real[:3], *prods[:2], prods[-1])
         x_rows, x_real = spec[:self.rows], real[:self.rows]
         stages = ((k1, half, k2, k2[1]), (k2, half, k3, k3[1]),
                   (k3, full, k4, k4[1]))
+        rows[:] = lam, phi
+        rfft(rows, hat)
         mul(grad, hat, state[:2])
         irfft(state[:self.rows], x_real)
 
@@ -369,7 +383,7 @@ class Tendency:
             mul(grad, hat, state[:2])
             irfft(state, real)
 
-        return advance, stage
+        return advance, stage, rows, hat
 
     def bernoulli(self, lam_hat: np.ndarray,
                   phi_hat: np.ndarray | None = None) -> np.ndarray:
@@ -403,29 +417,6 @@ class Tendency:
         if rem:
             out += spectra[1]
         return out
-
-
-class _Work:
-    """The arrays a :meth:`Tendency.stepper` writes into, for one operator.
-    They belong to the run (or the :func:`step` or :func:`rhs` call), not
-    to the cached operators.
-
-    ``state`` (the run's) and ``spec`` (a stage input's) are ``(4, nh)``
-    spectra, each with its masked gradients in rows 0:2 and itself in rows
-    2:4, so one inverse reads both with no copy. ``real`` takes that
-    inverse, ``k`` the four stages, ``prods`` and ``spectra`` the product
-    rows and their spectra.
-    """
-
-    __slots__ = ("state", "spec", "real", "k", "prods", "spectra")
-
-    def __init__(self, op: Tendency):
-        n, nh = op.grid.n, op.grid.half_k2.size
-        self.state, self.spec = np.empty((2, 4, nh), dtype=complex)
-        self.real = np.empty((4, n))
-        self.k = np.empty((4, 2, nh), dtype=complex)
-        self.prods = np.empty((op.rows, n))
-        self.spectra = np.empty((op.rows, nh), dtype=complex)
 
 
 @lru_cache(maxsize=16)
@@ -522,20 +513,19 @@ def refine_equilibrium(lam: np.ndarray, grid: Grid, flags: TermFlags,
 
 def rhs(s: State, flags: TermFlags, p: PhysParams, vext: Potential,
         dealias: bool = True) -> tuple[Field, Field]:
-    """``(d lam/dt, d phi/dt)`` of the state: k1 of a :func:`step`."""
+    """``(d lam/dt, d phi/dt)`` of the state: k1 of a :func:`step`, one
+    stage of a stepper started from its samples."""
     grid = s.grid
     op = _reader(grid, flags, p, dealias, vext)
-    work = _Work(op)
-    grid.rfft(np.array((s.lam.values, s.phi.values)), work.state[2:])
-    dlam, dphi = grid.irfft(op.stepper(work, 0.0)[1]())
+    dlam, dphi = grid.irfft(op.stepper(s.lam.values, s.phi.values, 0.0)[1]())
     return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
 
 
 def _state_check(rows, grid: Grid, floor: float):
     """``check(t)`` of the stacked real state ``rows`` ``(lam, phi)``: a
     blowup if it is not finite or its density would overflow, a vacuum
-    below the floor. Bound once per run (or :func:`step`) to the rows and
-    the grid's constants.
+    below the floor. Bound once per run (or :func:`step`, or
+    :func:`check_state`) to the rows and the grid's constants.
 
     A good state passes one test, with no ``exp``: phi's sum is finite
     (only if each entry is), lam's maximum is at most ``top``, its minimum
@@ -576,19 +566,27 @@ def _state_check(rows, grid: Grid, floor: float):
     return check
 
 
+def check_state(s: State, floor: float) -> None:
+    """The check a run makes of every state, of ``s`` at its time: raises
+    :class:`SolverAbort` on a blowup or below the density ``floor``, and
+    numpy does not warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _state_check((s.lam.values, s.phi.values), s.grid, floor)(s.t)
+
+
 def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
          vext: Potential) -> State:
-    """One RK4 step. Raises :class:`SolverAbort` on vacuum or blowup."""
+    """One RK4 step of a stepper started from the state's samples. Raises
+    :class:`SolverAbort` on vacuum or blowup."""
     grid = s.grid
     op = _reader(grid, flags, p, cfg.dealias, vext)
-    work = _Work(op)
-    grid.rfft(np.array((s.lam.values, s.phi.values)), work.state[2:])
     t_new = s.t + cfg.dt
     # a blowup is the check's to word, so numpy does not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        op.stepper(work, cfg.dt)[0]()
-        _state_check(work.real[2:], grid, cfg.density_floor)(t_new)
-    lam, phi = work.real[2:]
+        advance, _, rows, _ = op.stepper(s.lam.values, s.phi.values, cfg.dt)
+        advance()
+        _state_check(rows, grid, cfg.density_floor)(t_new)
+    lam, phi = rows
     return State(t_new, Field(grid, lam, _fresh=True),
                  Field(grid, phi, _fresh=True))
 
@@ -657,48 +655,41 @@ def solver_steps(cfg: SolverConfig, grid: Grid, flags: TermFlags,
 
 def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
         vext: Potential) -> Trajectory:
-    """Integrate to ``t_end``, storing every ``snapshot_stride``-th state
-    and the last; :func:`_records` builds their records at the end.
+    """Integrate to ``t_end``, storing ``initial`` itself, every
+    ``snapshot_stride``-th state and the last; :func:`_records` builds
+    their records at the end.
 
     ``t_end = 0`` yields a single-snapshot trajectory of the initial state.
-    An initial state that fails the step's check raises
+    An initial state that fails :func:`check_state` raises
     :class:`SolverAbort`. On vacuum or blowup later, the states stored so
     far are returned with the corresponding status instead of raising.
     """
     grid = initial.grid
     n_steps = solver_steps(cfg, grid, flags, p)
-    # the state lives on the half spectrum, in the work arrays the run
-    # owns; its stepper ends each step with the state rows, which the one
-    # check reads and the run stores
     op = Tendency(grid, flags, p, cfg.dealias, vext)
-    work = _Work(op)
-    rows = work.real[2:]
-    rows[:] = initial.lam.values, initial.phi.values
-    check = _state_check(rows, grid, cfg.density_floor)
     t0, dt, stride = initial.t, cfg.dt, cfg.snapshot_stride
-    snaps, status, message = [], "ok", None
-
-    def store(t):
-        snaps.append(State(t, *(Field(grid, r.copy(), _fresh=True)
-                                for r in rows)))
-
-    # a blowup is the check's to word, so numpy does not warn of it
+    snaps, status, message = [initial], "ok", None
+    # a blowup is the check's to word, so numpy does not warn of it, in
+    # the steps or in the records of what they left
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        check(t0)
-        grid.rfft(rows, work.state[2:])
-        advance = op.stepper(work, dt)[0]
-        store(t0)
+        check_state(initial, cfg.density_floor)
+        # each step ends with the stepper's state rows, which the one
+        # check reads and the run stores
+        advance, _, rows, _ = op.stepper(initial.lam.values,
+                                         initial.phi.values, dt)
+        check = _state_check(rows, grid, cfg.density_floor)
         try:
             for i in range(1, n_steps + 1):
                 advance()
                 t = t0 + i * dt
                 check(t)
                 if i % stride == 0 or i == n_steps:
-                    store(t)
+                    snaps.append(State(t, *(Field(grid, r.copy(), _fresh=True)
+                                            for r in rows)))
         except SolverAbort as abort:
             status, message = abort.kind, str(abort)
-    return Trajectory(snaps, _records(snaps, flags, p, vext, cfg.dealias),
-                      status, message)
+        records = _records(snaps, flags, p, vext, cfg.dealias)
+    return Trajectory(snaps, records, status, message)
 
 
 # ---------------------------------------------------------------------------

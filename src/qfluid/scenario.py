@@ -37,13 +37,16 @@ nonlinearity follows the thermo term, its splitting is always Strang's
 Validation is :func:`build`, the one function that turns a Scenario
 into a :class:`Setup` (parameters, flags, external potential, initial
 state, oracle config) and checks the solver's step count, bound and
-series well-posedness; ``parse_scenario`` runs it, so a Scenario in hand
-is runnable, and :func:`load` hands back the Setup it built. It reads no
-operator: madelung refines a quantum equilibrium's fixed point. Numbers
-must be finite. An error lands in its section on an anchor it names
-(solver ``dt``, ``t_end``; external, initial ``kind``; kernel ``family``;
-terms ``quantum_order``, ``quantum``), else on the first key it names,
-the ``file`` it quotes, the first anchor stated, the section header.
+series well-posedness, and the initial state by a run's own check
+(:func:`~qfluid.madelung.check_state`) at the scenario's density floor;
+``parse_scenario`` runs it, so a Scenario in hand is runnable, and
+:func:`load` hands back the Setup it built. It reads no operator:
+madelung refines a quantum equilibrium's fixed point. Numbers must be
+finite. An error lands in its section on an anchor it names (solver
+``dt``, ``t_end``, ``density_floor``; external, initial ``kind``; kernel
+``family``; terms ``quantum_order``, ``quantum``), else on the first key
+it names, the ``file`` it quotes, the first anchor stated, the section
+header.
 
 A section's keys, types, defaults and order are the fields of its
 dataclass, one per kind where the section has a ``kind`` (the kernel: a
@@ -76,8 +79,9 @@ import numpy as np
 
 from .grid import Field, Grid
 from .kernels import Kernel, make_kernel, kernel_from_csv, moments
-from .madelung import (SolverConfig, State, TermFlags, refine_equilibrium,
-                       solver_steps, stability_bound)
+from .madelung import (SolverAbort, SolverConfig, State, TermFlags,
+                       check_state, refine_equilibrium, solver_steps,
+                       stability_bound)
 from .params import (ExternalCosine, ExternalHarmonic, ExternalTable,
                      ExternalZero, PhysParams, Potential, _csv_columns)
 from .schrodinger import OracleConfig
@@ -506,9 +510,11 @@ def _build(scn: Scenario, base_dir, raw) -> Setup:
         step = ("initial", "kind")
         state = build_initial_state(scn, grid, params, vext, base_dir,
                                     flags=flags)
+        step = ("solver", "density_floor")
+        check_state(state, scn.solver.density_floor)  # as a run checks it
         step = ("oracle",)
         oracle = build_oracle_config(scn)
-    except (ValueError, OSError, MemoryError) as e:
+    except (ValueError, OSError, MemoryError, SolverAbort) as e:
         section, *anchors = step
         raise ScenarioError(str(e), _line_of(raw.get(section, _Section()),
                                              str(e), anchors)) from None

@@ -236,10 +236,16 @@ t_end = 3
 
 def test_run_blowup_is_worded_by_its_abort(tmp_path, capsys):
     # tier-1 makes a RuntimeWarning an error: an overflow the stepper let
-    # escape would crash the run before the check could word it
-    path = scenario_file(tmp_path, BLOWUP)
-    assert main(["run", path, "-o", str(tmp_path / "o")]) == EXIT_BLOWUP
-    assert capsys.readouterr().err == "  state stopped being finite at t=1\n"
+    # escape would crash the run before the check could word it, and so
+    # would the records of the finite state it stopped after, whose v^2
+    # overflows at 1e160
+    for amplitude in ("1e60", "1e160"):
+        text = BLOWUP.replace("1e60", amplitude)
+        path = scenario_file(tmp_path, text, f"blowup{amplitude}.ini")
+        out = str(tmp_path / amplitude)
+        assert main(["run", path, "-o", out]) == EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert err == "  state stopped being finite at t=1\n"
 
 
 def test_only_a_quantum_closure_has_a_step_bound(tmp_path):
@@ -314,7 +320,9 @@ def test_run_bad_inputs_exit_usage(tmp_path, capsys):
     ("snapshot_stride = 25", "\n[external]\nkind = harmonic\nomega = 1e200"),
     ("width = 0.13", "pedestal = nan"),
     ("hbar = 0.3", "a2 = -0.01"),
-], ids=["huge-omega", "nan-pedestal", "negative-a2"])
+    # the run's own check refuses an initial state below the floor
+    ("snapshot_stride = 25", "density_floor = 0.5"),
+], ids=["huge-omega", "nan-pedestal", "negative-a2", "floor-above-initial"])
 def test_run_names_the_line_of_a_bad_value(after, added, tmp_path, capsys):
     text = COMPARE.replace(after, f"{after}\n{added}")
     path = scenario_file(tmp_path, text)

@@ -220,7 +220,6 @@ def test_vacuum_mid_run_returns_partial_trajectory(grid):
     assert traj.snapshots[-1].t < 2.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_mid_run_returns_partial_trajectory(grid):
     p = PhysParams()
     phi = 1e160 * np.cos(2.0 * np.pi * grid.x / grid.length)
@@ -355,12 +354,10 @@ def _fresh_tendency(op, hat):
     return out
 
 
-def _stage(op, hat):
-    """One stage of a stepper on a work set of its own: the operator's
-    tendency of one state's ``(2, nh)`` ``hat``, as :func:`rhs` reads it."""
-    work = madelung._Work(op)
-    work.state[2:] = hat
-    return op.stepper(work, 0.0)[1]()
+def _stage(op, lam, phi):
+    """One stage of a stepper started from one state's samples: the
+    operator's tendency of that state, as :func:`rhs` reads it."""
+    return op.stepper(lam, phi, 0.0)[1]()
 
 
 @pytest.mark.parametrize("make", [presets.traveling, presets.equilibrium,
@@ -375,11 +372,10 @@ def test_rk4_combines_its_stages_in_the_textbook_order(make):
     for dealias in (True, False):
         cfg = dataclasses.replace(cfg, dealias=dealias)
         op = madelung.Tendency(grid, flags, p, dealias, vext)
-        work = madelung._Work(op)
-        hat = grid.rfft(np.array((state.lam.values, state.phi.values)),
-                        out=work.state[2:])
-        advance = op.stepper(work, dt)[0]
-        want = hat.copy()
+        advance, _, rows, hat = op.stepper(state.lam.values,
+                                           state.phi.values, dt)
+        want = grid.rfft(np.array((state.lam.values, state.phi.values)))
+        assert np.array_equal(hat, want)
         for _ in range(3):
             k1 = _fresh_tendency(op, want)
             k2 = _fresh_tendency(op, want + 0.5 * dt * k1)
@@ -388,9 +384,15 @@ def test_rk4_combines_its_stages_in_the_textbook_order(make):
             want = want + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             advance()
             assert np.array_equal(hat, want)
-        # step() is a one-step run's last stored state, bit for bit
+            assert np.array_equal(rows, grid.irfft(want))
+        # a run's first snapshot is its initial state, bit for bit (the
+        # series stepper's lam row holds its round trip), and step() is a
+        # one-step run's last stored state
         one = step(state, cfg, flags, p, vext)
-        last = run(state, cfg, flags, p, vext).snapshots[-1]
+        first, last = run(state, cfg, flags, p, vext).snapshots
+        assert first.t == state.t
+        assert np.array_equal(first.lam.values, state.lam.values)
+        assert np.array_equal(first.phi.values, state.phi.values)
         assert one.t == last.t
         assert np.array_equal(one.lam.values, last.lam.values)
         assert np.array_equal(one.phi.values, last.phi.values)
@@ -435,36 +437,46 @@ def _bernoulli_cases():
 _BERNOULLI = _bernoulli_cases()
 
 
-@pytest.mark.parametrize("dealias", [True, False], ids=["masked", "unmasked"])
-@pytest.mark.parametrize("case", list(_BERNOULLI))
-def test_bernoulli_read_is_row_one_of_the_full_operator(case, dealias):
-    # a full stage stays the referee: the Bernoulli row alone must give
-    # its row 1 to the bit, on one state and on a stack, phi zero or not
-    flags, p, vext = _BERNOULLI[case]
-    grid = Grid(n=64, length=1.0)
-    op = madelung.Tendency(grid, flags, p, dealias, vext)
-    lam_hat, phi_hat = _bernoulli_states(grid)
-    zero = np.zeros_like(lam_hat[0])
-    for given in (phi_hat, None):
-        stack = op.bernoulli(lam_hat, given)
-        assert stack.shape == lam_hat.shape
-        for j in range(len(lam_hat)):
-            row = zero if given is None else given[j]
-            want = _stage(op, np.stack((lam_hat[j], row)))[1]
-            assert np.array_equal(stack[j], want)
-            one = op.bernoulli(lam_hat[j], None if given is None else row)
-            assert np.array_equal(one, want)
-
-
 def _bernoulli_states(grid):
-    """Spectra of five smooth random states, ``(lam^, phi^)`` stacks."""
+    """Samples of five smooth random states, ``(lam, phi)`` stacks."""
     rng = np.random.default_rng(7)
     x = 2 * np.pi * grid.x
     modes = np.arange(1, 5)[:, None]
     lam = np.log(1.0 + 0.1 * rng.standard_normal((5, 4))
                  @ np.cos(modes * x + rng.uniform(0, 6, (4, 1))))
     phi = 0.2 * rng.standard_normal((5, 4)) @ np.sin(modes * x)
-    return grid.rfft(lam), grid.rfft(phi)
+    return lam, phi
+
+
+def _bernoulli_reads(op):
+    """``(stack, stage, one)``: the Bernoulli row of each of the five
+    states, phi given and then zero, read in a stack, by a stage started
+    from its samples and alone. Both sides take the state's spectra with
+    the transform a stepper takes of its samples."""
+    grid = op.grid
+    lam, phi = _bernoulli_states(grid)
+    for given in (phi, None):
+        rows = np.zeros_like(phi) if given is None else given
+        lam_hat, phi_hat = np.array([grid.rfft(np.array(pair)) for pair in
+                                     zip(lam, rows)]).transpose(1, 0, 2).copy()
+        stack = op.bernoulli(lam_hat, None if given is None else phi_hat)
+        assert stack.shape == lam_hat.shape
+        for j in range(len(lam)):
+            yield (stack[j], _stage(op, lam[j], rows[j])[1],
+                   op.bernoulli(lam_hat[j],
+                                None if given is None else phi_hat[j]))
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["masked", "unmasked"])
+@pytest.mark.parametrize("case", list(_BERNOULLI))
+def test_bernoulli_read_is_row_one_of_the_full_operator(case, dealias):
+    # a full stage stays the referee: the Bernoulli row alone must give
+    # its row 1 to the bit, on one state and on a stack, phi zero or not
+    flags, p, vext = _BERNOULLI[case]
+    op = madelung.Tendency(Grid(n=64, length=1.0), flags, p, dealias, vext)
+    for stack, stage, one in _bernoulli_reads(op):
+        assert np.array_equal(stack, stage)
+        assert np.array_equal(one, stage)
 
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["masked", "unmasked"])
@@ -475,21 +487,8 @@ def test_the_closure_products_have_one_home(case, dealias, monkeypatch):
     # bit, and each differs from its unpatched value (the thermal case has
     # no Bohm term to double)
     flags, p, vext = _BERNOULLI[case]
-    grid = Grid(n=64, length=1.0)
-    op = madelung.Tendency(grid, flags, p, dealias, vext)
-    lam_hat, phi_hat = _bernoulli_states(grid)
-    zero = np.zeros_like(lam_hat[0])
-
-    def reads():
-        for given in (phi_hat, None):
-            stack = op.bernoulli(lam_hat, given)
-            for j in range(len(lam_hat)):
-                row = zero if given is None else given[j]
-                yield (stack[j], _stage(op, np.stack((lam_hat[j], row)))[1],
-                       op.bernoulli(lam_hat[j], None if given is None
-                                    else row))
-
-    before = list(reads())
+    op = madelung.Tendency(Grid(n=64, length=1.0), flags, p, dealias, vext)
+    before = list(_bernoulli_reads(op))
     build = madelung.Tendency.products
 
     def doubled(self, *rows):
@@ -500,7 +499,8 @@ def test_the_closure_products_have_one_home(case, dealias, monkeypatch):
             self.bohm = bohm
 
     monkeypatch.setattr(madelung.Tendency, "products", doubled)
-    for (stack, stage, one), old in zip(reads(), before, strict=True):
+    for (stack, stage, one), old in zip(_bernoulli_reads(op), before,
+                                        strict=True):
         assert np.array_equal(stack, stage)
         assert np.array_equal(one, stage)
         assert not np.array_equal(stage, old[1])
@@ -631,8 +631,7 @@ def test_rhs_is_the_tendency_a_run_integrates(make):
     assert vext.kind != "zero"
     grid = state.grid
     op = madelung.Tendency(grid, flags, p, cfg.dealias, vext)
-    want = grid.irfft(_stage(op, grid.rfft(np.array((state.lam.values,
-                                                      state.phi.values)))))
+    want = grid.irfft(_stage(op, state.lam.values, state.phi.values))
     got = rhs(state, flags, p, vext, cfg.dealias)
     for field, row in zip(got, want):
         assert np.array_equal(field.values, row)

@@ -5,7 +5,9 @@ field; floats take arbitrary bit patterns, so the ``%.17g`` round trip is
 exercised, within ranges that keep the scenario valid. Validation builds
 the scenario and checks that its solver section can run, so ``t_end`` is
 a whole number of steps and, with the quantum term on, ``dt`` sits within
-the stability bound of a real ``hbar_eff`` (and of the series, if any).
+the stability bound of a real ``hbar_eff`` (and of the series, if any);
+and the initial state must pass a run's own check, so ``density_floor``
+is drawn below its least density as a share of its mean.
 Only a series closure draws a kernel, one that keeps it well-posed. An
 equilibrium initial state keeps the quantum term off, so no example pays
 for the equilibrium refinement.
@@ -21,13 +23,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qfluid import Grid, SolverConfig  # noqa: E402
-from qfluid.madelung import stability_bound  # noqa: E402
+from qfluid.madelung import (  # noqa: E402
+    SolverAbort, check_state, stability_bound)
 from qfluid.scenario import (  # noqa: E402
     ExternalCosine, ExternalHarmonic, ExternalSpec, ExternalTabulated,
     ExternalZero, InitialCosine, InitialEquilibrium, InitialGaussian,
     InitialSpec, InitialTabulated, KernelDelta, KernelDifferenceOfGaussians,
     KernelGaussian, KernelSpec, KernelTabulated, OracleSpec, PhysSpec,
-    Scenario, TermSpec, build_flags, build_params, parse_scenario, serialize)
+    Scenario, TermSpec, build_external, build_flags, build_initial_state,
+    build_params, parse_scenario, serialize)
 
 
 def floats(lo=None, hi=None, **kw):
@@ -121,14 +125,32 @@ def scenarios(draw, tables: str):
         external=draw(one_kind_of(ExternalSpec)), kernel=kernel,
         solver=draw(SPECS[SolverConfig]), oracle=draw(SPECS[OracleSpec]))
     dt = scn.solver.dt
+    params, flags = build_params(scn), build_flags(scn, scn.grid, tables)
     if terms.quantum:
         # a series' step bound needs its kernel's moments
-        bound = stability_bound(scn.grid, build_params(scn),
-                                build_flags(scn, scn.grid, tables))
-        dt = draw(floats(0.0, bound, exclude_min=True))
+        dt = draw(floats(0.0, stability_bound(scn.grid, params, flags),
+                         exclude_min=True))
+    # the floor sits below the initial state's least density share, where
+    # the run's own check passes it (rounding decides at the share itself)
+    state = build_initial_state(scn, scn.grid, params,
+                                build_external(scn, tables), tables,
+                                flags=flags)
+    rho = state.density().values
+    share = min(float(rho.min()) / float(rho.mean()), 1.0)
+    floor = draw(floats(0.0, share, exclude_min=True, exclude_max=True)
+                 .filter(lambda f: _clears(state, f)))
     solver = dataclasses.replace(scn.solver, dt=dt,
-                                 t_end=draw(st.integers(0, 1000)) * dt)
+                                 t_end=draw(st.integers(0, 1000)) * dt,
+                                 density_floor=floor)
     return dataclasses.replace(scn, solver=solver)
+
+
+def _clears(state, floor) -> bool:
+    try:
+        check_state(state, floor)
+    except SolverAbort:
+        return False
+    return True
 
 
 @pytest.fixture(scope="module")
