@@ -35,7 +35,7 @@ from .scenario import (ScenarioError, PhysSpec, TermSpec, InitialSpec,
                        KernelDelta, KernelTabulated, OracleSpec, Scenario,
                        Setup, parse_scenario, load, build, serialize,
                        build_grid, build_params, build_flags,
-                       build_kernel, build_external, build_initial_state,
+                       build_external, build_initial_state,
                        build_solver_config, build_oracle_config)
 from . import presets
 from .verify import (CheckResult, RunCache, SUITES, SUITE_NAMES, run_suite,
@@ -71,9 +71,9 @@ __all__ = [
     "KernelSpec", "KernelGaussian", "KernelDifferenceOfGaussians",
     "KernelDelta", "KernelTabulated", "OracleSpec", "Scenario", "Setup",
     "parse_scenario", "load", "build", "serialize",
-    "build_grid", "build_params", "build_flags", "build_kernel",
-    "build_external", "build_initial_state", "build_solver_config",
-    "build_oracle_config", "presets",
+    "build_grid", "build_params", "build_flags", "build_external",
+    "build_initial_state", "build_solver_config", "build_oracle_config",
+    "presets",
     # verification
     "CheckResult", "RunCache", "SUITES", "SUITE_NAMES", "run_suite",
     "format_line", "direct_convolution",

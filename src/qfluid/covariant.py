@@ -76,7 +76,7 @@ class DensityHistory:
                         f"non-uniform history step: {dt} after {dt0}"
                     )
         self.times.append(float(t))
-        self.lams.append(lam.values.copy())
+        self.lams.append(lam.values)
         if len(self.times) > self.capacity:
             self.times.pop(0)
             self.lams.pop(0)
@@ -120,7 +120,7 @@ def dalembert_uq(history: DensityHistory, p: PhysParams) -> Field:
     lap = grid.apply(-grid.half_k2, r_mid)
     box = dtt / p.c**2 - lap
     qc = p.quantum_coefficient
-    return Field(grid, qc * box / r_mid, _fresh=True)
+    return Field(grid, qc * box / r_mid)
 
 
 def retarded_energy(history: DensityHistory, kernel: Kernel, p: PhysParams) -> Field:
@@ -161,4 +161,4 @@ def retarded_energy(history: DensityHistory, kernel: Kernel, p: PhysParams) -> F
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     weights = kernel.values[idx]            # u(x_i - x_j) by periodicity
     conv = np.sum(weights * lam_ret, axis=1) * grid.dx
-    return Field(grid, (p.kT / p.m) * conv, _fresh=True)
+    return Field(grid, (p.kT / p.m) * conv)

@@ -16,6 +16,10 @@ ufuncs directly, with the factors ``np.fft`` passes for the default norm
 (1 forward, ``1/n`` inverse): the same bits without the Python wrapper,
 which at n = 128 costs more than the transform. Each takes an optional
 ``out``, so a stepping loop can transform into arrays it owns.
+
+:class:`Field` is the one value type of the fields built on a grid, and it
+is made one way: it owns a read-only float copy of exactly ``n`` finite
+samples, never a view into the caller's array.
 """
 
 from __future__ import annotations
@@ -160,22 +164,21 @@ class Grid:
 class Field:
     """Real scalar field sampled on a :class:`Grid`.
 
-    Immutable by convention: the sample array is copied on construction and
-    marked read-only. Arithmetic with fields on the same grid and with
-    scalars is supported and returns new fields.
+    ``Field(grid, values)`` copies ``values`` as floats, refuses a shape
+    other than ``(n,)`` or a sample that is not finite, and marks the copy
+    read-only: a field owns its samples, and the caller's array stays its
+    own. Arithmetic with fields on the same grid and with scalars returns
+    new fields.
     """
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values, *, _fresh: bool = False):
-        if _fresh:
-            arr = values
-        else:
-            arr = np.array(values, dtype=float)
-            if arr.shape != (grid.n,):
-                raise ValueError(
-                    f"field shape {arr.shape} does not match grid n={grid.n}"
-                )
+    def __init__(self, grid: Grid, values):
+        arr = np.array(values, dtype=float)
+        if arr.shape != (grid.n,):
+            raise ValueError(
+                f"field shape {arr.shape} does not match grid n={grid.n}"
+            )
         if not np.all(np.isfinite(arr)):
             raise ValueError("field samples must be finite")
         arr.flags.writeable = False
@@ -184,10 +187,7 @@ class Field:
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.n, float(value)), _fresh=True)
-
-    def _wrap(self, arr: np.ndarray) -> "Field":
-        return Field(self.grid, arr, _fresh=True)
+        return cls(grid, np.full(grid.n, float(value)))
 
     def _coerce(self, other):
         if isinstance(other, Field):
@@ -197,29 +197,29 @@ class Field:
         return float(other)
 
     def __add__(self, other):
-        return self._wrap(self.values + self._coerce(other))
+        return Field(self.grid, self.values + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._wrap(self.values - self._coerce(other))
+        return Field(self.grid, self.values - self._coerce(other))
 
     def __rsub__(self, other):
-        return self._wrap(self._coerce(other) - self.values)
+        return Field(self.grid, self._coerce(other) - self.values)
 
     def __mul__(self, other):
-        return self._wrap(self.values * self._coerce(other))
+        return Field(self.grid, self.values * self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._wrap(self.values / self._coerce(other))
+        return Field(self.grid, self.values / self._coerce(other))
 
     def __rtruediv__(self, other):
-        return self._wrap(self._coerce(other) / self.values)
+        return Field(self.grid, self._coerce(other) / self.values)
 
     def __neg__(self):
-        return self._wrap(-self.values)
+        return Field(self.grid, -self.values)
 
     def __repr__(self):
         return f"Field(n={self.grid.n}, L={self.grid.length:g})"
@@ -238,7 +238,7 @@ def derivative(f: Field, order: int = 1) -> Field:
     mult = (-g.half_k2) ** (order // 2)
     if order % 2 == 1:
         mult = g.half_ik * mult
-    return Field(g, g.apply(mult, f.values), _fresh=True)
+    return Field(g, g.apply(mult, f.values))
 
 
 def convolve(f: Field, g: Field) -> Field:
@@ -252,7 +252,7 @@ def convolve(f: Field, g: Field) -> Field:
     grid = f.grid
     f_hat, g_hat = grid.rfft(np.stack((f.values, g.values)))
     out = grid.irfft(f_hat * g_hat) * grid.dx
-    return Field(grid, out, _fresh=True)
+    return Field(grid, out)
 
 
 def integrate(f: Field) -> float:
@@ -263,4 +263,4 @@ def integrate(f: Field) -> float:
 def dealias(f: Field) -> Field:
     """Zero all modes above the 2/3 cutoff."""
     g = f.grid
-    return Field(g, g.apply(g.half_mask, f.values), _fresh=True)
+    return Field(g, g.apply(g.half_mask, f.values))

@@ -194,6 +194,10 @@ def moments(kernel: Kernel, max_n: int = 2) -> MomentTable:
     return MomentTable(a2=a2, c=tuple(c))
 
 
+# the last series order whose (2n)! is a double: 170! is, 172! is not
+_MAX_ORDER = 85
+
+
 def _series_multiplier(grid: Grid, a2: float, c, first: int,
                        last: int) -> np.ndarray:
     """Gradient-series multiplier on the real-FFT modes,
@@ -201,11 +205,18 @@ def _series_multiplier(grid: Grid, a2: float, c, first: int,
 
     This is the gradient series ``sum (-1)^n a^{2n} (c_{2n}/(2n)!) lap^n``
     in Fourier space, since ``(-1)^n lap^n -> (-1)^n (-k^2)^n = k^{2n}``.
+    ValueError past :data:`_MAX_ORDER`; a term that overflows leaves
+    non-finite modes, which the callers refuse.
     """
+    if last > _MAX_ORDER:
+        raise ValueError(
+            f"series order {last} is past {_MAX_ORDER}, the last whose"
+            f" (2n)! is a double")
     k2 = grid.half_k2
     mult = np.zeros(k2.shape)
-    for n in range(first, last + 1):
-        mult += (a2 * k2) ** n * c[n] / math.factorial(2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(first, last + 1):
+            mult += (a2 * k2) ** n * c[n] / math.factorial(2 * n)
     return mult
 
 
@@ -220,7 +231,7 @@ def nonlocal_energy(rho: Field, kernel: Kernel, p: PhysParams) -> Field:
     if kernel.grid != rho.grid:
         raise ValueError("kernel and density live on different grids")
     _check_positive_density(rho)
-    lam = Field(rho.grid, np.log(rho.values), _fresh=True)
+    lam = Field(rho.grid, np.log(rho.values))
     return (p.kT / p.m) * convolve(lam, kernel.as_field())
 
 
@@ -243,7 +254,7 @@ def series_energy(rho: Field, table: MomentTable, a: float, n_terms: int,
     a2 = math.copysign(float(a) ** 2, table.a2)
     mult = _series_multiplier(g, a2, table.c, 0, n_terms)
     out = g.apply(mult, np.log(rho.values))
-    return Field(g, (p.kT / p.m) * out, _fresh=True)
+    return Field(g, (p.kT / p.m) * out)
 
 
 def truncation_sweep(grid: Grid, fracs, orders,
@@ -255,8 +266,7 @@ def truncation_sweep(grid: Grid, fracs, orders,
     series order, on ``rho = exp(0.4 cos(2 pi x / L))`` at unit constants.
     """
     p = PhysParams()
-    rho = Field(grid, np.exp(0.4 * np.cos(2 * np.pi * grid.x / grid.length)),
-                _fresh=True)
+    rho = Field(grid, np.exp(0.4 * np.cos(2 * np.pi * grid.x / grid.length)))
     rows = []
     for frac in fracs:
         width = frac * grid.length

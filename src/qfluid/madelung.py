@@ -115,7 +115,7 @@ class State:
         return self.lam.grid
 
     def density(self) -> Field:
-        return Field(self.grid, np.exp(self.lam.values), _fresh=True)
+        return Field(self.grid, np.exp(self.lam.values))
 
 
 @dataclass(frozen=True)
@@ -437,7 +437,7 @@ def _uq_reader(grid: Grid, flags: TermFlags, p: PhysParams,
 
 def velocity(s: State) -> Field:
     """``v = -grad phi``."""
-    return Field(s.grid, -derivative(s.phi, 1).values, _fresh=True)
+    return -derivative(s.phi, 1)
 
 
 def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
@@ -447,8 +447,7 @@ def quantum_potential(s: State, flags: TermFlags, p: PhysParams) -> Field:
     the one-state case of :func:`snapshot_fields`.
     """
     *_, uq = next(snapshot_fields([s], flags, p))
-    return (Field.constant(s.grid, 0.0) if uq is None
-            else Field(s.grid, uq, _fresh=True))
+    return Field.constant(s.grid, 0.0) if uq is None else Field(s.grid, uq)
 
 
 def _stack(states) -> np.ndarray:
@@ -518,7 +517,7 @@ def rhs(s: State, flags: TermFlags, p: PhysParams, vext: Potential,
     grid = s.grid
     op = _reader(grid, flags, p, dealias, vext)
     dlam, dphi = grid.irfft(op.stepper(s.lam.values, s.phi.values, 0.0)[1]())
-    return Field(grid, dlam, _fresh=True), Field(grid, dphi, _fresh=True)
+    return Field(grid, dlam), Field(grid, dphi)
 
 
 def _state_check(rows, grid: Grid, floor: float):
@@ -586,9 +585,7 @@ def step(s: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
         advance, _, rows, _ = op.stepper(s.lam.values, s.phi.values, cfg.dt)
         advance()
         _state_check(rows, grid, cfg.density_floor)(t_new)
-    lam, phi = rows
-    return State(t_new, Field(grid, lam, _fresh=True),
-                 Field(grid, phi, _fresh=True))
+    return State(t_new, *(Field(grid, r) for r in rows))
 
 
 class IllPosedSeries(ValueError):
@@ -615,7 +612,7 @@ def _step_bounds(grid: Grid, p: PhysParams,
     if flags.series:
         rate = _reader(grid, flags, p, True).rate
         j = int(np.argmin(rate))
-        if rate[j] < 0:
+        if not rate[j] >= 0:  # NaN, where the table overflows, too
             raise IllPosedSeries(
                 f"the gradient series cut after c_{2 * flags.quantum_order} is"
                 f" ill-posed: its linear rate falls to {rate[j]:.4g} at a^2 k^2"
@@ -684,8 +681,7 @@ def run(initial: State, cfg: SolverConfig, flags: TermFlags, p: PhysParams,
                 t = t0 + i * dt
                 check(t)
                 if i % stride == 0 or i == n_steps:
-                    snaps.append(State(t, *(Field(grid, r.copy(), _fresh=True)
-                                            for r in rows)))
+                    snaps.append(State(t, *(Field(grid, r) for r in rows)))
         except SolverAbort as abort:
             status, message = abort.kind, str(abort)
         records = _records(snaps, flags, p, vext, cfg.dealias)

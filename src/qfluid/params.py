@@ -141,7 +141,7 @@ class ExternalHarmonic:
 
     def field(self, grid: Grid) -> Field:
         d = grid.x - 0.5 * grid.length
-        return Field(grid, 0.5 * self.omega**2 * d**2, _fresh=True)
+        return Field(grid, 0.5 * self.omega**2 * d**2)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class ExternalCosine:
 
     def field(self, grid: Grid) -> Field:
         vals = self.v0 * np.cos(2.0 * np.pi * grid.x / grid.length)
-        return Field(grid, vals, _fresh=True)
+        return Field(grid, vals)
 
 
 class ExternalTable:
@@ -182,7 +182,7 @@ class ExternalTable:
     def field(self, grid: Grid) -> Field:
         span = self.x[-1] - self.x[0]
         pos = self.x[0] + np.mod(grid.x - self.x[0], span)
-        return Field(grid, np.interp(pos, self.x, self.v), _fresh=True)
+        return Field(grid, np.interp(pos, self.x, self.v))
 
 
 Potential = ExternalZero | ExternalHarmonic | ExternalCosine | ExternalTable

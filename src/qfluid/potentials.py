@@ -45,19 +45,19 @@ _FORMS = ("gradient_form", "sqrt_form")
 def internal_energy(rho: Field, p: PhysParams) -> Field:
     """``(kT/m) ln rho``."""
     _check_positive_density(rho)
-    return Field(rho.grid, (p.kT / p.m) * np.log(rho.values), _fresh=True)
+    return Field(rho.grid, (p.kT / p.m) * np.log(rho.values))
 
 
 def enthalpy(rho: Field, p: PhysParams) -> Field:
     """``(kT/m) (ln rho + 1)``."""
     _check_positive_density(rho)
-    return Field(rho.grid, (p.kT / p.m) * (np.log(rho.values) + 1.0), _fresh=True)
+    return Field(rho.grid, (p.kT / p.m) * (np.log(rho.values) + 1.0))
 
 
 def pressure(rho: Field, p: PhysParams) -> Field:
     """Ideal isothermal pressure ``(kT/m) rho``."""
     _check_positive_density(rho)
-    return Field(rho.grid, (p.kT / p.m) * rho.values, _fresh=True)
+    return Field(rho.grid, (p.kT / p.m) * rho.values)
 
 
 def bohm_potential(rho: Field, p: PhysParams, form: str = "gradient_form") -> Field:
@@ -76,7 +76,7 @@ def bohm_potential(rho: Field, p: PhysParams, form: str = "gradient_form") -> Fi
 
 def log_density(rho: Field) -> Field:
     """``ln rho`` as a field (no positivity re-check)."""
-    return Field(rho.grid, np.log(rho.values), _fresh=True)
+    return Field(rho.grid, np.log(rho.values))
 
 
 def bohm_potential_log(lam: Field, p: PhysParams, form: str = "gradient_form") -> Field:
@@ -88,13 +88,13 @@ def bohm_potential_log(lam: Field, p: PhysParams, form: str = "gradient_form") -
     d1 = derivative(lam, 1).values
     d2 = derivative(lam, 2).values
     vals = -0.5 * p.quantum_coefficient * (d2 + 0.5 * d1**2)
-    return Field(lam.grid, vals, _fresh=True)
+    return Field(lam.grid, vals)
 
 
 def _sqrt_form(root: np.ndarray, grid, p: PhysParams) -> Field:
     """``-qc lap(root) / root`` for ``root = sqrt(rho)``."""
-    lap = derivative(Field(grid, root, _fresh=True), 2).values
-    return Field(grid, -p.quantum_coefficient * lap / root, _fresh=True)
+    lap = derivative(Field(grid, root), 2).values
+    return Field(grid, -p.quantum_coefficient * lap / root)
 
 
 def bohm_identity_residual(rho: Field, p: PhysParams) -> float:
@@ -107,7 +107,7 @@ def bohm_identity_residual(rho: Field, p: PhysParams) -> float:
     lam = np.log(rho.values)
     if np.ptp(lam) <= 1e-14 * (1.0 + np.abs(lam).max()):
         return 0.0
-    lf = Field(rho.grid, lam, _fresh=True)
+    lf = Field(rho.grid, lam)
     ga = bohm_potential_log(lf, p, "gradient_form").values
     sa = bohm_potential_log(lf, p, "sqrt_form").values
     denom = np.abs(sa).max()
@@ -123,31 +123,32 @@ def quantum_lagrangian_energy(rho: Field, a: float, p: PhysParams) -> float:
     return float(np.sum(dens) * rho.grid.dx)
 
 
-def euler_lagrange_oracle(rho: Field, a: float, p: PhysParams,
-                          delta: float = 1e-6) -> Field:
+# the oracle's bump, relative to the density's peak
+_BUMP = 1e-6
+
+
+def euler_lagrange_oracle(rho: Field, a: float, p: PhysParams) -> Field:
     """Brute-force variational check of the quantum potential.
 
-    Bumps the density one node at a time (symmetrically, relative bump size
-    ``delta``) and differences ``int L_Q dx``. The potential enters the
+    Bumps the density one node at a time (symmetrically, by :data:`_BUMP`
+    of its peak) and differences ``int L_Q dx``. The potential enters the
     Bernoulli equation as minus the functional derivative of the quantum
     Lagrangian, so the negated derivative is returned; it should match
     ``bohm_potential(..., "gradient_form")`` with the same ``a``.
 
     O(n^2) work; intended for small grids.
     """
-    if not (1e-8 <= delta <= 1e-4):
-        raise ValueError(f"delta must lie in [1e-8, 1e-4], got {delta}")
     _check_positive_density(rho)
     g = rho.grid
-    h = delta * float(np.abs(rho.values).max())
+    h = _BUMP * float(np.abs(rho.values).max())
     dE = np.empty(g.n)
     base = rho.values
     for i in range(g.n):
         plus = base.copy()
         plus[i] += h
-        e_plus = quantum_lagrangian_energy(Field(g, plus, _fresh=True), a, p)
+        e_plus = quantum_lagrangian_energy(Field(g, plus), a, p)
         minus = base.copy()
         minus[i] -= h
-        e_minus = quantum_lagrangian_energy(Field(g, minus, _fresh=True), a, p)
+        e_minus = quantum_lagrangian_energy(Field(g, minus), a, p)
         dE[i] = (e_plus - e_minus) / (2.0 * h * g.dx)
-    return Field(g, -dE, _fresh=True)
+    return Field(g, -dE)

@@ -78,7 +78,7 @@ from typing import Literal
 import numpy as np
 
 from .grid import Field, Grid
-from .kernels import Kernel, make_kernel, kernel_from_csv, moments
+from .kernels import make_kernel, kernel_from_csv, moments
 from .madelung import (SolverAbort, SolverConfig, State, TermFlags,
                        check_state, refine_equilibrium, solver_steps,
                        stability_bound)
@@ -108,7 +108,6 @@ __all__ = [
     "build_grid",
     "build_params",
     "build_flags",
-    "build_kernel",
     "build_external",
     "build_initial_state",
     "build_solver_config",
@@ -543,30 +542,24 @@ def build_external(scn: Scenario, base_dir: str | None = None) -> Potential:
     return e
 
 
-def build_kernel(scn: Scenario, grid: Grid,
-                 base_dir: str | None = None) -> Kernel | None:
-    k = scn.kernel
-    if k is None:
-        return None
-    if k.family == "tabulated":
-        return kernel_from_csv(_resolve(k.file, base_dir), grid)
-    return make_kernel(k.family, grid, width=getattr(k, "width", None))
-
-
 def build_flags(scn: Scenario, grid: Grid,
                 base_dir: str | None = None) -> TermFlags:
-    t = scn.terms
+    t, k = scn.terms, scn.kernel
     table = None
     if t.quantum and t.quantum_order >= 2:
-        kernel = build_kernel(scn, grid, base_dir)
-        if kernel is None:
+        if k is None:
             raise ValueError(
                 f"quantum_order = {t.quantum_order} needs a [kernel] section "
                 "to supply moment coefficients")
+        if k.family == "tabulated":
+            kernel = kernel_from_csv(_resolve(k.file, base_dir), grid)
+        else:
+            kernel = make_kernel(k.family, grid,
+                                 width=getattr(k, "width", None))
         table = moments(kernel, max_n=t.quantum_order)
-    elif scn.kernel is not None:
+    elif k is not None:
         raise ValueError(
-            f"[kernel] family {scn.kernel.family!r} is not read: its moments "
+            f"[kernel] family {k.family!r} is not read: its moments "
             "serve the quantum term at quantum_order >= 2 only")
     return TermFlags(thermo=t.thermo, quantum=t.quantum,
                      quantum_order=t.quantum_order, moments=table)
@@ -677,8 +670,7 @@ def build_initial_state(scn: Scenario, grid: Grid, params: PhysParams,
             f"initial density minimum {rho.min():.3g} sits below 1e-10 of "
             f"the mean ({mean:.3g}); add a pedestal or widen the profile")
     lam = np.log(rho)
-    return State(0.0, Field(grid, lam, _fresh=True),
-                 Field(grid, phi, _fresh=True))
+    return State(0.0, Field(grid, lam), Field(grid, phi))
 
 
 def serialize(scn: Scenario) -> str:

@@ -71,7 +71,7 @@ class WaveState:
         object.__setattr__(self, "psi", psi)
 
     def density(self) -> Field:
-        return Field(self.grid, np.abs(self.psi) ** 2, _fresh=True)
+        return Field(self.grid, np.abs(self.psi) ** 2)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def from_wavefunction(w: WaveState, p: PhysParams) -> State:
     phi = -(p.hbar_eff / p.m) * theta
     phi = phi - phi.mean()
     lam = 2.0 * np.log(amp)
-    return State(w.t, Field(w.grid, lam, _fresh=True), Field(w.grid, phi, _fresh=True))
+    return State(w.t, Field(w.grid, lam), Field(w.grid, phi))
 
 
 def _principal(angle: float) -> float:

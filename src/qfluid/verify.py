@@ -170,7 +170,7 @@ def _random_log_density(grid: Grid, rng, modes: int = 10,
         phase = rng.uniform(0.0, 2.0 * np.pi)
         lam += amp * np.cos(2.0 * np.pi * m * grid.x / grid.length + phase)
     lam *= span / max(np.abs(lam).max(), 1e-30)
-    return Field(grid, np.exp(lam), _fresh=True)
+    return Field(grid, np.exp(lam))
 
 
 def check_bohm_identity(ctx) -> CheckResult:
@@ -190,7 +190,7 @@ def check_euler_lagrange(ctx) -> CheckResult:
     x = grid.x
     rho = Field(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x)
                 + 0.15 * np.sin(4 * np.pi * x)
-                + 0.1 * np.cos(6 * np.pi * x + 0.5), _fresh=True)
+                + 0.1 * np.cos(6 * np.pi * x + 0.5))
     a = math.sqrt(p.a2)
     numeric = euler_lagrange_oracle(rho, a, p).values
     closed = bohm_potential(rho, p, "gradient_form").values
@@ -377,8 +377,8 @@ def check_action_stationarity(ctx) -> CheckResult:
             w = math.sin(math.pi * (s.t - t0) / (t1 - t0))
             snaps.append(State(
                 s.t,
-                Field(grid, s.lam.values + eps * w * g_lam, _fresh=True),
-                Field(grid, s.phi.values + eps * w * g_phi, _fresh=True)))
+                Field(grid, s.lam.values + eps * w * g_lam),
+                Field(grid, s.phi.values + eps * w * g_phi)))
         pert = Trajectory(snapshots=snaps, records=[])
         return action(pert, setup.flags, setup.params, setup.vext)
 
@@ -395,12 +395,12 @@ def check_covariant_static(ctx) -> CheckResult:
     grid = Grid(n=128, length=1.0)
     p = PhysParams()
     lam = Field(grid, 0.3 * np.cos(2 * np.pi * grid.x)
-                + 0.1 * np.sin(4 * np.pi * grid.x), _fresh=True)
+                + 0.1 * np.sin(4 * np.pi * grid.x))
     hist = DensityHistory(grid, capacity=5)
     for j in range(5):
         hist.push(j * 0.01, lam)
     wave_form = dalembert_uq(hist, p).values
-    rho = Field(grid, np.exp(lam.values), _fresh=True)
+    rho = Field(grid, np.exp(lam.values))
     static = bohm_potential(rho, p, "sqrt_form").values
     rel = float(np.abs(wave_form - static).max() / np.abs(static).max())
     return CheckResult("C10a", "covariant-static", rel <= 1e-12,
@@ -413,8 +413,7 @@ def _separable_history(grid: Grid, amp: float, omega: float, t_mid: float,
     prof = np.cos(2 * np.pi * grid.x / grid.length)
     for j in range(k):
         t = t_mid + (j - (k - 1) // 2) * dt_h
-        hist.push(t, Field(grid, amp * prof * math.cos(omega * t),
-                           _fresh=True))
+        hist.push(t, Field(grid, amp * prof * math.cos(omega * t)))
     return hist
 
 
@@ -426,7 +425,7 @@ def check_covariant_contraction(ctx) -> CheckResult:
     lam_mid = amp * prof * math.cos(omega * t_mid)
     lam_t = -amp * omega * prof * math.sin(omega * t_mid)
     lam_tt = -amp * omega**2 * prof * math.cos(omega * t_mid)
-    r_mid = Field(grid, np.exp(0.5 * lam_mid), _fresh=True)
+    r_mid = Field(grid, np.exp(0.5 * lam_mid))
     lap = derivative(r_mid, 2).values
     dtt_exact = 0.5 * lam_tt + 0.25 * lam_t**2        # (d2R/dt2)/R
     exact = p.quantum_coefficient * (dtt_exact / p.c**2
@@ -455,9 +454,8 @@ def check_retarded_rate(ctx) -> CheckResult:
     hist = DensityHistory(grid, capacity=k_hist)
     for j in range(k_hist):
         t = j * dt_h
-        hist.push(t, Field(grid, amp * prof * math.cos(omega * t),
-                           _fresh=True))
-    rho_new = Field(grid, np.exp(hist.lams[-1]), _fresh=True)
+        hist.push(t, Field(grid, amp * prof * math.cos(omega * t)))
+    rho_new = Field(grid, np.exp(hist.lams[-1]))
     errs = []
     cs = (4.0, 40.0, 400.0)
     for c in cs:

@@ -359,13 +359,44 @@ t_end = 2e-3
 """
 
 
+# at order 60 the moment table overflows and the linear rate holds NaN; at
+# order 86 and past, (2n)! is no double
+LONG_SERIES = """\
+[grid]
+n = 64
+length = 1
+
+[terms]
+quantum = true
+quantum_order = {order}
+
+[kernel]
+family = difference_of_gaussians
+width = 0.05
+
+[initial]
+kind = cosine
+amplitude = 0.1
+
+[solver]
+dt = 1e-6
+t_end = 1e-6
+"""
+
+
 def test_run_refuses_an_ill_posed_series(tmp_path, capsys):
-    path = scenario_file(tmp_path, ILL_POSED)
-    assert main(["run", path, "-o", str(tmp_path / "o")]) == EXIT_USAGE
-    line = ILL_POSED.splitlines().index("family = difference_of_gaussians")
-    assert f"line {line + 1}: the gradient series cut after c_4 is ill-posed" \
-        in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for text, words in [
+            (ILL_POSED, "the gradient series cut after c_4 is ill-posed"),
+            (LONG_SERIES.format(order=60),
+             "the gradient series cut after c_120 is ill-posed: its linear"
+             " rate falls to nan"),
+            (LONG_SERIES.format(order=90),
+             "series order 90 is past 85, the last whose (2n)! is a double")]:
+        path = scenario_file(tmp_path, text)
+        assert main(["run", path, "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        line = text.splitlines().index("family = difference_of_gaussians")
+        assert f"line {line + 1}: {words}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # the same series with a gaussian kernel (c_4 = +3) is well-posed, but its
@@ -671,6 +702,9 @@ def test_scan_writes_table_and_files(tmp_path, capsys):
 def test_scan_rejects_bad_orders(capsys):
     assert cmd_scan(None, orders="0,1") == EXIT_USAGE
     assert "orders must be >= 1" in capsys.readouterr().err
+    assert cmd_scan(None, orders="86") == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: series order 86 is past 85, the last whose (2n)! is a double\n")
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["too-big", "no-memory"])

@@ -1,6 +1,7 @@
 """Grid construction rules, spectral derivatives, and field algebra."""
 
 import ast
+import functools
 import pickle
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qfluid.grid import Field, Grid, convolve, dealias, derivative, integrate
+from qfluid.madelung import SolverConfig, State
 
 
 @pytest.mark.parametrize("n,msg", [(9, "even"), (7, "n >= 8"), (4, "n >= 8")])
@@ -191,9 +193,87 @@ def test_field_validation_and_immutability():
         Field(g, np.ones(17))
     with pytest.raises(ValueError, match="finite"):
         Field(g, np.full(16, np.nan))
-    f = Field(g, np.ones(16))
+    raw = np.ones(16)
+    f = Field(g, raw)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+    # the caller's array is copied, not frozen or shared
+    assert raw.flags.writeable and not np.shares_memory(raw, f.values)
+
+
+@functools.cache
+def _field_producers():
+    """Each public way the package makes a Field, by name, on the trap
+    preset (a harmonic trap with Bohm's closure at n = 256)."""
+    from qfluid import madelung, potentials, presets, schrodinger
+    from qfluid.covariant import DensityHistory, dalembert_uq
+    from qfluid.kernels import (make_kernel, moments, nonlocal_energy,
+                                series_energy)
+    from qfluid.params import (ExternalCosine, ExternalHarmonic,
+                               ExternalTable, ExternalZero)
+    from qfluid.scenario import build
+
+    setup = build(presets.trap())
+    s, flags, p, vext = setup.state, setup.flags, setup.params, setup.vext
+    g, rho = s.grid, s.density()
+    cfg = SolverConfig(dt=setup.scn.solver.dt, t_end=2 * setup.scn.solver.dt)
+    kern = make_kernel("gaussian", g, width=0.05)
+    table = moments(kern, max_n=2)
+
+    def history():
+        h = DensityHistory(g, capacity=5)
+        for j in range(5):
+            h.push(0.01 * j, s.lam)
+        return h
+
+    return {
+        "step": lambda: madelung.step(s, cfg, flags, p, vext),
+        "rhs": lambda: madelung.rhs(s, flags, p, vext),
+        "quantum_potential": lambda: madelung.quantum_potential(s, flags, p),
+        "velocity": lambda: madelung.velocity(s),
+        "density": lambda: s.density(),
+        "derivative": lambda: derivative(s.lam, 2),
+        "dealias": lambda: dealias(s.lam),
+        "convolve": lambda: convolve(s.lam, kern.as_field()),
+        "arithmetic": lambda: (s.lam + 1.0, 1.0 - s.lam, -s.lam,
+                               s.lam * s.phi, 1.0 / rho),
+        "nonlocal_energy": lambda: nonlocal_energy(rho, kern, p),
+        "series_energy": lambda: series_energy(rho, table, 0.05, 2, p),
+        "bohm_potential": lambda: [
+            potentials.bohm_potential(rho, p, form)
+            for form in ("gradient_form", "sqrt_form")],
+        "dalembert_uq": lambda: dalembert_uq(history(), p),
+        "from_wavefunction": lambda: schrodinger.from_wavefunction(
+            schrodinger.to_wavefunction(s, p), p),
+        "potential_field": lambda: [
+            v.field(g) for v in (ExternalZero(), ExternalHarmonic(omega=1.0),
+                                 ExternalCosine(v0=0.1),
+                                 ExternalTable([0.0, 1.0], [0.0, 0.0]))],
+        "build_state": lambda: build(presets.trap()).state,
+        "run_snapshots": lambda: madelung.run(s, cfg, flags, p,
+                                              vext).snapshots,
+    }
+
+
+def _fields(made):
+    """The Fields in a producer's result: a Field, a State or a sequence."""
+    if isinstance(made, Field):
+        return [made]
+    if isinstance(made, State):
+        return [made.lam, made.phi]
+    return [f for item in made for f in _fields(item)]
+
+
+@pytest.mark.parametrize("producer", list(_field_producers()))
+def test_every_field_the_package_makes_owns_its_samples(producer):
+    # a view would pin the array it looks into, a stepper's buffer or a
+    # stack of rows, and could change under a reader if that array did
+    fields = _fields(_field_producers()[producer]())
+    assert fields
+    for f in fields:
+        assert f.values.flags.owndata and f.values.base is None
+        assert not f.values.flags.writeable
+        assert f.values.shape == (f.grid.n,) and f.values.dtype == float
 
 
 def test_field_arithmetic():

@@ -192,13 +192,3 @@ def test_variational_derivative_matches_closed_form():
     numeric = euler_lagrange_oracle(rho, np.sqrt(a2), p).values
     closed = bohm_potential(rho, p, "gradient_form").values
     assert np.abs(numeric - closed).max() < 1e-6 * np.abs(closed).max()
-
-
-def test_variational_oracle_delta_bounds():
-    g = Grid(n=16, length=2.0)
-    rho = Field(g, np.ones(g.n))
-    p = PhysParams()
-    with pytest.raises(ValueError, match="delta"):
-        euler_lagrange_oracle(rho, 0.1, p, delta=1e-3)
-    with pytest.raises(ValueError, match="delta"):
-        euler_lagrange_oracle(rho, 0.1, p, delta=1e-9)
